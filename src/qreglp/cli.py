@@ -89,7 +89,7 @@ def _cmd_analyze(args) -> int:
             "true" if report.bounds_ok else "false",
         )
     )
-    return 0
+    return 0 if report.bounds_ok else 2
 
 
 def _load_ot(path: str) -> ot.OtInstance:
@@ -150,8 +150,8 @@ def _cmd_oracle_check(args) -> int:
     )
     ok = worst.rel_disagreement <= 1e-7 and worst.path_discrepancy <= 1e-7
     print(
-        "worst_rel_disagreement={:.3e} worst_path_discrepancy={:.3e} ok={}".format(
-            worst.rel_disagreement, worst.path_discrepancy, "true" if ok else "false"
+        "worst={} worst_rel_disagreement={:.3e} worst_path_discrepancy={:.3e} ok={}".format(
+            worst.label, worst.rel_disagreement, worst.path_discrepancy, "true" if ok else "false"
         )
     )
     return 0 if ok else 2

@@ -31,10 +31,9 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .errors import MaxSegmentsExceeded, NumericalBreakdown
-from .polytope import FEAS_TOL, PolytopeSpec
+from .polytope import FEAS_TOL, PolytopeSpec, _extend_basis
 from .projection import (
     QlpInstance,
-    _orth_rows,
     _tri_solve,
     min_distance_active_set,
     project,
@@ -155,14 +154,8 @@ def direction(active_set, inst: QlpInstance) -> np.ndarray:
     stationary piece.
     """
     spec = inst.polytope
-    active_set = np.asarray(active_set, dtype=int)
-    rows = [spec.A] if spec.n_eq else []
-    if active_set.size:
-        rows.append(spec.G[active_set])
+    _, Q = _extend_basis(spec.eq_reduction[1], spec.G, [int(j) for j in active_set])
     v = -0.5 * inst.c
-    if not rows:
-        return v
-    Q = _orth_rows(np.vstack(rows))
     return v - Q.T @ (Q @ v)
 
 
@@ -193,11 +186,13 @@ def _right_derivative(inst: QlpInstance, eta: float, x: np.ndarray, tight: np.nd
     """
     spec = inst.polytope
     r = inst.target(eta) - x
-    rows = [spec.A] if spec.n_eq else []
+    A_cone = spec.A
+    eq_idx, base_q = spec.eq_reduction
     rn = float(np.linalg.norm(r))
     if rn > 1e-12 * (1.0 + np.linalg.norm(x) + abs(eta) * np.linalg.norm(inst.c)):
-        rows.append((r / rn)[None, :])
-    A_cone = np.vstack(rows) if rows else np.zeros((0, spec.dim))
+        A_cone = np.vstack([spec.A, r / rn])
+        kept, base_q = _extend_basis(base_q, A_cone, [spec.n_eq])
+        eq_idx = eq_idx + kept
     G_cone = spec.G[tight] if tight.size else np.zeros((0, spec.dim))
     w0 = None
     if warm_rows is not None and tight.size:
@@ -210,6 +205,7 @@ def _right_derivative(inst: QlpInstance, eta: float, x: np.ndarray, tight: np.nd
         -0.5 * inst.c,
         np.zeros(spec.dim),
         w0=w0,
+        eq=(eq_idx, base_q),
     )
     if np.linalg.norm(d) <= _DIR_ZERO * (1.0 + np.linalg.norm(inst.c)):
         d = np.zeros(spec.dim)
@@ -308,7 +304,7 @@ def _dual_exit_time(spec: PolytopeSpec, seg_rows: np.ndarray, r0: np.ndarray, rd
         return max(smin, floor), np.sort(hit)
 
     # Dependent rows: locate the exit by bisection on cone membership.
-    aq = _orth_rows(A)
+    aq = spec.eq_reduction[1]
     gj = GJ - (GJ @ aq.T) @ aq if aq.shape[0] else GJ
     tol = _MEMBER_TOL * scale
 

@@ -8,7 +8,7 @@ are the reference answers the fast paths are tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -209,6 +209,7 @@ class CrossCheck:
     rel_disagreement: float
     path_discrepancy: float
     x_star_gap: float
+    label: str = ""
 
 
 def cross_check_instance(inst: QlpInstance, seed: int = 0, samples: int = 40) -> CrossCheck:
@@ -254,27 +255,23 @@ def run_cross_checks(
     samples: int = 40,
     verbose: bool = False,
 ) -> CrossCheck:
-    """Randomized agreement battery; returns the worst record seen."""
+    """Randomized agreement battery; returns the worst instance's record.
+
+    The worst instance has the largest of ``rel_disagreement`` and
+    ``path_discrepancy``; its record carries its label, e.g. ``polytope[17]``.
+    """
     from .ot import build
 
-    worst = CrossCheck(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    records = []
 
     def absorb(r: CrossCheck, label: str):
-        nonlocal worst
         if verbose:
             print(
                 f"{label}: eta*=({r.eta_formula:.6g}, {r.eta_bruteforce:.6g}, "
                 f"{r.eta_path:.6g}) rel={r.rel_disagreement:.2e} "
                 f"path={r.path_discrepancy:.2e}"
             )
-        worst = CrossCheck(
-            eta_formula=r.eta_formula,
-            eta_bruteforce=r.eta_bruteforce,
-            eta_path=r.eta_path,
-            rel_disagreement=max(worst.rel_disagreement, r.rel_disagreement),
-            path_discrepancy=max(worst.path_discrepancy, r.path_discrepancy),
-            x_star_gap=max(worst.x_star_gap, r.x_star_gap),
-        )
+        records.append(replace(r, label=label))
 
     for i in range(n_polytopes):
         inst = random_polytope_instance(seed + i)
@@ -288,4 +285,8 @@ def run_cross_checks(
             cross_check_instance(inst.qlp(), seed=seed + 10_000 + i, samples=samples),
             f"transport[{i}] n={n}",
         )
-    return worst
+    return max(
+        records,
+        key=lambda r: max(r.rel_disagreement, r.path_discrepancy),
+        default=CrossCheck(0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    )

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog
@@ -98,6 +99,12 @@ class PolytopeSpec:
     @property
     def n_ineq(self) -> int:
         return self.G.shape[0]
+
+    @cached_property
+    def eq_reduction(self) -> tuple[list[int], np.ndarray]:
+        """``(eq_idx, base_q)``: greedy independent rows of ``A`` and an
+        orthonormal basis of their span, computed once per spec."""
+        return _extend_basis(np.zeros((0, self.dim)), self.A, range(self.n_eq))
 
     def contains(self, x, tol: float = FEAS_TOL) -> bool:
         """Membership test up to ``tol`` on both constraint blocks."""
@@ -234,17 +241,33 @@ def _dedup_rows(V: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
     return np.asarray(kept)
 
 
-def _independent_rows(M: np.ndarray, tol: float = _RANK_TOL) -> np.ndarray:
-    """Indices of a maximal linearly independent subset of rows, greedily."""
-    idx = []
-    basis = np.zeros((0, M.shape[1]))
-    for i, row in enumerate(M):
-        r = row - basis.T @ (basis @ row) if basis.shape[0] else row.copy()
-        nr = np.linalg.norm(r)
-        if nr > tol * max(1.0, np.linalg.norm(row)):
-            idx.append(i)
-            basis = np.vstack([basis, r / nr])
-    return np.asarray(idx, dtype=int)
+def _extend_basis(base: np.ndarray, M: np.ndarray, order) -> tuple[list[int], np.ndarray]:
+    """Rows of ``M``, visited in ``order``, that extend the span of ``base``.
+
+    ``base`` holds orthonormal rows.  A row is kept when its component
+    orthogonal to ``base`` and to the rows kept so far (two Gram-Schmidt
+    passes) exceeds ``_RANK_TOL * max(1, |row|)``, so of two dependent rows
+    the earlier wins.  Returns the kept indices, as ints in visiting order,
+    and ``base`` extended by one orthonormal row per kept row.
+    """
+    d = M.shape[1]
+    r = base.shape[0]
+    basis = np.empty((min(d, r + len(order)), d))
+    basis[:r] = base
+    kept: list[int] = []
+    for j in order:
+        if r == d:
+            break
+        g = M[j]
+        Qb = basis[:r]
+        res = g - Qb.T @ (Qb @ g)
+        res -= Qb.T @ (Qb @ res)  # second pass keeps the basis orthonormal
+        nr = float(np.linalg.norm(res))
+        if nr > _RANK_TOL * max(1.0, float(np.linalg.norm(g))):
+            basis[r] = res / nr
+            r += 1
+            kept.append(int(j))
+    return kept, basis[:r]
 
 
 def _find_feasible_point(spec: PolytopeSpec) -> np.ndarray:
@@ -361,13 +384,9 @@ def enumerate_vertices(
         return VertexSet(_dedup_rows(spec.vertices, DEDUP_TOL))
 
     d = spec.dim
-    if spec.n_eq:
-        eq_idx = _independent_rows(spec.A)
-        A_red = spec.A[eq_idx]
-        b_red = spec.b[eq_idx]
-    else:
-        A_red = np.zeros((0, d))
-        b_red = np.zeros(0)
+    eq_idx, _ = spec.eq_reduction
+    A_red = spec.A[eq_idx]
+    b_red = spec.b[eq_idx]
     r_eq = A_red.shape[0]
     s = d - r_eq
     k = spec.n_ineq

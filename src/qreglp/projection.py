@@ -8,10 +8,14 @@ via the identity
     <c, x> + |x|^2/eta  =  |x + eta c / 2|^2 / eta - (eta/4) |c|^2.
 
 Each iteration projects the residual onto the null space of the working-set
-rows (dense QR) and either steps to the first blocking constraint or drops a
-negative-multiplier row.  Ties are broken by smallest row index throughout,
-which makes the method deterministic and finitely terminating under
-degeneracy.
+rows and either steps to the first blocking constraint or drops a
+negative-multiplier row.  A working-set row with one nonzero entry (a bound
+such as ``x_j >= 0``) fixes its coordinate, so the step is zero there; only
+the equality rows and the other working-set rows, restricted to the free
+coordinates, are factored.  On a transport polytope, where the solution is
+sparse, that block is ``|free| x (2n - 1)`` instead of ``n^2 x (2n - 1 + |W|)``.
+Ties are broken by smallest row index throughout, which makes the method
+deterministic and finitely terminating under degeneracy.
 """
 
 from __future__ import annotations
@@ -22,7 +26,14 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import MaxIterationsExceeded, NumericalBreakdown
-from .polytope import FEAS_TOL, PolytopeSpec, VertexSet, _find_feasible_point, validate
+from .polytope import (
+    FEAS_TOL,
+    PolytopeSpec,
+    VertexSet,
+    _extend_basis,
+    _find_feasible_point,
+    validate,
+)
 
 MULT_TOL = 1e-10
 KKT_TOL = 1e-8
@@ -104,138 +115,120 @@ def _tri_solve(R: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise NumericalBreakdown("singular working-set system") from exc
 
 
-class _IncrementalQR:
-    """Economy QR of a growing/shrinking set of constraint gradients.
-
-    Columns are appended with twice-reorthogonalized Gram-Schmidt and
-    deleted with Givens rotations, so one active-set pivot costs
-    ``O(d r)`` instead of a full refactorization.  The original vectors
-    are kept so the factorization can be rebuilt after many updates.
-    """
-
-    REFRESH = 192
-
-    def __init__(self, d: int):
-        self.d = d
-        self.Q = np.zeros((d, d))
-        self.R = np.zeros((d, d))
-        self.r = 0
-        self.cols: list[np.ndarray] = []
-        self._updates = 0
-
-    def append(self, v: np.ndarray, rank_tol: float = _RANK_TOL) -> bool:
-        """Add a column; False (and no change) if it is dependent."""
-        r = self.r
-        Q = self.Q[:, :r]
-        w = Q.T @ v
-        res = v - Q @ w
-        if r:
-            w2 = Q.T @ res
-            res = res - Q @ w2
-            w = w + w2
-        rho = float(np.linalg.norm(res))
-        if rho <= rank_tol * max(1.0, float(np.linalg.norm(v))):
-            return False
-        self.Q[:, r] = res / rho
-        self.R[:r, r] = w
-        self.R[r, r] = rho
-        self.r = r + 1
-        self.cols.append(v)
-        self._bump()
-        return True
-
-    def delete(self, k: int) -> None:
-        """Remove column ``k`` and restore triangular form."""
-        r = self.r
-        R, Q = self.R, self.Q
-        R[:, k : r - 1] = R[:, k + 1 : r]
-        for i in range(k, r - 1):
-            a, b = R[i, i], R[i + 1, i]
-            rad = float(np.hypot(a, b))
-            if rad == 0.0:
-                continue
-            c, s = a / rad, b / rad
-            Ri = R[i, i : r - 1].copy()
-            Rj = R[i + 1, i : r - 1].copy()
-            R[i, i : r - 1] = c * Ri + s * Rj
-            R[i + 1, i : r - 1] = -s * Ri + c * Rj
-            Qi = Q[:, i].copy()
-            Qj = Q[:, i + 1].copy()
-            Q[:, i] = c * Qi + s * Qj
-            Q[:, i + 1] = -s * Qi + c * Qj
-        R[:, r - 1] = 0.0
-        R[r - 1, :] = 0.0
-        Q[:, r - 1] = 0.0
-        self.r = r - 1
-        del self.cols[k]
-        self._bump()
-
-    def _bump(self):
-        self._updates += 1
-        if self._updates >= self.REFRESH:
-            self.refactor()
-
-    def refactor(self) -> None:
-        """Rebuild the factorization from the stored columns."""
-        self._updates = 0
-        r = len(self.cols)
-        self.Q[:] = 0.0
-        self.R[:] = 0.0
-        self.r = r
-        if not r:
-            return
-        B = np.stack(self.cols, axis=1)
-        Q, R = np.linalg.qr(B)
-        self.Q[:, :r] = Q
-        self.R[:r, :r] = R
-
-    def project_out(self, v: np.ndarray) -> np.ndarray:
-        """Component of ``v`` orthogonal to the stored columns."""
-        Q = self.Q[:, : self.r]
-        return v - Q @ (Q.T @ v)
-
-    def multipliers(self, v: np.ndarray) -> np.ndarray:
-        """Solve ``B y = v`` for the stacked-column matrix ``B``."""
-        r = self.r
-        return _tri_solve(self.R[:r, :r], self.Q[:, :r].T @ v)
-
-
-def _orth_rows(M: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (as rows) of the row space of M."""
-    if M.shape[0] == 0:
-        return np.zeros((0, M.shape[1]))
-    q, r = np.linalg.qr(M.T)
-    keep = np.abs(np.diag(r)) > _RANK_TOL * max(1.0, np.abs(np.diag(r)).max())
-    return q[:, keep].T
+def _unit_columns(G: np.ndarray) -> np.ndarray:
+    """Per row of ``G``: the coordinate a unit row (one nonzero) fixes, else -1."""
+    col = np.argmax(np.abs(G), axis=1)
+    col[np.count_nonzero(G, axis=1) != 1] = -1
+    return col
 
 
 def _extend_independent(base_q: np.ndarray, G: np.ndarray, order) -> list[int]:
-    """Rows of ``G``, visited in ``order``, that extend the span of ``base_q``.
+    """Indices :func:`polytope._extend_basis` keeps: the rows of ``G``, visited
+    in ``order``, that extend the span of the orthonormal rows ``base_q``.
 
-    ``base_q`` holds orthonormal rows (the reduced equality rows).  A row is
-    kept when its component orthogonal to ``base_q`` and to the rows already
-    kept has norm above ``_RANK_TOL * max(1, |g|)``, the relative test that
-    ``_IncrementalQR.append`` applies; so of two dependent rows the one
-    earlier in ``order`` wins.  Returns the kept indices as a list of ints in visiting order.
+    When every visited row is a unit row they are found in one batch.
     """
-    d = G.shape[1]
-    r = base_q.shape[0]
-    basis = np.empty((min(d, r + len(order)), d))
-    basis[:r] = base_q
-    kept: list[int] = []
-    for j in order:
-        if r == d:
+    order = [int(j) for j in order]
+    col = _unit_columns(G[order])
+    kept = _extend_unit_rows(base_q, G, order, col) if order and np.all(col >= 0) else None
+    return kept if kept is not None else _extend_basis(base_q, G, order)[0]
+
+
+def _extend_unit_rows(base_q, G, order, col) -> list[int] | None:
+    """:func:`_extend_independent` for unit rows ``G[order_i] ~ e_{col_i}``.
+
+    ``[base_q; e_S]`` is independent exactly when the columns of ``base_q``
+    outside ``S`` have full row rank: ``S`` is independent in the dual of its
+    column matroid.  On the visited coordinates ``T`` that dual is the dual of
+    the contraction by the other columns, so the greedy choice keeps all of
+    ``T`` but the contraction's greedy column basis in reverse order.  The
+    candidate is checked with the row-by-row test: a kept row's residual
+    against all other kept rows bounds its residual when visited from below,
+    and a dropped row's residual is computed.  None when a check fails.
+    """
+    d = base_q.shape[1]
+    first = np.sort(np.unique(col, return_index=True)[1])  # a repeat is dependent
+    rows = [order[i] for i in first]
+    T, coef = col[first], np.abs(G[rows, col[first]])
+    thresh = _RANK_TOL * np.maximum(1.0, coef) / coef  # on the residual of e_t
+    if base_q.shape[0] == 0:
+        return [j for j, t in zip(rows, thresh) if t < 1.0]
+    free = np.ones(d, dtype=bool)
+    free[T] = False
+    P = base_q[:, T]
+    if free.any():  # contract: project out the span of the other columns
+        U, sv, _ = np.linalg.svd(base_q[:, free], full_matrices=False)
+        U = U[:, sv > _RANK_TOL * max(1.0, sv[0])]
+        P = P - U @ (U.T @ P)
+    dropped = np.zeros(T.size, dtype=bool)
+    while True:
+        big = np.flatnonzero(np.linalg.norm(P, axis=0) > _RANK_TOL)
+        if big.size == 0:
             break
-        g = G[j]
-        Qb = basis[:r]
-        res = g - Qb.T @ (Qb @ g)
-        res -= Qb.T @ (Qb @ res)  # second pass keeps the basis orthonormal
-        nr = float(np.linalg.norm(res))
-        if nr > _RANK_TOL * max(1.0, float(np.linalg.norm(g))):
-            basis[r] = res / nr
-            r += 1
-            kept.append(int(j))
-    return kept
+        t = big[-1]
+        u = P[:, t] / np.linalg.norm(P[:, t])
+        P = P - np.outer(u, u @ P)
+        dropped[t] = True
+    free[T[dropped]] = True
+    Rf = np.linalg.qr(base_q[:, free].T, mode="r")
+    if Rf.shape[0] < Rf.shape[1] or np.abs(np.diag(Rf)).min() <= _RANK_TOL:
+        return None
+    w = np.linalg.solve(Rf.T, base_q[:, T[~dropped]])
+    if np.any(1.0 / np.sqrt(1.0 + np.sum(w * w, axis=0)) <= thresh[~dropped]):
+        return None
+    for i in np.flatnonzero(dropped):
+        free = np.delete(np.arange(d), T[:i][~dropped[:i]])
+        U = np.linalg.qr(base_q[:, free].T)[0]
+        e = (free == T[i]).astype(float)
+        res = e - U @ (U.T @ e)
+        res -= U @ (U.T @ res)
+        if np.linalg.norm(res) > thresh[i]:
+            return None
+    return [j for j, drop in zip(rows, dropped) if not drop]
+
+
+class _FreeSystem:
+    """The working-set rows ``[A_red; G[W]]`` on the coordinates no row fixes.
+
+    A unit row of the working set fixes its coordinate, where the null space
+    of the stack is zero; only the equality and general working-set rows,
+    restricted to the free coordinates, are factored.
+    """
+
+    def __init__(self, A_red: np.ndarray, G: np.ndarray, W: list[int], col: np.ndarray):
+        self.A_red, self.G, self.W = A_red, G, np.asarray(W, dtype=int)
+        self.unit = col[self.W] >= 0
+        self.fixed = col[self.W[self.unit]]
+        free = np.ones(G.shape[1], dtype=bool)
+        free[self.fixed] = False
+        self.free = np.flatnonzero(free)
+        self.B = np.vstack([A_red, G[self.W[~self.unit]]])
+        self.Q, self.R = np.linalg.qr(self.B[:, self.free].T)
+
+    def project(self, v: np.ndarray) -> np.ndarray:
+        """Component of ``v`` in the null space of the working-set rows."""
+        out = np.zeros_like(v)
+        vf = v[self.free]
+        vf = vf - self.Q @ (self.Q.T @ vf)
+        # Second pass: a free coordinate the other rows pin in place must not
+        # pick up rounding noise that the ratio test would take for a move.
+        out[self.free] = vf - self.Q @ (self.Q.T @ vf)
+        return out
+
+    def multipliers(self, v: np.ndarray) -> np.ndarray:
+        """Least-squares ``y`` with ``[A_red; G[W]]^T y = v``, in that row order."""
+        if self.B.shape[0] > self.Q.shape[0]:  # more rows than free coordinates
+            dense = np.vstack([self.A_red, self.G[self.W]])
+            return np.linalg.lstsq(dense.T, v, rcond=None)[0]
+        m_red = self.A_red.shape[0]
+        y_gen = _tri_solve(self.R, self.Q.T @ v[self.free])
+        resid = v - self.B.T @ y_gen
+        y = np.empty(m_red + self.W.size)
+        y[:m_red] = y_gen[:m_red]
+        y[m_red + np.flatnonzero(~self.unit)] = y_gen[m_red:]
+        coef = self.G[self.W[self.unit], self.fixed]
+        y[m_red + np.flatnonzero(self.unit)] = resid[self.fixed] / coef
+        return y
 
 
 def min_distance_active_set(
@@ -248,14 +241,17 @@ def min_distance_active_set(
     feas_tol: float = FEAS_TOL,
     mult_tol: float = MULT_TOL,
     max_iter: int | None = None,
+    eq=None,
 ):
     """Minimize ``|x - z|^2`` subject to ``A x = A x0`` and ``G x <= h``.
 
     ``x0`` must be feasible.  The equality right-hand side is taken from
     ``x0`` so the routine serves both polytopes and cones (``h = 0``,
-    ``x0 = 0``).  Returns ``(x, working_set, eq_mult, ineq_mult, iters)``
-    where ``eq_mult`` has one entry per row of ``A`` (zero on redundant
-    rows, which are removed internally).
+    ``x0 = 0``).  ``eq`` is the reduction ``(eq_idx, base_q)`` of ``A``
+    (:attr:`PolytopeSpec.eq_reduction`); it is computed when not given.
+    Returns ``(x, working_set, eq_mult, ineq_mult, iters)`` where ``eq_mult``
+    has one entry per row of ``A`` (zero on redundant rows, which are removed
+    internally).
     """
     d = z.size
     m = A.shape[0]
@@ -269,17 +265,11 @@ def min_distance_active_set(
         max_iter = max(50 * (m + k), 100)
 
     # Redundant equality rows would break the null-space projection.
-    if m:
-        from .polytope import _independent_rows
-
-        eq_idx = _independent_rows(A)
-        A_red = A[eq_idx]
-    else:
-        eq_idx = np.zeros(0, dtype=int)
-        A_red = np.zeros((0, d))
+    eq_idx, base_q = eq if eq is not None else _extend_basis(np.zeros((0, d)), A, range(m))
+    A_red = A[eq_idx]
     m_red = A_red.shape[0]
 
-    base_q = _orth_rows(A_red)
+    col = _unit_columns(G)
     g_norm = np.linalg.norm(G, axis=1) if k else np.zeros(0)
     slack = h - G @ x if k else np.zeros(0)
     tight = np.flatnonzero(slack <= feas_tol) if k else np.zeros(0, dtype=int)
@@ -292,26 +282,23 @@ def min_distance_active_set(
     W.sort()
 
     zscale = 1.0 + float(np.linalg.norm(z))
-    Q = R = None
+    system = None
     it = 0
     while it < max_iter:
         it += 1
-        B = np.vstack([A_red, G[W]]) if (m_red or W) else np.zeros((0, d))
-        if B.shape[0]:
-            Q, R = np.linalg.qr(B.T)
+        if system is None:
+            system = _FreeSystem(A_red, G, W, col)
         v = z - x
-        dvec = v - Q @ (Q.T @ v) if B.shape[0] else v.copy()
+        dvec = system.project(v)
         nd = np.linalg.norm(dvec)
         if nd <= _STEP_TOL * zscale:
-            if not B.shape[0]:
-                break
-            y = _tri_solve(R, Q.T @ v)
-            lam = y[m_red:]
+            lam = system.multipliers(v)[m_red:]
             neg = np.flatnonzero(lam < -mult_tol)
             if neg.size == 0:
                 break
             # Bland: drop the smallest-index offending row (W is sorted).
             W.pop(int(neg.min()))
+            system = None
             continue
         alpha = 1.0
         blocker = -1
@@ -319,8 +306,8 @@ def min_distance_active_set(
             mask = np.ones(k, dtype=bool)
             mask[W] = False
             idx = np.flatnonzero(mask)
-            Gd = G[idx] @ dvec
-            sl = h[idx] - G[idx] @ x
+            Gd = (G @ dvec)[idx]
+            sl = (h - G @ x)[idx]
             pos = Gd > 1e-13 * (1.0 + g_norm[idx] * nd)
             if np.any(pos):
                 t = np.maximum(sl[pos], 0.0) / Gd[pos]
@@ -334,21 +321,16 @@ def min_distance_active_set(
         if blocker >= 0 and alpha < 1.0:
             W.append(blocker)
             W.sort()
+            system = None
     else:
         raise MaxIterationsExceeded(
             f"no convergence in {max_iter} active-set iterations", best_x=x
         )
 
-    B = np.vstack([A_red, G[W]]) if (m_red or W) else np.zeros((0, d))
     mu = np.zeros(m)
-    if B.shape[0]:
-        Q, R = np.linalg.qr(B.T)
-        y = _tri_solve(R, Q.T @ (z - x))
-        mu[eq_idx] = y[:m_red]
-        lam = y[m_red:]
-    else:
-        lam = np.zeros(0)
-    return x, np.asarray(W, dtype=int), mu, lam, it
+    y = system.multipliers(z - x)
+    mu[eq_idx] = y[:m_red]
+    return x, np.asarray(W, dtype=int), mu, y[m_red:], it
 
 
 def project(
@@ -389,7 +371,8 @@ def project(
         x0 = _find_feasible_point(spec)
         working_set = None
     x, W, mu, lam, iters = min_distance_active_set(
-        spec.A, spec.G, spec.h, z, x0, w0=working_set, feas_tol=feas_tol
+        spec.A, spec.G, spec.h, z, x0, w0=working_set, feas_tol=feas_tol,
+        eq=spec.eq_reduction,
     )
     grad = z - x
     if spec.n_eq:

@@ -134,6 +134,19 @@ def test_analyze_zero_cost_flagged(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("eta_star=0")
 
 
+def test_analyze_failed_bounds_exit_2(interval_file, monkeypatch, capsys):
+    from dataclasses import replace
+
+    from qreglp import analysis
+
+    real = analysis.analyze
+    monkeypatch.setattr(
+        analysis, "analyze", lambda *a, **k: replace(real(*a, **k), bounds_ok=False)
+    )
+    assert main(["analyze", interval_file]) == 2
+    assert capsys.readouterr().out.strip().endswith("bounds_ok=false")
+
+
 def test_ot_threshold(neg_id_file, capsys):
     assert main(["ot", "threshold", neg_id_file(5)]) == 0
     out = capsys.readouterr().out

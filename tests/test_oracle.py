@@ -150,6 +150,26 @@ def test_cross_check_agreement_small_batch():
         assert r.path_discrepancy <= 1e-7
 
 
+def test_run_cross_checks_reports_worst_instance(monkeypatch):
+    # Two instances; the first disagrees more, so its whole record (and not
+    # the last instance's eta triple) must come back, with its label.
+    from dataclasses import replace
+
+    from qreglp import oracle
+
+    records = {
+        0: oracle.CrossCheck(1.0, 1.0 + 1e-9, 1.0, 1e-9, 1e-12, 1e-12),
+        1: oracle.CrossCheck(5.0, 5.0, 5.0, 1e-15, 1e-11, 1e-8),
+    }
+    monkeypatch.setattr(oracle, "cross_check_instance", lambda inst, seed, samples: records[seed])
+    worst = oracle.run_cross_checks(n_polytopes=2, n_transport=0, seed=0)
+    assert worst == replace(records[0], label="polytope[0]")
+    records[1] = replace(records[1], path_discrepancy=1e-6)
+    assert oracle.run_cross_checks(n_polytopes=2, n_transport=0, seed=0) == replace(
+        records[1], label="polytope[1]"
+    )
+
+
 def test_oracle_lp_value_matches_path_endpoint():
     for seed in (2, 4):
         inst = random_polytope_instance(seed)

@@ -12,8 +12,16 @@ from qreglp import (
     project,
     solve_qlp,
 )
+from qreglp.oracle import random_cost_matrix, random_polytope_instance
 from qreglp.ot import birkhoff_polytope
-from qreglp.projection import _extend_independent, _orth_rows, min_distance_active_set
+from qreglp.polytope import _extend_basis
+from qreglp.projection import (
+    KKT_TOL,
+    _extend_independent,
+    _FreeSystem,
+    _unit_columns,
+    min_distance_active_set,
+)
 
 
 def test_project_interior(interval):
@@ -196,7 +204,7 @@ def test_extend_independent_contract():
         [0.0, 0.0, 1.0],  # 4: in the span of base_q below
         [1.0, 1.0, 1.0],  # 5
     ])
-    base_q = _orth_rows(np.array([[0.0, 0.0, 3.0]]))
+    base_q = np.array([[0.0, 0.0, 1.0]])  # orthonormal basis of the row (0, 0, 3)
     assert _extend_independent(base_q, G, []) == []
     kept = _extend_independent(base_q, G, np.array([3, 1, 0, 2, 4, 5]))
     assert kept == [3, 1]
@@ -207,6 +215,122 @@ def test_extend_independent_contract():
     assert _extend_independent(none, G, [1, 0]) == [1]
     assert _extend_independent(none, G, [5, 0, 2, 4]) == [5, 0, 2]
     assert _extend_independent(base_q, G, [5, 4]) == [5]
+    # Unit rows are kept in one batch, which must agree with the row-by-row
+    # test.  On Birkhoff(3), once coordinates 1, 2 and 3 are fixed, edge 6
+    # (row 2, column 0) is a bridge of the free support graph, so fixing it
+    # too depends on the equality rows alone.
+    spec = birkhoff_polytope(3)
+    _, base_q = spec.eq_reduction
+    G = spec.G
+    assert _extend_independent(base_q, G, [1, 2, 3, 6]) == [1, 2, 3]
+    assert _extend_independent(base_q, G, [6, 1, 2, 3]) == [6, 1, 2]
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 4, 5):
+        spec = birkhoff_polytope(n)
+        _, base_q = spec.eq_reduction
+        G2 = np.vstack([spec.G, -2.0 * spec.G[:3]])  # repeats of unit rows
+        for _ in range(20):
+            order = rng.permutation(G2.shape[0])[: rng.integers(1, G2.shape[0] + 1)]
+            kept = _extend_independent(base_q, G2, order)
+            assert kept == _extend_basis(base_q, G2, list(order))[0]
+    # Near the rank tolerance: a column of A scaled towards zero, or nearly
+    # a copy of another, so that rounding-level decisions must still agree.
+    for _ in range(400):
+        d = int(rng.integers(2, 6))
+        A = rng.normal(size=(int(rng.integers(1, d)), d))
+        eps = 10.0 ** rng.uniform(-12, -8)
+        if rng.random() < 0.5:
+            A[:, rng.integers(d)] *= eps
+        else:
+            A[:, -1] = A[:, 0] + eps * rng.normal(size=A.shape[0])
+        _, base_q = _extend_basis(np.zeros((0, d)), A, range(A.shape[0]))
+        G3 = -np.eye(d) * rng.choice([1.0, 2.0, 1e-3], size=d)[:, None]
+        order = list(rng.permutation(d))
+        assert _extend_independent(base_q, G3, order) == _extend_basis(base_q, G3, order)[0]
+
+
+def _dense_active_set(A, G, h, z, x0, w0=None):
+    """Reference kernel: one plain QR of ``[A_red; G[W]]`` per iteration."""
+    d, k = z.size, G.shape[0]
+    x = x0.astype(float).copy()
+    eq_idx, base_q = _extend_basis(np.zeros((0, d)), A, range(A.shape[0]))
+    A_red = A[eq_idx]
+    tight = np.flatnonzero(h - G @ x <= 1e-9)
+    order = tight if w0 is None else list(dict.fromkeys([*w0, *tight]))
+    W = sorted(_extend_basis(base_q, G, list(order))[0])
+    zscale = 1.0 + np.linalg.norm(z)
+    for _ in range(max(50 * (A.shape[0] + k), 100)):
+        B = np.vstack([A_red, G[W]])
+        Q, R = np.linalg.qr(B.T)
+        v = z - x
+        dvec = v - Q @ (Q.T @ v)
+        nd = np.linalg.norm(dvec)
+        if nd <= 1e-12 * zscale:
+            lam = np.linalg.solve(R, Q.T @ v)[len(eq_idx):]
+            if np.all(lam >= -1e-10):
+                return x, W
+            W.pop(int(np.flatnonzero(lam < -1e-10).min()))
+            continue
+        idx = np.setdiff1d(np.arange(k), W)
+        Gd = G[idx] @ dvec
+        pos = Gd > 1e-13 * (1.0 + np.linalg.norm(G[idx], axis=1) * nd)
+        t = np.maximum(h[idx] - G[idx] @ x, 0.0)[pos] / Gd[pos]
+        alpha = min(1.0, t.min(initial=np.inf))
+        x = x + alpha * dvec
+        if alpha < 1.0:
+            W = sorted(W + [int(idx[pos][t <= alpha + 1e-12 * (1.0 + alpha)].min())])
+    raise AssertionError("reference kernel did not converge")
+
+
+def _kernel_cases():
+    rng = np.random.default_rng(2024)
+    for n in (2, 3, 4, 5):
+        spec = birkhoff_polytope(n)
+        c = random_cost_matrix(300 + n, n).ravel()
+        cold = np.full(n * n, 1.0 / n)
+        vertex = np.eye(n).ravel()
+        for eta in (0.5, 5.0, 50.0):
+            z = -0.5 * eta * c
+            yield spec, z, cold, None
+            yield spec, z, vertex, list(np.flatnonzero(vertex == 0.0))
+    for seed in range(8):
+        inst = random_polytope_instance(seed)
+        for eta in (0.3, 3.0, 30.0):
+            yield inst.polytope, inst.target(eta), inst.polytope.feasible_point, None
+    for d in (3, 5):
+        simplex = PolytopeSpec.simplex(d)
+        box = PolytopeSpec.box(np.zeros(d), np.ones(d))
+        for _ in range(3):
+            z = 2.0 * rng.normal(size=d)
+            yield simplex, z, simplex.feasible_point, None
+            yield box, z, box.feasible_point, None
+
+
+def test_kernel_matches_dense_reference():
+    for spec, z, x0, w0 in _kernel_cases():
+        x, W, mu, lam, _ = min_distance_active_set(
+            spec.A, spec.G, spec.h, z, x0, w0=w0, eq=spec.eq_reduction
+        )
+        x_ref, _ = _dense_active_set(spec.A, spec.G, spec.h, z, x0, w0)
+        assert np.max(np.abs(x - x_ref)) <= 1e-10
+        grad = z - x - spec.A.T @ mu - spec.G[W].T @ lam
+        assert np.max(np.abs(grad)) <= KKT_TOL * (1.0 + np.linalg.norm(z))
+        rows = np.vstack([spec.A[spec.eq_reduction[0]], spec.G[W]])
+        assert np.linalg.matrix_rank(rows) == rows.shape[0]
+
+
+def test_free_system_dependent_working_set():
+    # Fixing x_00 and x_01 of Birkhoff(2) leaves two free coordinates for
+    # three independent equality rows; the multipliers fall back to the
+    # dense least-squares solve and still reproduce any v in the row space.
+    spec = birkhoff_polytope(2)
+    eq_idx, _ = spec.eq_reduction
+    A_red = spec.A[eq_idx]
+    system = _FreeSystem(A_red, spec.G, [0, 1], _unit_columns(spec.G))
+    B = np.vstack([A_red, spec.G[[0, 1]]])
+    v = B.T @ np.random.default_rng(4).normal(size=B.shape[0])
+    assert np.max(np.abs(system.project(v))) <= 1e-12
+    assert np.max(np.abs(B.T @ system.multipliers(v) - v)) <= 1e-12
 
 
 def test_warm_start_redundant_row():
