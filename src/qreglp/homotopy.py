@@ -34,7 +34,8 @@ from .errors import MaxSegmentsExceeded, NumericalBreakdown
 from .polytope import FEAS_TOL, PolytopeSpec, _extend_basis
 from .projection import (
     QlpInstance,
-    _tri_solve,
+    _FreeSystem,
+    _unit_columns,
     min_distance_active_set,
     project,
 )
@@ -279,18 +280,20 @@ def _dual_exit_time(spec: PolytopeSpec, seg_rows: np.ndarray, r0: np.ndarray, rd
     m = A.shape[0]
     if GJ.shape[0] == 0:
         return cap, np.zeros(0, dtype=int)
-    B = np.vstack([A, GJ])
     scale = 1.0 + float(np.linalg.norm(r0)) + float(np.linalg.norm(rdot))
-    full_rank = False
-    if B.shape[0] <= B.shape[1]:
-        Q, R = np.linalg.qr(B.T)
-        diag = np.abs(np.diag(R))
-        full_rank = bool(diag.size and diag.min() > 1e-9 * max(diag.max(), 1.0))
+    # [A; G_J] has full row rank exactly when its unit rows fix distinct
+    # coordinates and the other rows are independent on the rest.
+    system = _FreeSystem(A, GJ, range(GJ.shape[0]), _unit_columns(GJ))
+    diag = np.abs(np.diag(system.R))
+    full_rank = (
+        np.unique(system.fixed).size == system.fixed.size
+        and system.B.shape[0] <= system.free.size
+        and (diag.size == 0 or diag.min() > 1e-9 * max(diag.max(), 1.0))
+    )
     if full_rank:
         # Independent rows: multipliers are unique affine functions of s.
-        y0 = _tri_solve(R, Q.T @ r0)
-        ydot = _tri_solve(R, Q.T @ rdot)
-        lam0, lamdot = y0[m:], ydot[m:]
+        lam0 = system.multipliers(r0)[m:]
+        lamdot = system.multipliers(rdot)[m:]
         floor = 1e-13 * scale
         falling = lamdot < -1e-13 * (1.0 + np.abs(lamdot).max(initial=0.0))
         if not np.any(falling):

@@ -23,6 +23,7 @@ from .errors import (
     BudgetExceeded,
     NaNInCost,
     NonSquareCost,
+    NumericalBreakdown,
 )
 from .homotopy import SolutionPath, trace_path
 from .oracle import lp_solve_bruteforce, min_norm_over_M
@@ -385,8 +386,10 @@ def figure3_experiment(
     and the last-segment slope ``L_n`` is read off the exact endpoints
     (never from finite differences).  The bound is ``(n-1)/n^6``; the
     reported ratio ``bound / L_n`` should never drop below one.  Sizes
-    beyond the homotopy budget yield a skipped row.  ``grid`` fresh
-    solves inside the final segment double-check its linearity.
+    beyond the homotopy budget yield a skipped row.  ``grid`` solves inside
+    the final segment double-check its linearity; each starts from the
+    segment's left breakpoint and its tight rows, steps to its own ``eta``
+    and is KKT-certified.
     """
     from .analysis import slope_report
     from .projection import solve_qlp
@@ -403,12 +406,11 @@ def figure3_experiment(
         path = trace_path(qlp)
         rep = slope_report(path, qlp.c)
         lo, hi = path.breakpoints[-2], path.breakpoints[-1]
+        x_lo, rows_lo = path.endpoints[-2], path.segment_active_sets[-1]
         for t in np.linspace(0.2, 0.8, grid):
             eta = float((1.0 - t) * lo + t * hi)
-            x = solve_qlp(qlp, eta).x
+            x = solve_qlp(qlp, eta, start=x_lo, working_set=rows_lo).x
             if np.max(np.abs(x - path.interpolate(eta))) > 1e-6 * (1.0 + np.linalg.norm(x)):
-                from .errors import NumericalBreakdown
-
                 raise NumericalBreakdown(f"last segment not affine at n={n}, eta={eta}")
         rows.append(
             ExperimentRow(n=n, slope=rep.slope, bound=bound, ratio=bound / rep.slope)

@@ -28,6 +28,7 @@ from scipy.linalg import solve_triangular
 from .errors import MaxIterationsExceeded, NumericalBreakdown
 from .polytope import (
     FEAS_TOL,
+    _RANK_TOL,
     PolytopeSpec,
     VertexSet,
     _extend_basis,
@@ -38,7 +39,9 @@ from .polytope import (
 MULT_TOL = 1e-10
 KKT_TOL = 1e-8
 _STEP_TOL = 1e-12
-_RANK_TOL = 1e-10
+# Orders of unit rows at least this long are seeded in one batch; below it the
+# batch's fixed cost of about ten LAPACK calls exceeds the row loop.
+_BATCH_MIN_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -126,11 +129,15 @@ def _extend_independent(base_q: np.ndarray, G: np.ndarray, order) -> list[int]:
     """Indices :func:`polytope._extend_basis` keeps: the rows of ``G``, visited
     in ``order``, that extend the span of the orthonormal rows ``base_q``.
 
-    When every visited row is a unit row they are found in one batch.
+    When at least ``_BATCH_MIN_ROWS`` rows are visited and every one is a unit
+    row they are found in one batch.
     """
     order = [int(j) for j in order]
-    col = _unit_columns(G[order])
-    kept = _extend_unit_rows(base_q, G, order, col) if order and np.all(col >= 0) else None
+    kept = None
+    if len(order) >= _BATCH_MIN_ROWS:
+        col = _unit_columns(G[order])
+        if np.all(col >= 0):
+            kept = _extend_unit_rows(base_q, G, order, col)
     return kept if kept is not None else _extend_basis(base_q, G, order)[0]
 
 

@@ -14,6 +14,8 @@ from qreglp import (
     solve_qlp,
     trace_path,
 )
+from qreglp import homotopy
+from qreglp.oracle import random_cost_matrix, random_polytope_instance
 from qreglp.ot import birkhoff_polytope, quad_cost_instance
 
 
@@ -198,3 +200,76 @@ def test_path_json_and_csv(interval_inst):
     rows = list(path.csv_rows())
     assert rows[0][0] == 0 and rows[0][1] == 0.0
     assert rows[-1][1] == pytest.approx(2.0)
+
+
+def _dense_exit_time(spec, seg_rows, r0, rdot, cap):
+    """Reference for the full-rank branch: one plain QR of ``[A; G_J]^T``.
+
+    Returns ``("full", s_exit, rows)``, or ``("dependent", None, None)`` when
+    the rows are dependent and the exit is left to the bisection.
+    """
+    A = spec.A if spec.n_eq else np.zeros((0, spec.dim))
+    B = np.vstack([A, spec.G[seg_rows]])
+    if B.shape[0] > B.shape[1]:
+        return "dependent", None, None
+    Q, R = np.linalg.qr(B.T)
+    diag = np.abs(np.diag(R))
+    if not (diag.size and diag.min() > 1e-9 * max(diag.max(), 1.0)):
+        return "dependent", None, None
+    lam0 = np.linalg.solve(R, Q.T @ r0)[A.shape[0]:]
+    lamdot = np.linalg.solve(R, Q.T @ rdot)[A.shape[0]:]
+    falling = lamdot < -1e-13 * (1.0 + np.abs(lamdot).max(initial=0.0))
+    if not np.any(falling):
+        return "full", cap, []
+    s = -np.maximum(lam0[falling], 0.0) / lamdot[falling]
+    smin = float(s.min())
+    if cap is not None and smin >= cap:
+        return "full", cap, []
+    floor = 1e-13 * (1.0 + np.linalg.norm(r0) + np.linalg.norm(rdot))
+    hit = seg_rows[falling][s <= smin + 1e-10 * (1.0 + smin)]
+    return "full", max(smin, floor), sorted(int(j) for j in hit)
+
+
+def _exit_time_cases():
+    for n in range(4, 9):
+        yield quad_cost_instance(n).qlp()
+    for n in range(2, 6):
+        yield QlpInstance(birkhoff_polytope(n), random_cost_matrix(500 + n, n).ravel())
+    for seed in range(8):
+        yield random_polytope_instance(seed)
+    # Every bound row twice: a face's unit rows then fix one coordinate twice.
+    box = PolytopeSpec.box(np.zeros(3), np.ones(3))
+    G, h = np.vstack([box.G, 2.0 * box.G]), np.append(box.h, 2.0 * box.h)
+    yield QlpInstance(PolytopeSpec(dim=3, G=G, h=h), np.array([1.0, -2.0, 0.5]))
+
+
+def test_dual_exit_time_matches_dense_reference(monkeypatch):
+    # Every _dual_exit_time call made while tracing with a nonempty face,
+    # against the reference; the bisection runs only on the dependent branch.
+    exit_time, membership = homotopy._dual_exit_time, homotopy._cone_membership
+    member_calls = [0]
+    branches = {"full": 0, "dependent": 0}
+
+    def counted_membership(*args):
+        member_calls[0] += 1
+        return membership(*args)
+
+    def checked_exit_time(spec, seg_rows, r0, rdot, cap):
+        before = member_calls[0]
+        s_exit, rows = exit_time(spec, seg_rows, r0, rdot, cap)
+        if seg_rows.size == 0:
+            return s_exit, rows
+        branch = "dependent" if member_calls[0] > before else "full"
+        ref_branch, s_ref, rows_ref = _dense_exit_time(spec, seg_rows, r0, rdot, cap)
+        assert branch == ref_branch
+        branches[branch] += 1
+        if branch == "full":
+            assert s_exit == s_ref or abs(s_exit - s_ref) <= 1e-12 * abs(s_ref)
+            assert [int(j) for j in rows] == rows_ref
+        return s_exit, rows
+
+    monkeypatch.setattr(homotopy, "_cone_membership", counted_membership)
+    monkeypatch.setattr(homotopy, "_dual_exit_time", checked_exit_time)
+    for inst in _exit_time_cases():
+        trace_path(inst)
+    assert branches["full"] > 50 and branches["dependent"] > 0

@@ -3,9 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from qreglp import AssumptionViolated, BudgetExceeded, NaNInCost, NonSquareCost, solve_qlp
+from qreglp import (
+    AssumptionViolated,
+    BudgetExceeded,
+    NaNInCost,
+    NonSquareCost,
+    NumericalBreakdown,
+    solve_qlp,
+)
 from qreglp.analysis import slope_report
-from qreglp.homotopy import trace_path
+from qreglp.homotopy import SolutionPath, trace_path
 from qreglp.oracle import random_cost_matrix
 from qreglp import ot
 
@@ -236,6 +243,20 @@ def test_figure3_rows():
         assert row.slope > 0.0
         assert row.ratio >= 1.0
         assert row.bound == pytest.approx((row.n - 1) / row.n**6, rel=1e-15)
+
+
+def test_figure3_linearity_check_fires(monkeypatch):
+    # The grid solves start from the last segment's left breakpoint; they
+    # must still reach the true path, not the interpolant of a wrong x*.
+    def bent_path(qlp):
+        path = trace_path(qlp)
+        ends = path.endpoints.copy()
+        ends[-1] = 0.999 * ends[-1] + 0.001 / math.isqrt(ends.shape[1])
+        return SolutionPath(path.breakpoints, ends, path.segment_active_sets)
+
+    monkeypatch.setattr(ot, "trace_path", bent_path)
+    with pytest.raises(NumericalBreakdown, match="last segment not affine"):
+        ot.figure3_experiment([4])
 
 
 def test_figure3_budget_skip():

@@ -16,8 +16,10 @@ from qreglp.oracle import random_cost_matrix, random_polytope_instance
 from qreglp.ot import birkhoff_polytope
 from qreglp.polytope import _extend_basis
 from qreglp.projection import (
+    _BATCH_MIN_ROWS,
     KKT_TOL,
     _extend_independent,
+    _extend_unit_rows,
     _FreeSystem,
     _unit_columns,
     min_distance_active_set,
@@ -215,26 +217,34 @@ def test_extend_independent_contract():
     assert _extend_independent(none, G, [1, 0]) == [1]
     assert _extend_independent(none, G, [5, 0, 2, 4]) == [5, 0, 2]
     assert _extend_independent(base_q, G, [5, 4]) == [5]
-    # Unit rows are kept in one batch, which must agree with the row-by-row
-    # test.  On Birkhoff(3), once coordinates 1, 2 and 3 are fixed, edge 6
-    # (row 2, column 0) is a bridge of the free support graph, so fixing it
-    # too depends on the equality rows alone.
+    # Long orders of unit rows are kept in one batch, which must agree with
+    # the row-by-row test; it is called directly on the short orders below.
+    # On Birkhoff(3), once coordinates 1, 2 and 3 are fixed, edge 6 (row 2,
+    # column 0) is a bridge of the free support graph, so fixing it too
+    # depends on the equality rows alone.
     spec = birkhoff_polytope(3)
     _, base_q = spec.eq_reduction
     G = spec.G
     assert _extend_independent(base_q, G, [1, 2, 3, 6]) == [1, 2, 3]
     assert _extend_independent(base_q, G, [6, 1, 2, 3]) == [6, 1, 2]
+    assert _batch(base_q, G, [1, 2, 3, 6]) == [1, 2, 3]
+    assert _batch(base_q, G, [6, 1, 2, 3]) == [6, 1, 2]
     rng = np.random.default_rng(11)
-    for n in (2, 3, 4, 5):
+    long_orders = 0
+    for n in (2, 3, 4, 5, 6):
         spec = birkhoff_polytope(n)
         _, base_q = spec.eq_reduction
         G2 = np.vstack([spec.G, -2.0 * spec.G[:3]])  # repeats of unit rows
         for _ in range(20):
             order = rng.permutation(G2.shape[0])[: rng.integers(1, G2.shape[0] + 1)]
-            kept = _extend_independent(base_q, G2, order)
-            assert kept == _extend_basis(base_q, G2, list(order))[0]
+            ref = _extend_basis(base_q, G2, list(order))[0]
+            assert _extend_independent(base_q, G2, order) == ref
+            assert _batch(base_q, G2, order) == ref
+            long_orders += len(order) >= _BATCH_MIN_ROWS
+    assert long_orders > 0
     # Near the rank tolerance: a column of A scaled towards zero, or nearly
-    # a copy of another, so that rounding-level decisions must still agree.
+    # a copy of another, so that rounding-level decisions must still agree,
+    # or the batch must fall back to the loop.
     for _ in range(400):
         d = int(rng.integers(2, 6))
         A = rng.normal(size=(int(rng.integers(1, d)), d))
@@ -246,7 +256,14 @@ def test_extend_independent_contract():
         _, base_q = _extend_basis(np.zeros((0, d)), A, range(A.shape[0]))
         G3 = -np.eye(d) * rng.choice([1.0, 2.0, 1e-3], size=d)[:, None]
         order = list(rng.permutation(d))
-        assert _extend_independent(base_q, G3, order) == _extend_basis(base_q, G3, order)[0]
+        kept = _batch(base_q, G3, order)
+        assert kept is None or kept == _extend_basis(base_q, G3, order)[0]
+
+
+def _batch(base_q, G, order):
+    """The batch seed on an order of unit rows, whatever its length."""
+    order = [int(j) for j in order]
+    return _extend_unit_rows(base_q, G, order, _unit_columns(G[order]))
 
 
 def _dense_active_set(A, G, h, z, x0, w0=None):
