@@ -12,8 +12,13 @@ affine piece at a time:
   face crosses zero (closed form when the face's tight rows are linearly
   independent, otherwise a bisection on nonnegative-cone membership);
 * every landing is re-solved from scratch and each piece is verified at
-  its midpoint, with a bisection fallback that localizes any kink the
-  event analysis might have missed.
+  its midpoint; a landing or midpoint off the predicted ray means the
+  event analysis missed a kink, and raises rather than returning a wrong
+  path.
+
+``trace_path`` runs at unit cost norm: ``x(eta; c) = x(a eta; c / a)``, so
+it traces ``c / |c|`` and divides the breakpoints by ``|c|``.  Every
+tolerance then acts on data of one scale, whatever the scale of ``c``.
 
 Stationarity is certified locally: the direction is zero and both the
 residual and ``-c/2`` lie in the normal cone of the current face, which
@@ -35,6 +40,7 @@ from .polytope import FEAS_TOL, PolytopeSpec, _extend_basis
 from .projection import (
     QlpInstance,
     _FreeSystem,
+    _ratio_test,
     _unit_columns,
     min_distance_active_set,
     project,
@@ -246,29 +252,6 @@ def _make_state(inst: QlpInstance, eta: float, x: np.ndarray, warm_ws=None) -> P
     )
 
 
-def _blocking_time(spec: PolytopeSpec, x: np.ndarray, d: np.ndarray, seg_rows: np.ndarray):
-    """Smallest ray parameter at which an outside inequality turns tight."""
-    k = spec.n_ineq
-    if k == 0:
-        return None, np.zeros(0, dtype=int)
-    mask = np.ones(k, dtype=bool)
-    mask[seg_rows] = False
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        return None, np.zeros(0, dtype=int)
-    Gd = spec.G[idx] @ d
-    sl = spec.h[idx] - spec.G[idx] @ x
-    nd = np.linalg.norm(d)
-    pos = Gd > 1e-13 * (1.0 + np.linalg.norm(spec.G[idx], axis=1) * nd)
-    if not np.any(pos):
-        return None, np.zeros(0, dtype=int)
-    t = np.maximum(sl[pos], 0.0) / Gd[pos]
-    jj = idx[pos]
-    tmin = float(t.min())
-    ties = jj[t <= tmin + 1e-10 * (1.0 + tmin)]
-    return tmin, np.sort(ties)
-
-
 def _dual_exit_time(spec: PolytopeSpec, seg_rows: np.ndarray, r0: np.ndarray, rdot: np.ndarray, cap):
     """Largest ray parameter keeping ``r0 + s rdot`` in the face's normal cone.
 
@@ -294,17 +277,10 @@ def _dual_exit_time(spec: PolytopeSpec, seg_rows: np.ndarray, r0: np.ndarray, rd
         # Independent rows: multipliers are unique affine functions of s.
         lam0 = system.multipliers(r0)[m:]
         lamdot = system.multipliers(rdot)[m:]
-        floor = 1e-13 * scale
-        falling = lamdot < -1e-13 * (1.0 + np.abs(lamdot).max(initial=0.0))
-        if not np.any(falling):
+        smin, hit = _ratio_test(lam0, -lamdot, 1.0 + np.abs(lamdot).max(initial=0.0), seg_rows)
+        if smin is None or (cap is not None and smin >= cap):
             return cap, np.zeros(0, dtype=int)
-        s = -np.maximum(lam0[falling], 0.0) / lamdot[falling]
-        rows = seg_rows[falling]
-        smin = float(s.min())
-        if cap is not None and smin >= cap:
-            return cap, np.zeros(0, dtype=int)
-        hit = rows[s <= smin + 1e-10 * (1.0 + smin)]
-        return max(smin, floor), np.sort(hit)
+        return max(smin, 1e-13 * scale), hit
 
     # Dependent rows: locate the exit by bisection on cone membership.
     aq = spec.eq_reduction[1]
@@ -356,7 +332,16 @@ def next_breakpoint(state: PathState):
         if s_exit is None:
             return state.eta, Stationary()
         return state.eta + s_exit, DroppingMultiplier(rows)
-    t_block, block_rows = _blocking_time(spec, state.x, d, state.segment_rows)
+    outside = np.ones(spec.n_ineq, dtype=bool)
+    outside[state.segment_rows] = False
+    idx = np.flatnonzero(outside)
+    G = spec.G[idx]
+    t_block, block_rows = _ratio_test(
+        spec.h[idx] - G @ state.x,
+        G @ d,
+        1.0 + np.linalg.norm(G, axis=1) * np.linalg.norm(d),
+        idx,
+    )
     if t_block is None:
         raise NumericalBreakdown("moving ray never blocked on a bounded polytope")
     rdot = -0.5 * inst.c - d
@@ -366,35 +351,14 @@ def next_breakpoint(state: PathState):
     return state.eta + t_block, BlockingConstraint(block_rows)
 
 
-def _refine_kink(inst: QlpInstance, eta_lo, x_lo, d, eta_hi, warm_rows):
-    """Earliest eta in ``(eta_lo, eta_hi]`` where the path leaves the ray."""
-    spec = inst.polytope
-
-    def on_ray(eta):
-        pred = x_lo + (eta - eta_lo) * d
-        res = project(spec, inst.target(eta), start=pred, working_set=warm_rows)
-        dev = float(np.max(np.abs(res.x - pred)))
-        return dev <= _VERIFY_TOL * (1.0 + np.linalg.norm(pred)), res.x
-
-    lo, hi = eta_lo, eta_hi
-    for _ in range(70):
-        mid = 0.5 * (lo + hi)
-        ok, _ = on_ray(mid)
-        if ok:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * (1.0 + hi):
-            break
-    eta_k = lo
-    if eta_k <= eta_lo + 1e-13 * (1.0 + eta_lo):
+def _check_on_ray(where: str, x: np.ndarray, pred: np.ndarray, eta: float) -> None:
+    """Raise unless a solve at a point of the segment lies on its predicted ray."""
+    dev = float(np.max(np.abs(x - pred)))
+    if dev > _VERIFY_TOL * (1.0 + np.linalg.norm(pred)):
         raise NumericalBreakdown(
-            "kink refinement collapsed onto the segment start; the local "
-            "direction disagrees with the solved path"
+            f"{where} solve left the predicted ray by {dev:.2e} on the segment "
+            f"from eta={eta!r}; the event analysis missed a kink"
         )
-    x_k = project(spec, inst.target(eta_k), start=x_lo + (eta_k - eta_lo) * d,
-                  working_set=warm_rows).x
-    return eta_k, x_k
 
 
 def trace_path(inst: QlpInstance, max_segments: int | None = None) -> SolutionPath:
@@ -405,13 +369,22 @@ def trace_path(inst: QlpInstance, max_segments: int | None = None) -> SolutionPa
     minimum-norm solution of the underlying linear program and the final
     breakpoint is the exact stationarity threshold.
 
+    The path is traced for the cost ``c / |c|`` and its breakpoints are
+    divided by ``|c|``; endpoints and active sets do not depend on the
+    cost's scale.
+
     Raises
     ------
     MaxSegmentsExceeded
         If more than ``10 (m + k)`` pieces are produced, which signals a
         cycling bug rather than a legitimate path.
+    NumericalBreakdown
+        If a solve at a predicted breakpoint or segment midpoint leaves the
+        predicted ray, or the tracer stops advancing.
     """
     spec = inst.polytope
+    cost_norm = float(np.linalg.norm(inst.c)) or 1.0
+    inst = QlpInstance(spec, inst.c / cost_norm)
     if max_segments is None:
         max_segments = max(10 * (spec.n_eq + spec.n_ineq), 8)
     res0 = project(spec, np.zeros(spec.dim))
@@ -432,23 +405,16 @@ def trace_path(inst: QlpInstance, max_segments: int | None = None) -> SolutionPa
         warm_rows = list(state.tight)
         if isinstance(event, (BlockingConstraint, DroppingMultiplier)):
             warm_rows += [int(j) for j in event.rows]
-        res = project(spec, inst.target(eta_next), start=x_pred, working_set=warm_rows)
-        x_next = res.x
-        landing_dev = float(np.max(np.abs(x_next - x_pred)))
-        if landing_dev > _VERIFY_TOL * (1.0 + np.linalg.norm(x_pred)):
-            eta_next, x_next = _refine_kink(inst, eta, x, d, eta_next, warm_rows)
-        else:
-            mid = 0.5 * (eta + eta_next)
-            mid_pred = x + (mid - eta) * d
-            mid_res = project(spec, inst.target(mid), start=mid_pred, working_set=warm_rows)
-            if float(np.max(np.abs(mid_res.x - mid_pred))) > _VERIFY_TOL * (
-                1.0 + np.linalg.norm(mid_pred)
-            ):
-                eta_next, x_next = _refine_kink(inst, eta, x, d, mid, warm_rows)
+        x_next = project(spec, inst.target(eta_next), start=x_pred, working_set=warm_rows).x
+        _check_on_ray("landing", x_next, x_pred, eta / cost_norm)
+        mid = 0.5 * (eta + eta_next)
+        mid_pred = x + (mid - eta) * d
+        x_mid = project(spec, inst.target(mid), start=mid_pred, working_set=warm_rows).x
+        _check_on_ray("midpoint", x_mid, mid_pred, eta / cost_norm)
         if eta_next - eta <= 1e-12 * (1.0 + eta):
             stalled += 1
             if stalled >= 5:
-                raise NumericalBreakdown(f"path tracer stalled near eta={eta!r}")
+                raise NumericalBreakdown(f"path tracer stalled near eta={eta / cost_norm!r}")
         else:
             stalled = 0
         etas.append(float(eta_next))
@@ -460,7 +426,9 @@ def trace_path(inst: QlpInstance, max_segments: int | None = None) -> SolutionPa
         raise MaxSegmentsExceeded(f"more than {max_segments} path segments")
 
     points[-1] = _polish_min_norm(spec, points[-1])
-    return _merge_segments(np.asarray(etas), np.asarray(points), seg_sets)
+    path = _merge_segments(np.asarray(etas), np.asarray(points), seg_sets)
+    path.breakpoints = path.breakpoints / cost_norm
+    return path
 
 
 def _polish_min_norm(spec: PolytopeSpec, x: np.ndarray) -> np.ndarray:

@@ -118,6 +118,23 @@ def _tri_solve(R: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise NumericalBreakdown("singular working-set system") from exc
 
 
+def _ratio_test(gap: np.ndarray, rate: np.ndarray, scale, rows: np.ndarray):
+    """First zero crossing of ``gap - t rate`` over the rows with ``rate > 0``.
+
+    ``gap`` holds slacks or multipliers (negative values count as zero) and
+    ``rate`` the speed at which each shrinks; a rate counts as positive above
+    ``1e-13 * scale``.  Returns ``t_min`` and the sorted labels from ``rows``
+    of the rows tied with it to ``1e-10 (1 + t_min)``, or ``None`` and no rows
+    when nothing crosses.
+    """
+    pos = rate > 1e-13 * scale
+    if not np.any(pos):
+        return None, rows[:0]
+    t = np.maximum(gap[pos], 0.0) / rate[pos]
+    t_min = float(t.min())
+    return t_min, np.sort(rows[pos][t <= t_min + 1e-10 * (1.0 + t_min)])
+
+
 def _unit_columns(G: np.ndarray) -> np.ndarray:
     """Per row of ``G``: the coordinate a unit row (one nonzero) fixes, else -1."""
     col = np.argmax(np.abs(G), axis=1)
@@ -245,9 +262,6 @@ def min_distance_active_set(
     z: np.ndarray,
     x0: np.ndarray,
     w0=None,
-    feas_tol: float = FEAS_TOL,
-    mult_tol: float = MULT_TOL,
-    max_iter: int | None = None,
     eq=None,
 ):
     """Minimize ``|x - z|^2`` subject to ``A x = A x0`` and ``G x <= h``.
@@ -268,8 +282,7 @@ def min_distance_active_set(
         worst = float(np.max(G @ x - h))
         if worst > 1e-6:
             raise ValueError(f"start point infeasible by {worst:.2e}")
-    if max_iter is None:
-        max_iter = max(50 * (m + k), 100)
+    max_iter = max(50 * (m + k), 100)
 
     # Redundant equality rows would break the null-space projection.
     eq_idx, base_q = eq if eq is not None else _extend_basis(np.zeros((0, d)), A, range(m))
@@ -279,11 +292,11 @@ def min_distance_active_set(
     col = _unit_columns(G)
     g_norm = np.linalg.norm(G, axis=1) if k else np.zeros(0)
     slack = h - G @ x if k else np.zeros(0)
-    tight = np.flatnonzero(slack <= feas_tol) if k else np.zeros(0, dtype=int)
+    tight = np.flatnonzero(slack <= FEAS_TOL) if k else np.zeros(0, dtype=int)
     if w0 is None:
         order = tight
     else:
-        w0 = [int(j) for j in w0 if k and slack[j] <= feas_tol]
+        w0 = [int(j) for j in w0 if k and slack[j] <= FEAS_TOL]
         order = list(dict.fromkeys(list(w0) + list(tight)))
     W = _extend_independent(base_q, G, order) if k else []
     W.sort()
@@ -300,35 +313,27 @@ def min_distance_active_set(
         nd = np.linalg.norm(dvec)
         if nd <= _STEP_TOL * zscale:
             lam = system.multipliers(v)[m_red:]
-            neg = np.flatnonzero(lam < -mult_tol)
+            neg = np.flatnonzero(lam < -MULT_TOL)
             if neg.size == 0:
                 break
             # Bland: drop the smallest-index offending row (W is sorted).
             W.pop(int(neg.min()))
             system = None
             continue
-        alpha = 1.0
-        blocker = -1
-        if k:
-            mask = np.ones(k, dtype=bool)
-            mask[W] = False
-            idx = np.flatnonzero(mask)
-            Gd = (G @ dvec)[idx]
-            sl = (h - G @ x)[idx]
-            pos = Gd > 1e-13 * (1.0 + g_norm[idx] * nd)
-            if np.any(pos):
-                t = np.maximum(sl[pos], 0.0) / Gd[pos]
-                jj = idx[pos]
-                tmin = t.min()
-                if tmin < alpha:
-                    alpha = float(tmin)
-                    ties = jj[t <= tmin + 1e-12 * (1.0 + tmin)]
-                    blocker = int(ties.min())
-        x = x + alpha * dvec
-        if blocker >= 0 and alpha < 1.0:
-            W.append(blocker)
+        mask = np.ones(k, dtype=bool)
+        mask[W] = False
+        idx = np.flatnonzero(mask)
+        t_min, ties = _ratio_test(
+            (h - G @ x)[idx], (G @ dvec)[idx], 1.0 + g_norm[idx] * nd, idx
+        )
+        if t_min is not None and t_min < 1.0:
+            x = x + t_min * dvec
+            # Bland: the smallest-index blocking row enters.
+            W.append(int(ties[0]))
             W.sort()
             system = None
+        else:
+            x = x + dvec
     else:
         raise MaxIterationsExceeded(
             f"no convergence in {max_iter} active-set iterations", best_x=x
@@ -345,7 +350,6 @@ def project(
     z,
     start=None,
     working_set=None,
-    feas_tol: float = FEAS_TOL,
     test_points: np.ndarray | None = None,
 ) -> ProjectionResult:
     """Project ``z`` onto the polytope.
@@ -378,8 +382,7 @@ def project(
         x0 = _find_feasible_point(spec)
         working_set = None
     x, W, mu, lam, iters = min_distance_active_set(
-        spec.A, spec.G, spec.h, z, x0, w0=working_set, feas_tol=feas_tol,
-        eq=spec.eq_reduction,
+        spec.A, spec.G, spec.h, z, x0, w0=working_set, eq=spec.eq_reduction
     )
     grad = z - x
     if spec.n_eq:
@@ -390,7 +393,7 @@ def project(
     if kkt > KKT_TOL * (1.0 + np.linalg.norm(z)):
         raise NumericalBreakdown(f"KKT stationarity residual {kkt:.2e}")
 
-    active = spec.tight_rows(x, feas_tol)
+    active = spec.tight_rows(x, FEAS_TOL)
     mults = np.zeros(active.size)
     pos = {int(j): i for i, j in enumerate(active)}
     for wj, lj in zip(W, lam):

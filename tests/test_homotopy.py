@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qreglp import (
     BlockingConstraint,
     MaxSegmentsExceeded,
+    NumericalBreakdown,
     PolytopeSpec,
     QlpInstance,
     Stationary,
@@ -191,6 +194,44 @@ def test_max_segments_guard():
     inst = quad_cost_instance(3).qlp()
     with pytest.raises(MaxSegmentsExceeded):
         trace_path(inst, max_segments=1)
+
+
+def _assert_cost_scale_covariant(inst, a):
+    # x(eta; a c) = x(a eta; c), so the path of a c has breakpoints eta_i / a.
+    path = trace_path(inst)
+    scaled = trace_path(QlpInstance(inst.polytope, a * inst.c))
+    assert scaled.n_segments == path.n_segments
+    np.testing.assert_allclose(a * scaled.breakpoints, path.breakpoints, rtol=1e-9, atol=0.0)
+    return scaled
+
+
+@given(seed=st.integers(0, 2**31 - 1), k=st.integers(-6, 6))
+@example(seed=4, k=6)
+@example(seed=43, k=6)
+@example(seed=130, k=6)
+@example(seed=193, k=6)
+@example(seed=203, k=-6)
+def test_cost_scale_covariance(seed, k):
+    _assert_cost_scale_covariant(random_polytope_instance(seed), 10.0**k)
+
+
+def test_cost_scale_covariance_birkhoff():
+    scaled = _assert_cost_scale_covariant(quad_cost_instance(4).qlp(), 1e6)
+    assert scaled.eta_star == pytest.approx(2 * 4**3 / 1e6, rel=1e-9)
+
+
+def test_missed_kink_raises(interval_inst, monkeypatch):
+    # The true event is at eta = 2; reporting it late puts the landing solve
+    # off the predicted ray, which must fail loudly rather than bend the path.
+    true_next = homotopy.next_breakpoint
+
+    def late_next(state):
+        eta, event = true_next(state)
+        return (1.5 * eta, event) if isinstance(event, BlockingConstraint) else (eta, event)
+
+    monkeypatch.setattr(homotopy, "next_breakpoint", late_next)
+    with pytest.raises(NumericalBreakdown, match="landing"):
+        trace_path(interval_inst)
 
 
 def test_path_json_and_csv(interval_inst):
