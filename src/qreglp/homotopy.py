@@ -10,7 +10,7 @@ affine piece at a time:
 * the piece ends either when an inactive inequality blocks the ray
   (closed-form smallest crossing) or when a multiplier of the carrying
   face crosses zero (closed form when the face's tight rows are linearly
-  independent, otherwise a bisection on nonnegative-cone membership);
+  independent, otherwise one linear program over the face's multipliers);
 * every landing is re-solved from scratch and each piece is verified at
   its midpoint; a landing or midpoint off the predicted ray means the
   event analysis missed a kink, and raises rather than returning a wrong
@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import nnls
+from scipy.optimize import linprog
 
 from .errors import MaxSegmentsExceeded, NumericalBreakdown
 from .polytope import FEAS_TOL, PolytopeSpec, _extend_basis
@@ -46,10 +46,8 @@ from .projection import (
     project,
 )
 
-MERGE_TOL = 1e-10
 _DIR_ZERO = 1e-12
 _VERIFY_TOL = 1e-8
-_MEMBER_TOL = 1e-9
 
 
 @dataclass
@@ -166,23 +164,6 @@ def direction(active_set, inst: QlpInstance) -> np.ndarray:
     return v - Q.T @ (Q @ v)
 
 
-def _cone_membership(aq: np.ndarray, gj_proj: np.ndarray, v: np.ndarray, tol: float) -> bool:
-    """Is ``v`` in span(A rows) + cone(G_J rows)?
-
-    ``aq`` is an orthonormal basis of span(A); ``gj_proj`` holds the G_J
-    rows with their span(A) components removed.
-    """
-    w = v - aq.T @ (aq @ v) if aq.shape[0] else v
-    nw = float(np.linalg.norm(w))
-    if gj_proj.shape[0] == 0:
-        return nw <= tol
-    try:
-        _, res = nnls(gj_proj.T, w, maxiter=max(30 * gj_proj.shape[0], 300))
-    except RuntimeError as exc:
-        raise NumericalBreakdown("cone membership solve stalled") from exc
-    return float(res) <= tol + 1e-14 * nw
-
-
 def _right_derivative(inst: QlpInstance, eta: float, x: np.ndarray, tight: np.ndarray, warm_rows):
     """Projection of ``-c/2`` onto the critical cone at ``x``.
 
@@ -256,7 +237,12 @@ def _dual_exit_time(spec: PolytopeSpec, seg_rows: np.ndarray, r0: np.ndarray, rd
     """Largest ray parameter keeping ``r0 + s rdot`` in the face's normal cone.
 
     Returns ``(s_exit, rows)`` with ``s_exit = cap`` (or ``None`` when
-    ``cap`` is ``None``) if no multiplier crosses before the cap.
+    ``cap`` is ``None``) if no multiplier crosses before the cap.  When the
+    face's rows are independent the multipliers are affine in ``s`` and a
+    ratio test gives the exit and the falling rows.  Otherwise the exit is
+    the optimum of one linear program, maximize ``s <= cap`` subject to
+    ``A_red^T mu + G_J^T lam - s rdot = r0`` with ``lam >= 0``, and no rows
+    are reported.
     """
     A = spec.A if spec.n_eq else np.zeros((0, spec.dim))
     GJ = spec.G[seg_rows] if seg_rows.size else np.zeros((0, spec.dim))
@@ -282,38 +268,22 @@ def _dual_exit_time(spec: PolytopeSpec, seg_rows: np.ndarray, r0: np.ndarray, rd
             return cap, np.zeros(0, dtype=int)
         return max(smin, 1e-13 * scale), hit
 
-    # Dependent rows: locate the exit by bisection on cone membership.
-    aq = spec.eq_reduction[1]
-    gj = GJ - (GJ @ aq.T) @ aq if aq.shape[0] else GJ
-    tol = _MEMBER_TOL * scale
-
-    def member(s):
-        return _cone_membership(aq, gj, r0 + s * rdot, tol)
-
-    if cap is None:
-        if member(0.0) and _cone_membership(aq, gj, rdot, tol):
-            return None, np.zeros(0, dtype=int)
-        hi = 1.0
-        for _ in range(80):
-            if not member(hi):
-                break
-            hi *= 2.0
-        else:
-            raise NumericalBreakdown("normal-cone exit not bracketed")
-        lo = 0.0
-    else:
-        if member(cap):
-            return cap, np.zeros(0, dtype=int)
-        lo, hi = 0.0, cap
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        if member(mid):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * (1.0 + hi):
-            break
-    return 0.5 * (lo + hi), np.zeros(0, dtype=int)
+    A_red = spec.A[spec.eq_reduction[0]]
+    n_mu, n_lam = A_red.shape[0], GJ.shape[0]
+    cost = np.zeros(n_mu + n_lam + 1)
+    cost[-1] = -1.0
+    res = linprog(
+        cost,
+        A_eq=np.hstack([A_red.T, GJ.T, -rdot[:, None]]),
+        b_eq=r0,
+        bounds=[(None, None)] * n_mu + [(0.0, None)] * n_lam + [(0.0, cap)],
+        method="highs",
+    )
+    if res.status == 3:  # unbounded: only possible when cap is None
+        return None, np.zeros(0, dtype=int)
+    if res.status != 0:
+        raise NumericalBreakdown(f"normal-cone exit LP failed: {res.message}")
+    return float(res.x[-1]), np.zeros(0, dtype=int)
 
 
 def next_breakpoint(state: PathState):
@@ -426,9 +396,7 @@ def trace_path(inst: QlpInstance, max_segments: int | None = None) -> SolutionPa
         raise MaxSegmentsExceeded(f"more than {max_segments} path segments")
 
     points[-1] = _polish_min_norm(spec, points[-1])
-    path = _merge_segments(np.asarray(etas), np.asarray(points), seg_sets)
-    path.breakpoints = path.breakpoints / cost_norm
-    return path
+    return SolutionPath(np.asarray(etas) / cost_norm, np.asarray(points), seg_sets)
 
 
 def _polish_min_norm(spec: PolytopeSpec, x: np.ndarray) -> np.ndarray:
@@ -458,49 +426,3 @@ def _polish_min_norm(spec: PolytopeSpec, x: np.ndarray) -> np.ndarray:
         and np.max(np.abs(x_pol - x)) <= 1e-6 * (1.0 + np.linalg.norm(x))
     )
     return x_pol if ok else x
-
-
-def _merge_segments(etas: np.ndarray, points: np.ndarray, seg_sets: list) -> SolutionPath:
-    """Drop duplicate breakpoints and join collinear neighboring pieces."""
-    etas = list(map(float, etas))
-    points = [np.asarray(p) for p in points]
-    sets = [np.asarray(s, dtype=int) for s in seg_sets]
-
-    def remove_breakpoint(j, merged_set):
-        # Segments j-1 and j become one piece carried by merged_set.
-        del etas[j]
-        del points[j]
-        sets[j - 1] = merged_set
-        del sets[j]
-
-    changed = True
-    while changed:
-        changed = False
-        n = len(etas)
-        # Sliver segments first (events that coincided numerically).
-        for i in range(n - 1):
-            if etas[i + 1] - etas[i] <= MERGE_TOL * (1.0 + etas[i + 1]):
-                if n <= 2:
-                    break
-                if i == 0:
-                    remove_breakpoint(1, sets[1])
-                else:
-                    remove_breakpoint(i, sets[i - 1])
-                changed = True
-                break
-        if changed:
-            continue
-        # Then interior breakpoints where the velocity does not change.
-        for i in range(1, n - 1):
-            d1 = (points[i] - points[i - 1]) / (etas[i] - etas[i - 1])
-            d2 = (points[i + 1] - points[i]) / (etas[i + 1] - etas[i])
-            scale = 1.0 + max(np.max(np.abs(d1)), np.max(np.abs(d2)))
-            if np.max(np.abs(d1 - d2)) <= 1e-9 * scale:
-                remove_breakpoint(i, np.intersect1d(sets[i - 1], sets[i]))
-                changed = True
-                break
-    return SolutionPath(
-        breakpoints=np.asarray(etas),
-        endpoints=np.asarray(points),
-        segment_active_sets=sets,
-    )

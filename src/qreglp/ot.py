@@ -215,16 +215,6 @@ def from_json_dict(data: dict) -> OtInstance:
     raise ValueError("transport input needs 'cost' or 'x'/'y' keys")
 
 
-def optimal_permutation_face(inst: OtInstance, budget: int = PERMUTATION_BUDGET):
-    """Optimal permutation vertices and the minimum-norm optimizer."""
-    P = permutation_matrices(inst.n, budget)
-    flat = P.reshape(P.shape[0], -1)
-    vs = VertexSet(flat)
-    _, opt_idx = lp_solve_bruteforce(vs, inst.scaled_cost.ravel())
-    pi_star = min_norm_over_M(flat[opt_idx])
-    return vs, opt_idx, pi_star
-
-
 def ot_eta_star(inst: OtInstance, budget: int = PERMUTATION_BUDGET) -> float:
     """Exact stationarity threshold by permutation enumeration.
 

@@ -203,12 +203,6 @@ class VertexSet:
             raise ValueError("optimal_mask not set; call mark_optimal first")
         return self.vertices[self.optimal_mask]
 
-    @property
-    def nonoptimal_vertices(self) -> np.ndarray:
-        if self.optimal_mask is None:
-            raise ValueError("optimal_mask not set; call mark_optimal first")
-        return self.vertices[~self.optimal_mask]
-
 
 @dataclass
 class ValidationReport:

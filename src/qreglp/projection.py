@@ -83,8 +83,8 @@ class ProjectionResult:
     ``active_set`` lists every inequality row tight at ``x``;
     ``multipliers`` holds one Lagrange multiplier per tight row (zero for
     tight rows outside the working set).  ``residual`` is the largest
-    variational-inequality violation over the supplied test points, or the
-    KKT stationarity residual when no test points were available.
+    variational-inequality violation over the polytope's attached vertices,
+    or the KKT stationarity residual when it has none.
     """
 
     x: np.ndarray
@@ -350,7 +350,6 @@ def project(
     z,
     start=None,
     working_set=None,
-    test_points: np.ndarray | None = None,
 ) -> ProjectionResult:
     """Project ``z`` onto the polytope.
 
@@ -363,9 +362,6 @@ def project(
     start, working_set : optional
         Warm start: a feasible point and inequality rows to seed the
         working set.  A cold start uses a vertex or a feasibility solve.
-    test_points : ndarray, optional
-        Points of ``P`` against which the variational-inequality residual
-        ``max <z - x, p - x>`` is reported.  Defaults to ``spec.vertices``.
 
     Returns
     -------
@@ -400,10 +396,8 @@ def project(
         if int(wj) in pos:
             mults[pos[int(wj)]] = lj
 
-    if test_points is None and spec.vertices is not None:
-        test_points = spec.vertices
-    if test_points is not None and len(test_points):
-        residual = float(np.max((test_points - x) @ (z - x)))
+    if spec.vertices is not None and len(spec.vertices):
+        residual = float(np.max((spec.vertices - x) @ (z - x)))
     else:
         residual = kkt
     return ProjectionResult(

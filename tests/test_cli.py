@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,7 +116,7 @@ def test_analyze_ecurve_round_trip(interval_file, tmp_path):
     main(["analyze", interval_file, "--grid", "48", "--out", out_base])
     from qreglp import PolytopeSpec, QlpInstance
 
-    data = json.loads(open(interval_file).read())
+    data = json.loads(Path(interval_file).read_text())
     inst = QlpInstance(PolytopeSpec.from_json_dict(data), np.asarray(data["c"]))
     lp_val = -1.0
     for line in (tmp_path / "rt_ecurve.csv").read_text().splitlines()[1:]:

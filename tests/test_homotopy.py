@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.optimize import nnls
 
 from qreglp import (
     BlockingConstraint,
@@ -220,6 +221,62 @@ def test_cost_scale_covariance_birkhoff():
     assert scaled.eta_star == pytest.approx(2 * 4**3 / 1e6, rel=1e-9)
 
 
+def _with_redundant_rows(inst, seed):
+    # Up to two inequality rows appended again at a random positive scale,
+    # then every inequality row permuted: the same polytope.
+    spec = inst.polytope
+    rng = np.random.default_rng(seed)
+    dup = rng.choice(spec.n_ineq, min(2, spec.n_ineq), replace=False)
+    scale = rng.uniform(0.5, 3.0, dup.size)
+    G = np.vstack([spec.G, scale[:, None] * spec.G[dup]])
+    h = np.append(spec.h, scale * spec.h[dup])
+    perm = rng.permutation(G.shape[0])
+    redundant = PolytopeSpec(
+        dim=spec.dim, A=spec.A, b=spec.b, G=G[perm], h=h[perm], feasible_point=spec.feasible_point
+    )
+    return QlpInstance(redundant, inst.c)
+
+
+@given(seed=st.integers(0, 2**31 - 1))
+@example(seed=596)
+@example(seed=622)
+def test_redundant_rows_and_permutation_invariance(seed):
+    inst = random_polytope_instance(seed)
+    path = trace_path(inst)
+    redundant = trace_path(_with_redundant_rows(inst, seed))
+    assert redundant.n_segments == path.n_segments
+    np.testing.assert_allclose(redundant.breakpoints, path.breakpoints, rtol=1e-9, atol=0.0)
+    x_tol = 1e-9 * max(1.0, np.max(np.abs(path.x_star)))
+    np.testing.assert_allclose(redundant.x_star, path.x_star, rtol=0.0, atol=x_tol)
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Counter of the dependent-face linear programs solved while tracing."""
+    calls = [0]
+    linprog = homotopy.linprog
+
+    def counted_linprog(*args, **kwargs):
+        calls[0] += 1
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(homotopy, "linprog", counted_linprog)
+    return calls
+
+
+def test_duplicated_bound_row_quad_cost(lp_calls):
+    # The bound on entry (0, 1) twice: every face holding it has dependent
+    # rows, and the exit from such a face comes from the linear program.
+    n = 5
+    inst = quad_cost_instance(n).qlp()
+    spec = inst.polytope
+    G, h = np.vstack([spec.G, 2.0 * spec.G[1]]), np.append(spec.h, 2.0 * spec.h[1])
+    doubled = PolytopeSpec(dim=spec.dim, A=spec.A, b=spec.b, G=G, h=h)
+    path = trace_path(QlpInstance(doubled, inst.c))
+    assert lp_calls[0] > 0
+    assert path.eta_star == pytest.approx(2 * n**3, rel=1e-9)
+
+
 def test_missed_kink_raises(interval_inst, monkeypatch):
     # The true event is at eta = 2; reporting it late puts the landing solve
     # off the predicted ray, which must fail loudly rather than bend the path.
@@ -247,7 +304,7 @@ def _dense_exit_time(spec, seg_rows, r0, rdot, cap):
     """Reference for the full-rank branch: one plain QR of ``[A; G_J]^T``.
 
     Returns ``("full", s_exit, rows)``, or ``("dependent", None, None)`` when
-    the rows are dependent and the exit is left to the bisection.
+    the rows are dependent and the exit is left to the linear program.
     """
     A = spec.A if spec.n_eq else np.zeros((0, spec.dim))
     B = np.vstack([A, spec.G[seg_rows]])
@@ -282,35 +339,66 @@ def _exit_time_cases():
     box = PolytopeSpec.box(np.zeros(3), np.ones(3))
     G, h = np.vstack([box.G, 2.0 * box.G]), np.append(box.h, 2.0 * box.h)
     yield QlpInstance(PolytopeSpec(dim=3, G=G, h=h), np.array([1.0, -2.0, 0.5]))
+    # Redundant rows whose dependent faces are left before the cap.
+    for seed in (596, 622):
+        yield _with_redundant_rows(random_polytope_instance(seed), seed)
 
 
-def test_dual_exit_time_matches_dense_reference(monkeypatch):
+def _cone_residual(spec, seg_rows, v):
+    """Distance from ``v`` to span(A rows) + cone(G_J rows), by ``nnls``."""
+    aq = spec.eq_reduction[1]
+    gj = spec.G[seg_rows]
+    if aq.shape[0]:
+        gj = gj - (gj @ aq.T) @ aq
+        v = v - aq.T @ (aq @ v)
+    return nnls(gj.T, v)[1]
+
+
+def _check_dependent_exit(spec, seg_rows, r0, rdot, cap, s_exit):
+    # The LP's exit against cone membership: r0 + s rdot lies in the cone
+    # just below the exit and, unless the cap stopped it, outside just above.
+    # Returns which of the two was checked.
+    tol = 1e-9 * (1.0 + np.linalg.norm(r0) + np.linalg.norm(rdot))
+    if s_exit is None:
+        assert cap is None
+        assert _cone_residual(spec, seg_rows, r0) <= tol
+        assert _cone_residual(spec, seg_rows, rdot) <= tol
+        return "dependent"
+    assert 0.0 <= s_exit and (cap is None or s_exit <= cap)
+    below = max(s_exit - 1e-9 * (1.0 + s_exit), 0.0)
+    assert _cone_residual(spec, seg_rows, r0 + below * rdot) <= tol
+    if cap is None or s_exit < cap:
+        above = s_exit + 1e-6 * (1.0 + s_exit)
+        assert _cone_residual(spec, seg_rows, r0 + above * rdot) > tol
+        return "dependent exit"
+    return "dependent"
+
+
+def test_dual_exit_time_matches_dense_reference(monkeypatch, lp_calls):
     # Every _dual_exit_time call made while tracing with a nonempty face,
-    # against the reference; the bisection runs only on the dependent branch.
-    exit_time, membership = homotopy._dual_exit_time, homotopy._cone_membership
-    member_calls = [0]
-    branches = {"full": 0, "dependent": 0}
-
-    def counted_membership(*args):
-        member_calls[0] += 1
-        return membership(*args)
+    # against the reference; the linear program runs only on the dependent
+    # branch, and its exit is checked against cone membership.
+    exit_time = homotopy._dual_exit_time
+    branches = {"full": 0, "dependent": 0, "dependent exit": 0}
 
     def checked_exit_time(spec, seg_rows, r0, rdot, cap):
-        before = member_calls[0]
+        before = lp_calls[0]
         s_exit, rows = exit_time(spec, seg_rows, r0, rdot, cap)
         if seg_rows.size == 0:
             return s_exit, rows
-        branch = "dependent" if member_calls[0] > before else "full"
+        branch = "dependent" if lp_calls[0] > before else "full"
         ref_branch, s_ref, rows_ref = _dense_exit_time(spec, seg_rows, r0, rdot, cap)
         assert branch == ref_branch
-        branches[branch] += 1
         if branch == "full":
             assert s_exit == s_ref or abs(s_exit - s_ref) <= 1e-12 * abs(s_ref)
             assert [int(j) for j in rows] == rows_ref
+        else:
+            assert len(rows) == 0
+            branch = _check_dependent_exit(spec, seg_rows, r0, rdot, cap, s_exit)
+        branches[branch] += 1
         return s_exit, rows
 
-    monkeypatch.setattr(homotopy, "_cone_membership", counted_membership)
     monkeypatch.setattr(homotopy, "_dual_exit_time", checked_exit_time)
     for inst in _exit_time_cases():
         trace_path(inst)
-    assert branches["full"] > 50 and branches["dependent"] > 0
+    assert branches["full"] > 50 and branches["dependent"] > 0 and branches["dependent exit"] > 0
