@@ -238,28 +238,21 @@ def _dual_exit_time(spec: PolytopeSpec, seg_rows: np.ndarray, r0: np.ndarray, rd
 
     Returns ``(s_exit, rows)`` with ``s_exit = cap`` (or ``None`` when
     ``cap`` is ``None``) if no multiplier crosses before the cap.  When the
-    face's rows are independent the multipliers are affine in ``s`` and a
+    face's rows are independent of each other and of ``A_red``
+    (:attr:`_FreeSystem.full_rank`) the multipliers are affine in ``s`` and a
     ratio test gives the exit and the falling rows.  Otherwise the exit is
     the optimum of one linear program, maximize ``s <= cap`` subject to
     ``A_red^T mu + G_J^T lam - s rdot = r0`` with ``lam >= 0``, and no rows
     are reported.
     """
-    A = spec.A if spec.n_eq else np.zeros((0, spec.dim))
     GJ = spec.G[seg_rows] if seg_rows.size else np.zeros((0, spec.dim))
-    m = A.shape[0]
     if GJ.shape[0] == 0:
         return cap, np.zeros(0, dtype=int)
     scale = 1.0 + float(np.linalg.norm(r0)) + float(np.linalg.norm(rdot))
-    # [A; G_J] has full row rank exactly when its unit rows fix distinct
-    # coordinates and the other rows are independent on the rest.
-    system = _FreeSystem(A, GJ, range(GJ.shape[0]), _unit_columns(GJ))
-    diag = np.abs(np.diag(system.R))
-    full_rank = (
-        np.unique(system.fixed).size == system.fixed.size
-        and system.B.shape[0] <= system.free.size
-        and (diag.size == 0 or diag.min() > 1e-9 * max(diag.max(), 1.0))
-    )
-    if full_rank:
+    A_red = spec.A[spec.eq_reduction[0]]
+    m = A_red.shape[0]
+    system = _FreeSystem(A_red, GJ, range(GJ.shape[0]), _unit_columns(GJ))
+    if system.full_rank:
         # Independent rows: multipliers are unique affine functions of s.
         lam0 = system.multipliers(r0)[m:]
         lamdot = system.multipliers(rdot)[m:]
@@ -268,15 +261,14 @@ def _dual_exit_time(spec: PolytopeSpec, seg_rows: np.ndarray, r0: np.ndarray, rd
             return cap, np.zeros(0, dtype=int)
         return max(smin, 1e-13 * scale), hit
 
-    A_red = spec.A[spec.eq_reduction[0]]
-    n_mu, n_lam = A_red.shape[0], GJ.shape[0]
-    cost = np.zeros(n_mu + n_lam + 1)
+    n_lam = GJ.shape[0]
+    cost = np.zeros(m + n_lam + 1)
     cost[-1] = -1.0
     res = linprog(
         cost,
         A_eq=np.hstack([A_red.T, GJ.T, -rdot[:, None]]),
         b_eq=r0,
-        bounds=[(None, None)] * n_mu + [(0.0, None)] * n_lam + [(0.0, cap)],
+        bounds=[(None, None)] * m + [(0.0, None)] * n_lam + [(0.0, cap)],
         method="highs",
     )
     if res.status == 3:  # unbounded: only possible when cap is None

@@ -21,6 +21,7 @@ deterministic and finitely terminating under degeneracy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -33,7 +34,6 @@ from .polytope import (
     VertexSet,
     _extend_basis,
     _find_feasible_point,
-    validate,
 )
 
 MULT_TOL = 1e-10
@@ -72,9 +72,6 @@ class QlpInstance:
         """The point whose projection onto P solves the instance at eta."""
         return -0.5 * eta * self.c
 
-    def validated(self) -> "QlpInstance":
-        return QlpInstance(validate(self.polytope).spec, self.c)
-
 
 @dataclass
 class ProjectionResult:
@@ -104,20 +101,6 @@ class ProjectionResult:
         }
 
 
-def _tri_solve(R: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve R y = rhs; one shot of diagonal regularization before failing."""
-    diag = np.abs(np.diag(R))
-    if diag.size == 0:
-        return np.zeros(0)
-    if diag.min() > 1e-13 * max(diag.max(), 1.0):
-        return solve_triangular(R, rhs)
-    M = R.T @ R + 1e-12 * np.eye(R.shape[0])
-    try:
-        return np.linalg.solve(M, R.T @ rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalBreakdown("singular working-set system") from exc
-
-
 def _ratio_test(gap: np.ndarray, rate: np.ndarray, scale, rows: np.ndarray):
     """First zero crossing of ``gap - t rate`` over the rows with ``rate > 0``.
 
@@ -143,41 +126,38 @@ def _unit_columns(G: np.ndarray) -> np.ndarray:
 
 
 def _extend_independent(base_q: np.ndarray, G: np.ndarray, order) -> list[int]:
-    """Indices :func:`polytope._extend_basis` keeps: the rows of ``G``, visited
-    in ``order``, that extend the span of the orthonormal rows ``base_q``.
+    """Rows of ``G``, visited in ``order``, that extend the span of the
+    orthonormal rows ``base_q``, as :func:`polytope._extend_basis` keeps them.
 
     When at least ``_BATCH_MIN_ROWS`` rows are visited and every one is a unit
-    row they are found in one batch.
+    row they are chosen in one batch instead, which near the rank tolerance
+    may keep other rows than the loop, or a dependent one;
+    :func:`min_distance_active_set` certifies the batch's choice.
     """
     order = [int(j) for j in order]
-    kept = None
     if len(order) >= _BATCH_MIN_ROWS:
         col = _unit_columns(G[order])
         if np.all(col >= 0):
-            kept = _extend_unit_rows(base_q, G, order, col)
-    return kept if kept is not None else _extend_basis(base_q, G, order)[0]
+            return _extend_unit_rows(base_q, G, order, col)
+    return _extend_basis(base_q, G, order)[0]
 
 
-def _extend_unit_rows(base_q, G, order, col) -> list[int] | None:
+def _extend_unit_rows(base_q, G, order, col) -> list[int]:
     """:func:`_extend_independent` for unit rows ``G[order_i] ~ e_{col_i}``.
 
     ``[base_q; e_S]`` is independent exactly when the columns of ``base_q``
     outside ``S`` have full row rank: ``S`` is independent in the dual of its
     column matroid.  On the visited coordinates ``T`` that dual is the dual of
     the contraction by the other columns, so the greedy choice keeps all of
-    ``T`` but the contraction's greedy column basis in reverse order.  The
-    candidate is checked with the row-by-row test: a kept row's residual
-    against all other kept rows bounds its residual when visited from below,
-    and a dropped row's residual is computed.  None when a check fails.
+    ``T`` but the contraction's greedy column basis in reverse order.  Rank
+    decisions are made to ``_RANK_TOL`` on the contraction, not row by row.
     """
-    d = base_q.shape[1]
     first = np.sort(np.unique(col, return_index=True)[1])  # a repeat is dependent
     rows = [order[i] for i in first]
     T, coef = col[first], np.abs(G[rows, col[first]])
-    thresh = _RANK_TOL * np.maximum(1.0, coef) / coef  # on the residual of e_t
     if base_q.shape[0] == 0:
-        return [j for j, t in zip(rows, thresh) if t < 1.0]
-    free = np.ones(d, dtype=bool)
+        return [j for j, a in zip(rows, coef) if a > _RANK_TOL * max(1.0, a)]
+    free = np.ones(base_q.shape[1], dtype=bool)
     free[T] = False
     P = base_q[:, T]
     if free.any():  # contract: project out the span of the other columns
@@ -193,21 +173,6 @@ def _extend_unit_rows(base_q, G, order, col) -> list[int] | None:
         u = P[:, t] / np.linalg.norm(P[:, t])
         P = P - np.outer(u, u @ P)
         dropped[t] = True
-    free[T[dropped]] = True
-    Rf = np.linalg.qr(base_q[:, free].T, mode="r")
-    if Rf.shape[0] < Rf.shape[1] or np.abs(np.diag(Rf)).min() <= _RANK_TOL:
-        return None
-    w = np.linalg.solve(Rf.T, base_q[:, T[~dropped]])
-    if np.any(1.0 / np.sqrt(1.0 + np.sum(w * w, axis=0)) <= thresh[~dropped]):
-        return None
-    for i in np.flatnonzero(dropped):
-        free = np.delete(np.arange(d), T[:i][~dropped[:i]])
-        U = np.linalg.qr(base_q[:, free].T)[0]
-        e = (free == T[i]).astype(float)
-        res = e - U @ (U.T @ e)
-        res -= U @ (U.T @ res)
-        if np.linalg.norm(res) > thresh[i]:
-            return None
     return [j for j, drop in zip(rows, dropped) if not drop]
 
 
@@ -216,7 +181,9 @@ class _FreeSystem:
 
     A unit row of the working set fixes its coordinate, where the null space
     of the stack is zero; only the equality and general working-set rows,
-    restricted to the free coordinates, are factored.
+    restricted to the free coordinates, are factored.  :attr:`full_rank`
+    reads the independence of the whole stack off that factorization, which
+    :meth:`multipliers` needs.
     """
 
     def __init__(self, A_red: np.ndarray, G: np.ndarray, W: list[int], col: np.ndarray):
@@ -229,6 +196,22 @@ class _FreeSystem:
         self.B = np.vstack([A_red, G[self.W[~self.unit]]])
         self.Q, self.R = np.linalg.qr(self.B[:, self.free].T)
 
+    @cached_property
+    def full_rank(self) -> bool:
+        """Whether ``[A_red; G[W]]`` has full row rank.
+
+        It has exactly when the unit rows fix distinct coordinates and the
+        other rows are independent on the rest: no more of them than free
+        coordinates, and every diagonal entry of ``R`` above ``1e-9`` times
+        the largest (or one).
+        """
+        diag = np.abs(np.diag(self.R))
+        return bool(
+            np.unique(self.fixed).size == self.fixed.size
+            and self.B.shape[0] <= self.free.size
+            and (diag.size == 0 or diag.min() > 1e-9 * max(diag.max(), 1.0))
+        )
+
     def project(self, v: np.ndarray) -> np.ndarray:
         """Component of ``v`` in the null space of the working-set rows."""
         out = np.zeros_like(v)
@@ -240,12 +223,12 @@ class _FreeSystem:
         return out
 
     def multipliers(self, v: np.ndarray) -> np.ndarray:
-        """Least-squares ``y`` with ``[A_red; G[W]]^T y = v``, in that row order."""
-        if self.B.shape[0] > self.Q.shape[0]:  # more rows than free coordinates
-            dense = np.vstack([self.A_red, self.G[self.W]])
-            return np.linalg.lstsq(dense.T, v, rcond=None)[0]
+        """Least-squares ``y`` with ``[A_red; G[W]]^T y = v``, in that row order.
+
+        The rows must be independent (:attr:`full_rank`).
+        """
         m_red = self.A_red.shape[0]
-        y_gen = _tri_solve(self.R, self.Q.T @ v[self.free])
+        y_gen = solve_triangular(self.R, self.Q.T @ v[self.free]) if self.R.size else np.zeros(0)
         resid = v - self.B.T @ y_gen
         y = np.empty(m_red + self.W.size)
         y[:m_red] = y_gen[:m_red]
@@ -298,11 +281,16 @@ def min_distance_active_set(
     else:
         w0 = [int(j) for j in w0 if k and slack[j] <= FEAS_TOL]
         order = list(dict.fromkeys(list(w0) + list(tight)))
-    W = _extend_independent(base_q, G, order) if k else []
-    W.sort()
+    W = sorted(_extend_independent(base_q, G, order)) if k else []
+    system = _FreeSystem(A_red, G, W, col)
+    if not system.full_rank:  # the batch seed kept a dependent row
+        W = sorted(_extend_basis(base_q, G, order)[0])
+        system = None
+    # Later working sets stay independent: a drop removes a row, and a row
+    # enters only when the step moves against it (``_ratio_test``'s floor).
 
-    zscale = 1.0 + float(np.linalg.norm(z))
-    system = None
+    # |x0| keeps the zero-step test relative on a polytope far from the origin.
+    zscale = 1.0 + float(np.linalg.norm(z)) + float(np.linalg.norm(x))
     it = 0
     while it < max_iter:
         it += 1

@@ -12,6 +12,7 @@ from qreglp import (
     project,
     solve_qlp,
 )
+from qreglp import projection
 from qreglp.oracle import random_cost_matrix, random_polytope_instance
 from qreglp.ot import birkhoff_polytope
 from qreglp.polytope import _extend_basis
@@ -217,8 +218,9 @@ def test_extend_independent_contract():
     assert _extend_independent(none, G, [1, 0]) == [1]
     assert _extend_independent(none, G, [5, 0, 2, 4]) == [5, 0, 2]
     assert _extend_independent(base_q, G, [5, 4]) == [5]
-    # Long orders of unit rows are kept in one batch, which must agree with
-    # the row-by-row test; it is called directly on the short orders below.
+    # Long orders of unit rows are kept in one batch, which agrees with the
+    # row-by-row test away from the rank tolerance; it is called directly on
+    # the short orders below.
     # On Birkhoff(3), once coordinates 1, 2 and 3 are fixed, edge 6 (row 2,
     # column 0) is a bridge of the free support graph, so fixing it too
     # depends on the equality rows alone.
@@ -243,8 +245,9 @@ def test_extend_independent_contract():
             long_orders += len(order) >= _BATCH_MIN_ROWS
     assert long_orders > 0
     # Near the rank tolerance: a column of A scaled towards zero, or nearly
-    # a copy of another, so that rounding-level decisions must still agree,
-    # or the batch must fall back to the loop.
+    # a copy of another.  The batch may then differ from the loop, but a
+    # choice the kernel's full-rank test certifies is independent.
+    certified_other = rejected = 0
     for _ in range(400):
         d = int(rng.integers(2, 6))
         A = rng.normal(size=(int(rng.integers(1, d)), d))
@@ -253,11 +256,20 @@ def test_extend_independent_contract():
             A[:, rng.integers(d)] *= eps
         else:
             A[:, -1] = A[:, 0] + eps * rng.normal(size=A.shape[0])
-        _, base_q = _extend_basis(np.zeros((0, d)), A, range(A.shape[0]))
+        eq_idx, base_q = _extend_basis(np.zeros((0, d)), A, range(A.shape[0]))
+        A_red = A[eq_idx]
         G3 = -np.eye(d) * rng.choice([1.0, 2.0, 1e-3], size=d)[:, None]
         order = list(rng.permutation(d))
-        kept = _batch(base_q, G3, order)
-        assert kept is None or kept == _extend_basis(base_q, G3, order)[0]
+        kept = sorted(_batch(base_q, G3, order))
+        if _FreeSystem(A_red, G3, kept, _unit_columns(G3)).full_rank:
+            rows = np.vstack([A_red, G3[kept]])
+            rows /= np.linalg.norm(rows, axis=1)[:, None]
+            sv = np.linalg.svd(rows, compute_uv=False)
+            assert sv.min() > 1e-11 * sv.max()
+            certified_other += kept != sorted(_extend_basis(base_q, G3, order)[0])
+        else:
+            rejected += 1
+    assert certified_other > 0 and rejected > 0
 
 
 def _batch(base_q, G, order):
@@ -336,18 +348,49 @@ def test_kernel_matches_dense_reference():
         assert np.linalg.matrix_rank(rows) == rows.shape[0]
 
 
-def test_free_system_dependent_working_set():
-    # Fixing x_00 and x_01 of Birkhoff(2) leaves two free coordinates for
-    # three independent equality rows; the multipliers fall back to the
-    # dense least-squares solve and still reproduce any v in the row space.
+def test_free_system_full_rank():
+    # Birkhoff(2): three independent equality rows on four coordinates.
     spec = birkhoff_polytope(2)
-    eq_idx, _ = spec.eq_reduction
-    A_red = spec.A[eq_idx]
-    system = _FreeSystem(A_red, spec.G, [0, 1], _unit_columns(spec.G))
-    B = np.vstack([A_red, spec.G[[0, 1]]])
-    v = B.T @ np.random.default_rng(4).normal(size=B.shape[0])
-    assert np.max(np.abs(system.project(v))) <= 1e-12
-    assert np.max(np.abs(B.T @ system.multipliers(v) - v)) <= 1e-12
+    A_red = spec.A[spec.eq_reduction[0]]
+    col = _unit_columns(spec.G)
+    assert _FreeSystem(A_red, spec.G, [0], col).full_rank
+    # Two fixed coordinates leave two free ones for three rows.
+    assert not _FreeSystem(A_red, spec.G, [0, 1], col).full_rank
+    # A coordinate fixed twice.
+    G = np.vstack([spec.G, 2.0 * spec.G[:1]])
+    assert not _FreeSystem(A_red, G, [0, 4], _unit_columns(G)).full_rank
+    # A general row in the span of the equality rows.
+    G = np.vstack([spec.G, spec.A[0] - spec.A[2]])
+    assert not _FreeSystem(A_red, G, [4], _unit_columns(G)).full_rank
+    assert _FreeSystem(np.zeros((0, 4)), G, [4], _unit_columns(G)).full_rank
+
+
+def test_kernel_reseeds_rejected_batch(monkeypatch):
+    # The cone {x >= 0, A x = 0} at x0 = 0 with one column of A scaled
+    # towards zero: all 36 bound rows are tight, so the batch seeds the
+    # working set, and near the rank tolerance the kernel's full-rank test
+    # rejects it in 3 of these 70 draws and seeds row by row instead.
+    reseeds = [0]
+
+    def counted_extend_basis(*args):
+        reseeds[0] += 1
+        return _extend_basis(*args)
+
+    monkeypatch.setattr(projection, "_extend_basis", counted_extend_basis)
+    rng = np.random.default_rng(0)
+    d, m = 36, 5
+    G, h, x0 = -np.eye(d), np.zeros(d), np.zeros(d)
+    for _ in range(70):
+        A = rng.normal(size=(m, d))
+        A[:, rng.integers(d)] *= 10.0 ** rng.uniform(-10, -8)
+        z = rng.normal(size=d)
+        eq = _extend_basis(np.zeros((0, d)), A, range(m))
+        x, W, mu, lam, _ = min_distance_active_set(A, G, h, z, x0, eq=eq)
+        x_ref, _ = _dense_active_set(A, G, h, z, x0)
+        assert np.max(np.abs(x - x_ref)) <= 1e-10
+        grad = z - x - A.T @ mu - G[W].T @ lam
+        assert np.max(np.abs(grad)) <= KKT_TOL * (1.0 + np.linalg.norm(z))
+    assert reseeds[0] > 0
 
 
 def test_warm_start_redundant_row():
