@@ -106,6 +106,11 @@ class PolytopeSpec:
         orthonormal basis of their span, computed once per spec."""
         return _extend_basis(np.zeros((0, self.dim)), self.A, range(self.n_eq))
 
+    @cached_property
+    def unit_columns(self) -> np.ndarray:
+        """:func:`_unit_columns` of ``G``, computed once per spec."""
+        return _unit_columns(self.G)
+
     def contains(self, x, tol: float = FEAS_TOL) -> bool:
         """Membership test up to ``tol`` on both constraint blocks."""
         x = np.asarray(x, dtype=float).ravel()
@@ -235,6 +240,13 @@ def _dedup_rows(V: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
     return np.asarray(kept)
 
 
+def _unit_columns(G: np.ndarray) -> np.ndarray:
+    """Per row of ``G``: the coordinate a unit row (one nonzero) fixes, else -1."""
+    col = np.argmax(np.abs(G), axis=1)
+    col[np.count_nonzero(G, axis=1) != 1] = -1
+    return col
+
+
 def _extend_basis(base: np.ndarray, M: np.ndarray, order) -> tuple[list[int], np.ndarray]:
     """Rows of ``M``, visited in ``order``, that extend the span of ``base``.
 
@@ -289,28 +301,30 @@ def _find_feasible_point(spec: PolytopeSpec) -> np.ndarray:
 def _recession_ray(spec: PolytopeSpec, tol: float = 1e-7) -> np.ndarray | None:
     """A nonzero recession direction if one exists, else None.
 
-    Solves, per coordinate and sign, ``max +-d_i`` over the recession cone
-    intersected with the unit box; any positive optimum certifies a ray.
+    With the rows of ``[A; G]`` scaled to unit length, a null vector is a
+    line in the region.  Otherwise every nonzero recession direction ``d``
+    has ``g_i . d < 0`` on some row, so one LP, ``max sum_i -g_i . d`` over
+    ``G d <= 0``, ``A d = 0``, ``-1 <= d <= 1``, is positive exactly when
+    the region is unbounded.
     """
-    A_eq = spec.A if spec.n_eq else None
-    b_eq = np.zeros(spec.n_eq) if spec.n_eq else None
-    A_ub = spec.G if spec.n_ineq else None
-    b_ub = np.zeros(spec.n_ineq) if spec.n_ineq else None
-    for i in range(spec.dim):
-        for sign in (1.0, -1.0):
-            c = np.zeros(spec.dim)
-            c[i] = -sign
-            res = linprog(
-                c,
-                A_ub=A_ub,
-                b_ub=b_ub,
-                A_eq=A_eq,
-                b_eq=b_eq,
-                bounds=[(-1.0, 1.0)] * spec.dim,
-                method="highs",
-            )
-            if res.status == 0 and res.x is not None and -res.fun > tol:
-                return np.asarray(res.x, dtype=float)
+    M = np.vstack([spec.A, spec.G])
+    norms = np.linalg.norm(M, axis=1)
+    M = M / np.where(norms > 0, norms, 1.0)[:, None]
+    _, sv, Vt = np.linalg.svd(M)
+    if sv.size < spec.dim or sv[-1] <= tol:
+        return Vt[-1]
+    G = M[spec.n_eq:]
+    res = linprog(
+        G.sum(axis=0),
+        A_ub=G,
+        b_ub=np.zeros(spec.n_ineq),
+        A_eq=spec.A if spec.n_eq else None,
+        b_eq=np.zeros(spec.n_eq) if spec.n_eq else None,
+        bounds=[(-1.0, 1.0)] * spec.dim,
+        method="highs",
+    )
+    if res.status == 0 and res.x is not None and -res.fun > tol:
+        return np.asarray(res.x, dtype=float)
     return None
 
 
@@ -318,7 +332,8 @@ def validate(spec: PolytopeSpec, tol: float = FEAS_TOL) -> ValidationReport:
     """Check nonemptiness, boundedness, and V/H consistency.
 
     Returns the canonicalized spec (contiguous float arrays, vertices
-    deduplicated and lexicographically sorted).  Raises
+    deduplicated and lexicographically sorted, and the feasible point the
+    check found).  Raises
     :class:`EmptyFeasibleSet` or :class:`UnboundedSet` on failure, and
     :class:`ShapeMismatch` for inconsistent blocks (at construction).
     """
@@ -328,13 +343,13 @@ def validate(spec: PolytopeSpec, tol: float = FEAS_TOL) -> ValidationReport:
         raise UnboundedSet(f"recession direction found: {ray.tolist()}")
 
     vertex_consistent = True
-    canon = spec
+    canon = replace(spec, feasible_point=point)
     if spec.vertices is not None:
         V = _dedup_rows(spec.vertices, DEDUP_TOL)
         ok_feas = all(spec.contains(v, 10 * tol) for v in V)
         ok_extreme = all(_is_extreme(spec, v, tol) for v in V)
         vertex_consistent = bool(ok_feas and ok_extreme)
-        canon = replace(spec, vertices=V)
+        canon = replace(canon, vertices=V)
     return ValidationReport(
         nonempty=True,
         bounded=True,
@@ -356,6 +371,18 @@ def _is_extreme(spec: PolytopeSpec, v: np.ndarray, tol: float) -> bool:
     return np.linalg.matrix_rank(M, tol=1e-8) == spec.dim
 
 
+def _full_rank_mask(M: np.ndarray) -> np.ndarray:
+    """The rank test of :func:`enumerate_vertices` on each matrix of the
+    stack ``M``, screened by one LU each as described there."""
+    sign, logdet = np.linalg.slogdet(M)
+    fro = np.log(np.maximum(np.linalg.norm(M, axis=(1, 2)), np.finfo(float).tiny))
+    ok = logdet > math.log(_RANK_TOL) + np.maximum(fro, 0.0) + (M.shape[1] - 1) * fro
+    band = (sign != 0) & ~ok
+    sv = np.linalg.svd(M[band], compute_uv=False)
+    ok[band] = sv[:, -1] > _RANK_TOL * np.maximum(sv[:, 0], 1.0)
+    return ok
+
+
 def enumerate_vertices(
     spec: PolytopeSpec,
     budget: int = DEFAULT_BASIS_BUDGET,
@@ -368,6 +395,14 @@ def enumerate_vertices(
     ``dim - rank(A)`` subset of inequality rows stacked on the equality
     rows) is solved; feasible solutions are vertices.  Deterministic
     lexicographic output order.
+
+    A candidate is solved when its matrix passes the rank test
+    ``σ_min > _RANK_TOL max(σ_max, 1)``.  One LU per candidate decides
+    nearly all of them (:func:`_full_rank_mask`): an exact zero pivot
+    rejects, and ``|det| / |M|_F^(d-1) > _RANK_TOL max(|M|_F, 1)`` accepts,
+    which is a proof that the test passes because
+    ``σ_min >= |det| / σ_max^(d-1)`` and ``σ_max <= |M|_F``.  Singular values
+    are computed only for the few candidates in between.
 
     Raises
     ------
@@ -403,17 +438,16 @@ def enumerate_vertices(
         chunk = list(itertools.islice(combos, chunk_size))
         if not chunk:
             break
-        sel = np.asarray(chunk, dtype=int)
         M = np.empty((len(chunk), d, d))
         rhs = np.empty((len(chunk), d))
         M[:, :r_eq, :] = A_red
         rhs[:, :r_eq] = b_red
         if s:
+            flat = itertools.chain.from_iterable(chunk)
+            sel = np.fromiter(flat, np.intp, count=len(chunk) * s).reshape(-1, s)
             M[:, r_eq:, :] = spec.G[sel]
             rhs[:, r_eq:] = spec.h[sel]
-        # Filter singular candidate systems before the batched solve.
-        sv = np.linalg.svd(M, compute_uv=False)
-        ok = sv[:, -1] > 1e-10 * np.maximum(sv[:, 0], 1.0)
+        ok = _full_rank_mask(M)
         if not np.any(ok):
             continue
         X = np.linalg.solve(M[ok], rhs[ok][..., None])[..., 0]

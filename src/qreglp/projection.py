@@ -34,6 +34,7 @@ from .polytope import (
     VertexSet,
     _extend_basis,
     _find_feasible_point,
+    _unit_columns,
 )
 
 MULT_TOL = 1e-10
@@ -116,13 +117,6 @@ def _ratio_test(gap: np.ndarray, rate: np.ndarray, scale, rows: np.ndarray):
     t = np.maximum(gap[pos], 0.0) / rate[pos]
     t_min = float(t.min())
     return t_min, np.sort(rows[pos][t <= t_min + 1e-10 * (1.0 + t_min)])
-
-
-def _unit_columns(G: np.ndarray) -> np.ndarray:
-    """Per row of ``G``: the coordinate a unit row (one nonzero) fixes, else -1."""
-    col = np.argmax(np.abs(G), axis=1)
-    col[np.count_nonzero(G, axis=1) != 1] = -1
-    return col
 
 
 def _extend_independent(base_q: np.ndarray, G: np.ndarray, order) -> list[int]:
@@ -246,13 +240,15 @@ def min_distance_active_set(
     x0: np.ndarray,
     w0=None,
     eq=None,
+    col=None,
 ):
     """Minimize ``|x - z|^2`` subject to ``A x = A x0`` and ``G x <= h``.
 
     ``x0`` must be feasible.  The equality right-hand side is taken from
     ``x0`` so the routine serves both polytopes and cones (``h = 0``,
     ``x0 = 0``).  ``eq`` is the reduction ``(eq_idx, base_q)`` of ``A``
-    (:attr:`PolytopeSpec.eq_reduction`); it is computed when not given.
+    (:attr:`PolytopeSpec.eq_reduction`) and ``col`` the unit columns of ``G``
+    (:attr:`PolytopeSpec.unit_columns`); each is computed when not given.
     Returns ``(x, working_set, eq_mult, ineq_mult, iters)`` where ``eq_mult``
     has one entry per row of ``A`` (zero on redundant rows, which are removed
     internally).
@@ -272,7 +268,7 @@ def min_distance_active_set(
     A_red = A[eq_idx]
     m_red = A_red.shape[0]
 
-    col = _unit_columns(G)
+    col = _unit_columns(G) if col is None else col
     g_norm = np.linalg.norm(G, axis=1) if k else np.zeros(0)
     slack = h - G @ x if k else np.zeros(0)
     tight = np.flatnonzero(slack <= FEAS_TOL) if k else np.zeros(0, dtype=int)
@@ -366,7 +362,8 @@ def project(
         x0 = _find_feasible_point(spec)
         working_set = None
     x, W, mu, lam, iters = min_distance_active_set(
-        spec.A, spec.G, spec.h, z, x0, w0=working_set, eq=spec.eq_reduction
+        spec.A, spec.G, spec.h, z, x0, w0=working_set, eq=spec.eq_reduction,
+        col=spec.unit_columns,
     )
     grad = z - x
     if spec.n_eq:

@@ -148,6 +148,25 @@ def test_analyze_failed_bounds_exit_2(interval_file, monkeypatch, capsys):
     assert capsys.readouterr().out.strip().endswith("bounds_ok=false")
 
 
+def test_analyze_solves_phase_one_once(tmp_path, monkeypatch):
+    from qreglp import polytope
+
+    phase_one = []
+    real = polytope.linprog
+
+    def counting(c, *args, bounds=None, **kwargs):
+        if bounds is not None and bounds[0] == (None, None):
+            phase_one.append(1)
+        return real(c, *args, bounds=bounds, **kwargs)
+
+    monkeypatch.setattr(polytope, "linprog", counting)
+    f = tmp_path / "cut_square.json"
+    G = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]]
+    f.write_text(json.dumps({"dim": 2, "G": G, "h": [1.0, 1.0, 0.0, 0.0, 1.5], "c": [-1.0, -0.5]}))
+    assert main(["analyze", str(f)]) == 0
+    assert len(phase_one) == 1  # validate's point serves the cold solves
+
+
 def test_ot_threshold(neg_id_file, capsys):
     assert main(["ot", "threshold", neg_id_file(5)]) == 0
     out = capsys.readouterr().out

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.spatial import HalfspaceIntersection
 
 from qreglp import (
     AllVerticesOptimal,
@@ -15,7 +18,9 @@ from qreglp import (
     suboptimality_gap,
     validate,
 )
+from qreglp.oracle import random_polytope_instance
 from qreglp.ot import birkhoff_polytope, permutation_matrices
+from qreglp.polytope import _full_rank_mask, _recession_ray
 
 
 def test_validate_interval(interval):
@@ -41,6 +46,43 @@ def test_validate_unbounded_halfspace():
     spec = PolytopeSpec(dim=2, G=[[-1.0, 0.0]], h=[0.0])
     with pytest.raises(UnboundedSet):
         validate(spec)
+
+
+def test_recession_ray_slab_is_a_line():
+    # Only a line: the LP's objective is zero on every recession direction.
+    spec = PolytopeSpec(dim=3, G=[[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], h=[1.0, 0.0])
+    ray = _recession_ray(spec)
+    assert ray is not None and np.linalg.norm(ray) > 0.5
+    assert np.max(np.abs(spec.G @ ray)) <= 1e-12
+    with pytest.raises(UnboundedSet, match="recession direction"):
+        validate(spec)
+
+
+@pytest.mark.parametrize("with_eq", [False, True])
+def test_recession_ray_oblique(with_eq):
+    # Wedge x/2 - 1 <= y <= 2x + 1: its rays lie strictly between (2, 1) and
+    # (1, 2), so none is along an axis.
+    G = np.array([[0.5, -1.0], [-2.0, 1.0]])
+    if with_eq:  # the same wedge in the plane z = 0 of R^3
+        spec = PolytopeSpec(dim=3, A=[[0.0, 0.0, 1.0]], b=[0.0],
+                            G=np.hstack([G, np.zeros((2, 1))]), h=[1.0, 1.0])
+    else:
+        spec = PolytopeSpec(dim=2, G=G, h=[1.0, 1.0])
+    ray = _recession_ray(spec)
+    assert ray is not None
+    assert np.max(spec.G @ ray) <= 1e-9 and ray[0] > 0.1 and ray[1] > 0.1
+    if with_eq:
+        assert abs(ray[2]) <= 1e-12
+    with pytest.raises(UnboundedSet, match="recession direction"):
+        validate(spec)
+
+
+def test_validate_keeps_feasible_point():
+    spec = PolytopeSpec(dim=2, G=[[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], h=[1.0, 1.0, 0.0])
+    rep = validate(spec)
+    assert rep.spec.feasible_point is not None
+    assert np.array_equal(rep.spec.feasible_point, rep.feasible_point)
+    assert spec.contains(rep.spec.feasible_point)
 
 
 def test_validate_empty():
@@ -109,6 +151,59 @@ def test_enumeration_row_permutation_invariant():
     v2 = enumerate_vertices(spec_p).vertices
     assert v1.shape == v2.shape
     assert np.max(np.abs(v1 - v2)) <= 1e-9
+
+
+def test_full_rank_screen_outcomes(monkeypatch):
+    accept = np.eye(3) + 0.1  # |det| far above the bound: certified by the LU
+    zero_pivot = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    tilted = np.array([[1.0, 0.0, 0.0], [1.0, 1e-11, 0.0], [0.0, 0.0, 1.0]])  # angle 1e-11
+    small = np.diag([1e-6, 1e-6, 1.0])  # |det| 1e-12, yet sigma_min 1e-6
+    seen = []
+    real_svd = np.linalg.svd
+    monkeypatch.setattr(
+        np.linalg, "svd", lambda M, **kw: seen.append(M.copy()) or real_svd(M, **kw)
+    )
+    ok = _full_rank_mask(np.stack([accept, zero_pivot, tilted, small]))
+    assert ok.tolist() == [True, False, False, True]
+    # Only the band reaches the singular values, and they decide it both ways.
+    assert len(seen) == 1 and np.array_equal(seen[0], np.stack([tilted, small]))
+
+
+def _box_plus_cuts(seed: int) -> tuple[PolytopeSpec, np.ndarray]:
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 6))
+    anchor = rng.uniform(0.3, 0.7, size=d)
+    cuts = rng.normal(size=(int(rng.integers(0, 7)), d))
+    G = np.vstack([np.eye(d), -np.eye(d), cuts])
+    h = np.concatenate([np.ones(d), np.zeros(d), cuts @ anchor + rng.uniform(0.02, 0.3, len(cuts))])
+    return PolytopeSpec(dim=d, G=G, h=h), anchor
+
+
+def _qhull_vertices(spec: PolytopeSpec, interior: np.ndarray) -> np.ndarray:
+    """Vertices from scipy's halfspace intersection, near-duplicates merged."""
+    if spec.dim == 1:
+        g, h = spec.G[:, 0], spec.h
+        return np.array([[np.max(h[g < 0] / g[g < 0])], [np.min(h[g > 0] / g[g > 0])]])
+    pts = HalfspaceIntersection(np.hstack([spec.G, -spec.h[:, None]]), interior).intersections
+    kept: list[np.ndarray] = []
+    for p in pts:
+        if all(np.max(np.abs(p - q)) > 1e-7 for q in kept):
+            kept.append(p)
+    return np.asarray(kept)
+
+
+@given(seed=st.integers(0, 2**31 - 1), boxed=st.booleans())
+def test_enumeration_matches_halfspace_intersection(seed, boxed):
+    if boxed:
+        spec, interior = _box_plus_cuts(seed)
+    else:
+        spec = random_polytope_instance(seed).polytope
+        interior = spec.feasible_point
+    V = enumerate_vertices(spec).vertices
+    ref = _qhull_vertices(spec, interior)
+    assert V.shape == ref.shape
+    gaps = np.max(np.abs(V[:, None, :] - ref[None, :, :]), axis=2)
+    assert np.max(gaps.min(axis=1)) <= 1e-7 and np.max(gaps.min(axis=0)) <= 1e-7
 
 
 def test_enumeration_budget():
