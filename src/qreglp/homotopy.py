@@ -11,14 +11,17 @@ affine piece at a time:
   (closed-form smallest crossing) or when a multiplier of the carrying
   face crosses zero (closed form when the face's tight rows are linearly
   independent, otherwise one linear program over the face's multipliers);
-* every landing is re-solved from scratch and each piece is verified at
-  its midpoint; a landing or midpoint off the predicted ray means the
-  event analysis missed a kink, and raises rather than returning a wrong
-  path.
+* each piece is certified at its two ends: ``x`` is feasible, the piece's
+  rows ``J`` are tight and ``target - x = A^T mu + G_J^T lam``, ``lam >= 0``.
+  All of it is affine in ``eta``, so the ends certify the whole piece.  The
+  right end's multipliers are the event analysis's own, the left end's
+  those of the previous right end (or the cold start) on ``J``; a failed
+  certificate means a missed kink, and raises.
 
 ``trace_path`` runs at unit cost norm: ``x(eta; c) = x(a eta; c / a)``, so
 it traces ``c / |c|`` and divides the breakpoints by ``|c|``.  Every
-tolerance then acts on data of one scale, whatever the scale of ``c``.
+tolerance then acts on data of one scale, whatever the scale of ``c``; the
+multipliers of a certificate do not depend on that scale.
 
 Stationarity is certified locally: the direction is zero and both the
 residual and ``-c/2`` lie in the normal cone of the current face, which
@@ -31,20 +34,14 @@ vertex's normal cone and exit on the far side).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linprog
 
 from .errors import MaxSegmentsExceeded, NumericalBreakdown
 from .polytope import FEAS_TOL, PolytopeSpec, _extend_basis
-from .projection import (
-    QlpInstance,
-    _FreeSystem,
-    _ratio_test,
-    _unit_columns,
-    min_distance_active_set,
-    project,
-)
+from .projection import QlpInstance, _FreeSystem, _ratio_test, min_distance_active_set, project
 
 _DIR_ZERO = 1e-12
 _VERIFY_TOL = 1e-8
@@ -55,6 +52,7 @@ class BlockingConstraint:
     """An inactive inequality becomes tight at the event."""
 
     rows: np.ndarray
+    multipliers: tuple = ()
 
 
 @dataclass
@@ -62,11 +60,21 @@ class DroppingMultiplier:
     """A multiplier of the carrying face crosses zero at the event."""
 
     rows: np.ndarray
+    multipliers: tuple = ()
 
 
 @dataclass
 class Stationary:
     """No further event: the point is optimal for every larger eta."""
+
+
+class Certificate(NamedTuple):
+    """Optimality of a path point: ``target - x = A^T mu + G[rows]^T lam``,
+    ``lam >= 0`` and ``rows`` tight; ``mu`` has one entry per row of ``A``."""
+
+    rows: np.ndarray
+    mu: np.ndarray
+    lam: np.ndarray
 
 
 @dataclass
@@ -77,12 +85,14 @@ class SolutionPath:
     threshold; ``endpoints[i]`` solves the instance at ``breakpoints[i]``
     and linear interpolation between consecutive endpoints solves it in
     between.  ``segment_active_sets[i]`` holds the inequality rows tight
-    along the interior of segment ``i``.
+    along the interior of segment ``i``, and ``certificates[i]`` is the pair
+    of :class:`Certificate` on those rows at its left and right end.
     """
 
     breakpoints: np.ndarray
     endpoints: np.ndarray
     segment_active_sets: list = field(default_factory=list)
+    certificates: list = field(default_factory=list)
 
     @property
     def eta_star(self) -> float:
@@ -125,11 +135,8 @@ class SolutionPath:
         return min(max(i, 0), self.n_segments - 1)
 
     def to_json_dict(self) -> dict:
-        return {
-            "breakpoints": self.breakpoints.tolist(),
-            "endpoints": self.endpoints.tolist(),
-            "eta_star": self.eta_star,
-        }
+        return {"breakpoints": self.breakpoints.tolist(),
+                "endpoints": self.endpoints.tolist(), "eta_star": self.eta_star}
 
     def csv_rows(self):
         """Rows ``(i, eta_i, x components...)``, one per breakpoint."""
@@ -181,19 +188,14 @@ def _right_derivative(inst: QlpInstance, eta: float, x: np.ndarray, tight: np.nd
         A_cone = np.vstack([spec.A, r / rn])
         kept, base_q = _extend_basis(base_q, A_cone, [spec.n_eq])
         eq_idx = eq_idx + kept
-    G_cone = spec.G[tight] if tight.size else np.zeros((0, spec.dim))
+    G_cone = spec.G[tight]
     w0 = None
     if warm_rows is not None and tight.size:
         pos = {int(row): i for i, row in enumerate(tight)}
         w0 = [pos[int(rr)] for rr in warm_rows if int(rr) in pos]
     d, ws, _, _, _ = min_distance_active_set(
-        A_cone,
-        G_cone,
-        np.zeros(G_cone.shape[0]),
-        -0.5 * inst.c,
-        np.zeros(spec.dim),
-        w0=w0,
-        eq=(eq_idx, base_q),
+        A_cone, G_cone, np.zeros(G_cone.shape[0]), -0.5 * inst.c, np.zeros(spec.dim), w0=w0,
+        eq=(eq_idx, base_q), col=spec.unit_columns[tight], row_norms=spec.row_norms[tight],
     )
     if np.linalg.norm(d) <= _DIR_ZERO * (1.0 + np.linalg.norm(inst.c)):
         d = np.zeros(spec.dim)
@@ -211,71 +213,61 @@ def path_state(inst: QlpInstance, eta: float, x=None) -> PathState:
     return _make_state(inst, float(eta), np.asarray(x, dtype=float).ravel())
 
 
-def _make_state(inst: QlpInstance, eta: float, x: np.ndarray, warm_ws=None) -> PathState:
+def _make_state(inst: QlpInstance, eta: float, x: np.ndarray, warm_ws=None, landed=()) -> PathState:
+    # ``landed``: rows tight at ``x`` by construction, whatever the rounding
+    # that ``x = x_prev + s d`` gathered along a long step.
     spec = inst.polytope
-    tight = spec.tight_rows(x, FEAS_TOL)
+    tight = np.union1d(spec.tight_rows(x, FEAS_TOL), np.asarray(landed, dtype=int))
     d, r, cone_ws = _right_derivative(inst, eta, x, tight, warm_ws)
     if tight.size and np.any(d):
         gd = spec.G[tight] @ d
-        scale = 1e-11 * (1.0 + np.linalg.norm(spec.G[tight], axis=1) * np.linalg.norm(d))
+        scale = 1e-11 * (1.0 + spec.row_norms[tight] * np.linalg.norm(d))
         seg = tight[np.abs(gd) <= scale]
     else:
         seg = tight
-    return PathState(
-        inst=inst,
-        eta=eta,
-        x=x,
-        tight=tight,
-        residual=r,
-        direction_vec=d,
-        segment_rows=seg,
-        cone_ws=cone_ws,
-    )
+    return PathState(inst, eta, x, tight, r, d, seg, cone_ws)
 
 
 def _dual_exit_time(spec: PolytopeSpec, seg_rows: np.ndarray, r0: np.ndarray, rdot: np.ndarray, cap):
     """Largest ray parameter keeping ``r0 + s rdot`` in the face's normal cone.
 
-    Returns ``(s_exit, rows)`` with ``s_exit = cap`` (or ``None`` when
-    ``cap`` is ``None``) if no multiplier crosses before the cap.  When the
-    face's rows are independent of each other and of ``A_red``
-    (:attr:`_FreeSystem.full_rank`) the multipliers are affine in ``s`` and a
+    Returns ``(s_exit, rows, y0, ydot)`` with ``s_exit = cap`` (or ``None``
+    when ``cap`` is ``None``) if no multiplier crosses before the cap.  When
+    the face's rows are independent of each other and of ``A_red``
+    (:attr:`_FreeSystem.full_rank`; an empty face is ``A_red`` alone) the
+    multipliers on ``[A_red; G_J]`` are ``y0 + s ydot`` for every ``s`` and a
     ratio test gives the exit and the falling rows.  Otherwise the exit is
     the optimum of one linear program, maximize ``s <= cap`` subject to
-    ``A_red^T mu + G_J^T lam - s rdot = r0`` with ``lam >= 0``, and no rows
-    are reported.
+    ``A_red^T mu + G_J^T lam - s rdot = r0`` with ``lam >= 0``; no rows are
+    reported, ``y0`` is the program's ``(mu, lam)`` and ``ydot`` is zero, so
+    ``y0`` holds at ``s_exit`` only.
     """
-    GJ = spec.G[seg_rows] if seg_rows.size else np.zeros((0, spec.dim))
-    if GJ.shape[0] == 0:
-        return cap, np.zeros(0, dtype=int)
-    scale = 1.0 + float(np.linalg.norm(r0)) + float(np.linalg.norm(rdot))
+    GJ = spec.G[seg_rows]
     A_red = spec.A[spec.eq_reduction[0]]
     m = A_red.shape[0]
-    system = _FreeSystem(A_red, GJ, range(GJ.shape[0]), _unit_columns(GJ))
+    no_rows = np.zeros(0, dtype=int)
+    system = _FreeSystem(A_red, GJ, range(GJ.shape[0]), spec.unit_columns[seg_rows])
     if system.full_rank:
-        # Independent rows: multipliers are unique affine functions of s.
-        lam0 = system.multipliers(r0)[m:]
-        lamdot = system.multipliers(rdot)[m:]
+        y0, ydot = system.multipliers(r0), system.multipliers(rdot)
+        lam0, lamdot = y0[m:], ydot[m:]
         smin, hit = _ratio_test(lam0, -lamdot, 1.0 + np.abs(lamdot).max(initial=0.0), seg_rows)
         if smin is None or (cap is not None and smin >= cap):
-            return cap, np.zeros(0, dtype=int)
-        return max(smin, 1e-13 * scale), hit
+            return cap, no_rows, y0, ydot
+        scale = 1.0 + float(np.linalg.norm(r0)) + float(np.linalg.norm(rdot))
+        return max(smin, 1e-13 * scale), hit, y0, ydot
 
     n_lam = GJ.shape[0]
     cost = np.zeros(m + n_lam + 1)
     cost[-1] = -1.0
     res = linprog(
-        cost,
-        A_eq=np.hstack([A_red.T, GJ.T, -rdot[:, None]]),
-        b_eq=r0,
-        bounds=[(None, None)] * m + [(0.0, None)] * n_lam + [(0.0, cap)],
-        method="highs",
+        cost, A_eq=np.hstack([A_red.T, GJ.T, -rdot[:, None]]), b_eq=r0,
+        bounds=[(None, None)] * m + [(0.0, None)] * n_lam + [(0.0, cap)], method="highs",
     )
     if res.status == 3:  # unbounded: only possible when cap is None
-        return None, np.zeros(0, dtype=int)
+        return None, no_rows, None, None
     if res.status != 0:
         raise NumericalBreakdown(f"normal-cone exit LP failed: {res.message}")
-    return float(res.x[-1]), np.zeros(0, dtype=int)
+    return float(res.x[-1]), no_rows, res.x[:-1], np.zeros(m + n_lam)
 
 
 def next_breakpoint(state: PathState):
@@ -283,43 +275,65 @@ def next_breakpoint(state: PathState):
 
     Returns ``(eta, event)`` where the event is a
     :class:`BlockingConstraint`, a :class:`DroppingMultiplier`, or
-    :class:`Stationary` (in which case ``eta`` is the current value).
+    :class:`Stationary` (in which case ``eta`` is the current value).  The
+    first two carry ``(y0, ydot)`` of :func:`_dual_exit_time` for the piece.
     """
     inst, spec = state.inst, state.inst.polytope
     d = state.direction_vec
     if not np.any(d):
         # Constant piece: residual must stay in the face's normal cone.
         rdot = -0.5 * inst.c
-        s_exit, rows = _dual_exit_time(spec, state.tight, state.residual, rdot, None)
+        s_exit, rows, *mult = _dual_exit_time(spec, state.tight, state.residual, rdot, None)
         if s_exit is None:
             return state.eta, Stationary()
-        return state.eta + s_exit, DroppingMultiplier(rows)
+        return state.eta + s_exit, DroppingMultiplier(rows, tuple(mult))
     outside = np.ones(spec.n_ineq, dtype=bool)
     outside[state.segment_rows] = False
     idx = np.flatnonzero(outside)
     G = spec.G[idx]
     t_block, block_rows = _ratio_test(
-        spec.h[idx] - G @ state.x,
-        G @ d,
-        1.0 + np.linalg.norm(G, axis=1) * np.linalg.norm(d),
-        idx,
+        spec.h[idx] - G @ state.x, G @ d, 1.0 + spec.row_norms[idx] * np.linalg.norm(d), idx
     )
     if t_block is None:
         raise NumericalBreakdown("moving ray never blocked on a bounded polytope")
     rdot = -0.5 * inst.c - d
-    s_dual, drop_rows = _dual_exit_time(spec, state.segment_rows, state.residual, rdot, t_block)
+    s_dual, drop_rows, *mult = _dual_exit_time(spec, state.segment_rows, state.residual, rdot, t_block)
     if s_dual is not None and s_dual < t_block:
-        return state.eta + s_dual, DroppingMultiplier(drop_rows)
-    return state.eta + t_block, BlockingConstraint(block_rows)
+        return state.eta + s_dual, DroppingMultiplier(drop_rows, tuple(mult))
+    return state.eta + t_block, BlockingConstraint(block_rows, tuple(mult))
 
 
-def _check_on_ray(where: str, x: np.ndarray, pred: np.ndarray, eta: float) -> None:
-    """Raise unless a solve at a point of the segment lies on its predicted ray."""
-    dev = float(np.max(np.abs(x - pred)))
-    if dev > _VERIFY_TOL * (1.0 + np.linalg.norm(pred)):
+def _certificate(spec: PolytopeSpec, rows: np.ndarray, y: np.ndarray) -> Certificate:
+    """:class:`Certificate` from multipliers ``y`` on ``[A_red; G[rows]]``."""
+    eq_idx = spec.eq_reduction[0]
+    mu = np.zeros(spec.n_eq)
+    mu[eq_idx] = y[: len(eq_idx)]
+    return Certificate(rows, mu, y[len(eq_idx) :])
+
+
+def _restrict(cert: Certificate, rows: np.ndarray) -> Certificate:
+    """``cert`` on ``rows``: a row it does not hold gets a zero multiplier."""
+    lam = np.zeros(rows.size)
+    _, into, outof = np.intersect1d(rows, cert.rows, assume_unique=True, return_indices=True)
+    lam[into] = cert.lam[outof]
+    return Certificate(rows, cert.mu, lam)
+
+
+def _check_end(spec: PolytopeSpec, where: str, x: np.ndarray, r: np.ndarray, cert: Certificate, eta):
+    """Raise unless ``cert`` proves ``x`` optimal for the residual ``r``."""
+    lam = np.zeros(spec.n_ineq)
+    lam[cert.rows] = cert.lam
+    slack = spec.h - spec.G @ x
+    off = np.concatenate([spec.A @ x - spec.b, np.minimum(slack, 0.0), slack[cert.rows]])
+    off = float(np.max(np.abs(off), initial=0.0))
+    resid = float(np.max(np.abs(r - spec.A.T @ cert.mu - spec.G.T @ lam), initial=0.0))
+    low = float(lam.min(initial=0.0))
+    tol = _VERIFY_TOL * (1.0 + np.linalg.norm(x))
+    if off > tol or max(resid, -low) > tol + _VERIFY_TOL * np.linalg.norm(r):
         raise NumericalBreakdown(
-            f"{where} solve left the predicted ray by {dev:.2e} on the segment "
-            f"from eta={eta!r}; the event analysis missed a kink"
+            f"{where} point of the segment from eta={eta!r} fails its certificate (off the "
+            f"face by {off:.2e}, stationarity residual {resid:.2e}, smallest multiplier "
+            f"{low:.2e}); the event analysis missed a kink"
         )
 
 
@@ -327,13 +341,13 @@ def trace_path(inst: QlpInstance, max_segments: int | None = None) -> SolutionPa
     """Trace the full solution path from ``eta = 0`` to stationarity.
 
     Returns the ordered breakpoints, the solution at each of them, and
-    the tight rows carrying each affine piece.  The final endpoint is the
-    minimum-norm solution of the underlying linear program and the final
-    breakpoint is the exact stationarity threshold.
+    the tight rows and two end certificates of each affine piece.  The
+    final endpoint is the minimum-norm solution of the underlying linear
+    program and the final breakpoint is the exact stationarity threshold.
 
     The path is traced for the cost ``c / |c|`` and its breakpoints are
-    divided by ``|c|``; endpoints and active sets do not depend on the
-    cost's scale.
+    divided by ``|c|``; endpoints, active sets and certificates do not
+    depend on the cost's scale.
 
     Raises
     ------
@@ -341,8 +355,9 @@ def trace_path(inst: QlpInstance, max_segments: int | None = None) -> SolutionPa
         If more than ``10 (m + k)`` pieces are produced, which signals a
         cycling bug rather than a legitimate path.
     NumericalBreakdown
-        If a solve at a predicted breakpoint or segment midpoint leaves the
-        predicted ray, or the tracer stops advancing.
+        If either end of a piece fails its certificate (the landing point
+        is infeasible or off the piece's rows, or the multipliers leave a
+        stationarity residual or go negative), or the tracer stops advancing.
     """
     spec = inst.polytope
     cost_norm = float(np.linalg.norm(inst.c)) or 1.0
@@ -351,44 +366,36 @@ def trace_path(inst: QlpInstance, max_segments: int | None = None) -> SolutionPa
         max_segments = max(10 * (spec.n_eq + spec.n_ineq), 8)
     res0 = project(spec, np.zeros(spec.dim))
     eta, x = 0.0, res0.x
-    etas = [0.0]
-    points = [x]
-    seg_sets: list[np.ndarray] = []
-    warm = None
-    stalled = 0
+    right = Certificate(res0.active_set, res0.eq_multipliers, res0.multipliers)
+    etas, points, seg_sets, certs = [0.0], [x], [], []
+    warm, landed, stalled = None, (), 0
 
     for _ in range(max_segments):
-        state = _make_state(inst, eta, x, warm)
+        state = _make_state(inst, eta, x, warm, landed)
         eta_next, event = next_breakpoint(state)
         if isinstance(event, Stationary):
             break
-        d = state.direction_vec
-        x_pred = x + (eta_next - eta) * d
-        warm_rows = list(state.tight)
-        if isinstance(event, (BlockingConstraint, DroppingMultiplier)):
-            warm_rows += [int(j) for j in event.rows]
-        x_next = project(spec, inst.target(eta_next), start=x_pred, working_set=warm_rows).x
-        _check_on_ray("landing", x_next, x_pred, eta / cost_norm)
-        mid = 0.5 * (eta + eta_next)
-        mid_pred = x + (mid - eta) * d
-        x_mid = project(spec, inst.target(mid), start=mid_pred, working_set=warm_rows).x
-        _check_on_ray("midpoint", x_mid, mid_pred, eta / cost_norm)
-        if eta_next - eta <= 1e-12 * (1.0 + eta):
-            stalled += 1
-            if stalled >= 5:
-                raise NumericalBreakdown(f"path tracer stalled near eta={eta / cost_norm!r}")
-        else:
-            stalled = 0
+        J = np.asarray(state.segment_rows, dtype=int)
+        x_next = x + (eta_next - eta) * state.direction_vec
+        y0, ydot = event.multipliers
+        left, right = _restrict(right, J), _certificate(spec, J, y0 + (eta_next - eta) * ydot)
+        r_next = inst.target(eta_next) - x_next
+        _check_end(spec, "landing", x_next, r_next, right, eta / cost_norm)
+        _check_end(spec, "start", x, state.residual, left, eta / cost_norm)
+        stalled = stalled + 1 if eta_next - eta <= 1e-12 * (1.0 + eta) else 0
+        if stalled >= 5:
+            raise NumericalBreakdown(f"path tracer stalled near eta={eta / cost_norm!r}")
         etas.append(float(eta_next))
         points.append(x_next)
-        seg_sets.append(np.asarray(state.segment_rows, dtype=int))
-        eta, x = float(eta_next), x_next
-        warm = state.cone_ws
+        seg_sets.append(J)
+        certs.append((left, right))
+        eta, x, warm = float(eta_next), x_next, state.cone_ws
+        landed = np.union1d(J, event.rows)
     else:
         raise MaxSegmentsExceeded(f"more than {max_segments} path segments")
 
     points[-1] = _polish_min_norm(spec, points[-1])
-    return SolutionPath(np.asarray(etas) / cost_norm, np.asarray(points), seg_sets)
+    return SolutionPath(np.asarray(etas) / cost_norm, np.asarray(points), seg_sets, certs)
 
 
 def _polish_min_norm(spec: PolytopeSpec, x: np.ndarray) -> np.ndarray:
@@ -400,19 +407,10 @@ def _polish_min_norm(spec: PolytopeSpec, x: np.ndarray) -> np.ndarray:
     from projecting the large target ``-eta c / 2``.
     """
     tight = spec.tight_rows(x, FEAS_TOL)
-    blocks = []
-    rhs = []
-    if spec.n_eq:
-        blocks.append(spec.A)
-        rhs.append(spec.b)
-    if tight.size:
-        blocks.append(spec.G[tight])
-        rhs.append(spec.h[tight])
-    if not blocks:
+    if not spec.n_eq and not tight.size:
         return x
-    B = np.vstack(blocks)
-    r = np.concatenate(rhs)
-    x_pol = np.linalg.lstsq(B, r, rcond=None)[0]
+    B = np.vstack([spec.A, spec.G[tight]])
+    x_pol = np.linalg.lstsq(B, np.concatenate([spec.b, spec.h[tight]]), rcond=None)[0]
     ok = (
         spec.contains(x_pol, 10 * FEAS_TOL)
         and np.max(np.abs(x_pol - x)) <= 1e-6 * (1.0 + np.linalg.norm(x))

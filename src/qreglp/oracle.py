@@ -126,17 +126,54 @@ def eta_star_bruteforce(vs: VertexSet, c, x_star, tol: float = 1e-9) -> float:
 
 @dataclass
 class PathVerifyReport:
-    """Cold-start spot checks of a traced path."""
+    """Certificate checks and cold-start spot checks of a traced path.
+
+    ``certificate_violation`` is the worst violation over the stored end
+    certificates, relative to ``1 + |x|`` (feasibility and tightness) or
+    ``1 + |x| + |target - x|`` (stationarity and multiplier signs); it is
+    infinite when the path holds no certificate for some segment.
+    """
 
     samples: int
     max_discrepancy: float
     worst_eta: float
     passed: bool
+    certificate_violation: float = 0.0
+
+
+def _certificate_violation(spec: PolytopeSpec, c: np.ndarray, eta: float, x: np.ndarray,
+                           cert) -> float:
+    """How far ``cert = (rows, mu, lam)`` is from proving ``x`` optimal at ``eta``."""
+    rows, mu, lam = cert
+    r = -0.5 * eta * c - x
+    stat = r - spec.A.T @ mu - spec.G[rows].T @ lam
+    slack = spec.h - spec.G @ x
+    feas = [np.abs(spec.A @ x - spec.b), -slack, np.abs(slack[rows])]
+    scale = 1.0 + float(np.linalg.norm(x))
+    worst = max(float(np.max(v, initial=0.0)) for v in feas) / scale
+    opt = max(float(np.max(np.abs(stat), initial=0.0)), float(np.max(-lam, initial=0.0)))
+    return max(worst, opt / (scale + float(np.linalg.norm(r))))
 
 
 def path_verify(inst: QlpInstance, path, samples: int = 100, seed: int = 0,
                 tol: float = 1e-7) -> PathVerifyReport:
-    """Compare path interpolation with from-scratch solves at random etas."""
+    """Check the path's end certificates, then compare its interpolation
+    with from-scratch solves at random etas.
+
+    Each segment's two certificates (``path.certificates``) are checked with
+    plain matrix-vector products at its end points: feasibility, tightness
+    of the certificate's rows, the stationarity residual and ``lam >= 0``.
+    The cold solves are an independent cross-check of the tracer's events.
+    """
+    spec, c = inst.polytope, inst.c
+    bp, ends = path.breakpoints, path.endpoints
+    violation = 0.0 if len(path.certificates) == path.n_segments else float("inf")
+    for i, (left, right) in enumerate(path.certificates):
+        violation = max(
+            violation,
+            _certificate_violation(spec, c, float(bp[i]), ends[i], left),
+            _certificate_violation(spec, c, float(bp[i + 1]), ends[i + 1], right),
+        )
     rng = np.random.default_rng(seed)
     hi = 1.2 * path.eta_star if path.eta_star > 0 else 1.0
     etas = rng.uniform(0.0, hi, size=samples)
@@ -151,7 +188,8 @@ def path_verify(inst: QlpInstance, path, samples: int = 100, seed: int = 0,
         samples=len(etas),
         max_discrepancy=worst,
         worst_eta=worst_eta,
-        passed=worst <= tol,
+        passed=worst <= tol and violation <= tol,
+        certificate_violation=violation,
     )
 
 

@@ -111,6 +111,11 @@ class PolytopeSpec:
         """:func:`_unit_columns` of ``G``, computed once per spec."""
         return _unit_columns(self.G)
 
+    @cached_property
+    def row_norms(self) -> np.ndarray:
+        """Euclidean norms of the rows of ``G``, computed once per spec."""
+        return np.linalg.norm(self.G, axis=1)
+
     def contains(self, x, tol: float = FEAS_TOL) -> bool:
         """Membership test up to ``tol`` on both constraint blocks."""
         x = np.asarray(x, dtype=float).ravel()

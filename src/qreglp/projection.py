@@ -241,14 +241,16 @@ def min_distance_active_set(
     w0=None,
     eq=None,
     col=None,
+    row_norms=None,
 ):
     """Minimize ``|x - z|^2`` subject to ``A x = A x0`` and ``G x <= h``.
 
     ``x0`` must be feasible.  The equality right-hand side is taken from
     ``x0`` so the routine serves both polytopes and cones (``h = 0``,
     ``x0 = 0``).  ``eq`` is the reduction ``(eq_idx, base_q)`` of ``A``
-    (:attr:`PolytopeSpec.eq_reduction`) and ``col`` the unit columns of ``G``
-    (:attr:`PolytopeSpec.unit_columns`); each is computed when not given.
+    (:attr:`PolytopeSpec.eq_reduction`), ``col`` the unit columns of ``G``
+    (:attr:`PolytopeSpec.unit_columns`) and ``row_norms`` the norms of its
+    rows (:attr:`PolytopeSpec.row_norms`); each is computed when not given.
     Returns ``(x, working_set, eq_mult, ineq_mult, iters)`` where ``eq_mult``
     has one entry per row of ``A`` (zero on redundant rows, which are removed
     internally).
@@ -269,7 +271,7 @@ def min_distance_active_set(
     m_red = A_red.shape[0]
 
     col = _unit_columns(G) if col is None else col
-    g_norm = np.linalg.norm(G, axis=1) if k else np.zeros(0)
+    g_norm = np.linalg.norm(G, axis=1) if row_norms is None else row_norms
     slack = h - G @ x if k else np.zeros(0)
     tight = np.flatnonzero(slack <= FEAS_TOL) if k else np.zeros(0, dtype=int)
     if w0 is None:
@@ -363,7 +365,7 @@ def project(
         working_set = None
     x, W, mu, lam, iters = min_distance_active_set(
         spec.A, spec.G, spec.h, z, x0, w0=working_set, eq=spec.eq_reduction,
-        col=spec.unit_columns,
+        col=spec.unit_columns, row_norms=spec.row_norms,
     )
     grad = z - x
     if spec.n_eq:

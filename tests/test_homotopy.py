@@ -21,6 +21,7 @@ from qreglp import (
 from qreglp import homotopy
 from qreglp.oracle import random_cost_matrix, random_polytope_instance
 from qreglp.ot import birkhoff_polytope, quad_cost_instance
+from qreglp.ot import build as ot_build
 
 
 def neg_id_instance(n):
@@ -240,6 +241,7 @@ def _assert_polytope_scale_covariant(seed, k):
 
 @given(seed=st.integers(0, 2**31 - 1), k=st.integers(-5, 6))
 @example(seed=4, k=6)
+@example(seed=19, k=6)
 def test_polytope_scale_covariance(seed, k):
     _assert_polytope_scale_covariant(seed, k)
 
@@ -440,9 +442,9 @@ def test_dual_exit_time_matches_dense_reference(monkeypatch, lp_calls):
 
     def checked_exit_time(spec, seg_rows, r0, rdot, cap):
         before = lp_calls[0]
-        s_exit, rows = exit_time(spec, seg_rows, r0, rdot, cap)
+        s_exit, rows, *mult = exit_time(spec, seg_rows, r0, rdot, cap)
         if seg_rows.size == 0:
-            return s_exit, rows
+            return s_exit, rows, *mult
         branch = "dependent" if lp_calls[0] > before else "full"
         ref_branch, s_ref, rows_ref = _dense_exit_time(spec, seg_rows, r0, rdot, cap)
         assert branch == ref_branch
@@ -453,9 +455,110 @@ def test_dual_exit_time_matches_dense_reference(monkeypatch, lp_calls):
             assert len(rows) == 0
             branch = _check_dependent_exit(spec, seg_rows, r0, rdot, cap, s_exit)
         branches[branch] += 1
-        return s_exit, rows
+        return s_exit, rows, *mult
 
     monkeypatch.setattr(homotopy, "_dual_exit_time", checked_exit_time)
     for inst in _exit_time_cases():
         trace_path(inst)
     assert branches["full"] > 50 and branches["dependent"] > 0 and branches["dependent exit"] > 0
+
+
+def test_trace_projects_once(monkeypatch, lp_calls):
+    # The cold start is the only projection: every piece is certified from
+    # the event analysis's multipliers, and a dependent face runs no linear
+    # program beyond its exit.
+    calls = [0]
+    project_ = homotopy.project
+
+    def counted_project(*args, **kwargs):
+        calls[0] += 1
+        return project_(*args, **kwargs)
+
+    monkeypatch.setattr(homotopy, "project", counted_project)
+    # The transport instance has faces with dependent rows, left by the LP.
+    cases = [quad_cost_instance(8).qlp(), ot_build(cost=random_cost_matrix(10003, 3)).qlp()]
+    cases += [random_polytope_instance(seed) for seed in range(20)]
+    for i, inst in enumerate(cases):
+        calls[0], lp_calls[0] = 0, 0
+        path = trace_path(inst)
+        assert calls[0] == 1
+        assert len(path.certificates) == path.n_segments
+        assert lp_calls[0] <= path.n_segments + 1
+        if i == 1:
+            assert lp_calls[0] > 0
+
+
+@pytest.mark.parametrize("case", ["quad6", 1, 4, 5])
+def test_perturbed_direction_raises(monkeypatch, case):
+    # A direction off by 1e-6 leaves the face or the normal cone's span;
+    # the end certificates must catch it.
+    inst = quad_cost_instance(6).qlp() if case == "quad6" else random_polytope_instance(case)
+    trace_path(inst)
+    right_derivative = homotopy._right_derivative
+
+    def perturbed(*args):
+        d, r, ws = right_derivative(*args)
+        if np.any(d):
+            d = d + 1e-6 * np.random.default_rng(0).normal(size=d.size) / np.sqrt(d.size)
+        return d, r, ws
+
+    monkeypatch.setattr(homotopy, "_right_derivative", perturbed)
+    with pytest.raises(NumericalBreakdown, match="certificate"):
+        trace_path(inst)
+
+
+@pytest.mark.parametrize("seed", [6, 9, 23])
+def test_late_dropping_multiplier_raises(monkeypatch, seed):
+    # Past a multiplier's zero crossing its certificate goes negative, and the
+    # landing of that very piece fails on it.
+    true_next = homotopy.next_breakpoint
+    drops = [0]
+
+    def late_next(state):
+        eta, event = true_next(state)
+        if isinstance(event, homotopy.DroppingMultiplier):
+            drops[0] += 1
+            return state.eta + 1.2 * (eta - state.eta), event
+        return eta, event
+
+    monkeypatch.setattr(homotopy, "next_breakpoint", late_next)
+    with pytest.raises(NumericalBreakdown, match="certificate .*smallest multiplier -"):
+        trace_path(random_polytope_instance(seed))
+    assert drops[0] == 1
+
+
+def _reference_trace(inst):
+    """Breakpoints of the tracer that re-solves each piece at its landing and
+    midpoint, from the predicted point, instead of certifying its two ends."""
+    spec = inst.polytope
+    cost_norm = float(np.linalg.norm(inst.c)) or 1.0
+    unit = QlpInstance(spec, inst.c / cost_norm)
+    eta, x, warm = 0.0, project(spec, np.zeros(spec.dim)).x, None
+    etas = [0.0]
+    while True:
+        state = homotopy._make_state(unit, eta, x, warm)
+        eta_next, event = homotopy.next_breakpoint(state)
+        if isinstance(event, Stationary):
+            return np.asarray(etas) / cost_norm
+        rows = [int(j) for j in state.tight] + [int(j) for j in event.rows]
+        for t in (0.5, 1.0):
+            pred = x + t * (eta_next - eta) * state.direction_vec
+            z = unit.target(eta + t * (eta_next - eta))
+            solved = project(spec, z, start=pred, working_set=rows).x
+            assert np.max(np.abs(solved - pred)) <= 1e-8 * (1.0 + np.linalg.norm(pred))
+        etas.append(eta_next)
+        eta, x, warm = eta_next, solved, state.cone_ws
+
+
+def _reference_cases():
+    for seed in range(40):
+        yield random_polytope_instance(seed)
+    for seed in range(10000, 10010):
+        for n in (2, 3, 4):
+            yield ot_build(cost=random_cost_matrix(seed, n)).qlp()
+
+
+def test_matches_resolving_reference():
+    for inst in _reference_cases():
+        path = trace_path(inst)
+        np.testing.assert_allclose(path.breakpoints, _reference_trace(inst), rtol=1e-10, atol=0.0)

@@ -105,6 +105,36 @@ def test_path_verify_random_polytope():
     assert rep.passed
 
 
+@pytest.mark.parametrize("inst", [random_polytope_instance(12), quad_cost_instance(4).qlp()])
+def test_path_verify_rejects_flipped_multiplier(inst):
+    # The stored certificates pass; one multiplier with its sign flipped
+    # leaves a stationarity residual and a negative multiplier.
+    path = trace_path(inst)
+    rep = path_verify(inst, path, samples=5, seed=1)
+    assert rep.passed and rep.certificate_violation <= 1e-12
+    i, end = max(
+        ((i, end) for i, pair in enumerate(path.certificates) for end in (0, 1)),
+        key=lambda ie: np.abs(path.certificates[ie[0]][ie[1]].lam).max(initial=0.0),
+    )
+    cert = path.certificates[i][end]
+    lam = cert.lam.copy()
+    k = int(np.argmax(np.abs(lam)))
+    lam[k] = -lam[k]
+    pair = list(path.certificates[i])
+    pair[end] = cert._replace(lam=lam)
+    path.certificates[i] = tuple(pair)
+    rep = path_verify(inst, path, samples=5, seed=1)
+    assert not rep.passed and rep.certificate_violation > 1e-7
+    assert rep.max_discrepancy <= 1e-7
+
+
+def test_path_verify_requires_certificates():
+    inst = random_polytope_instance(12)
+    path = trace_path(inst)
+    path.certificates.pop()
+    assert not path_verify(inst, path, samples=5, seed=1).passed
+
+
 def test_path_verify_planar_pentagon():
     # Regular pentagon (5 vertices in the plane) with a random cost.
     from qreglp import PolytopeSpec
