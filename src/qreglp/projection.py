@@ -216,6 +216,11 @@ class _FreeSystem:
         out[self.free] = vf - self.Q @ (self.Q.T @ vf)
         return out
 
+    def extends(self, g: np.ndarray, g_norm: float) -> bool:
+        """Whether the row ``g`` (of norm ``g_norm``) is independent of the
+        working-set rows, to the tolerance of :func:`polytope._extend_basis`."""
+        return float(np.linalg.norm(self.project(g))) > _RANK_TOL * max(1.0, g_norm)
+
     def multipliers(self, v: np.ndarray) -> np.ndarray:
         """Least-squares ``y`` with ``[A_red; G[W]]^T y = v``, in that row order.
 
@@ -285,7 +290,7 @@ def min_distance_active_set(
         W = sorted(_extend_basis(base_q, G, order)[0])
         system = None
     # Later working sets stay independent: a drop removes a row, and a row
-    # enters only when the step moves against it (``_ratio_test``'s floor).
+    # enters only when the step moves against it and it extends the span.
 
     # |x0| keeps the zero-step test relative on a polytope far from the origin.
     zscale = 1.0 + float(np.linalg.norm(z)) + float(np.linalg.norm(x))
@@ -308,14 +313,20 @@ def min_distance_active_set(
             continue
         mask = np.ones(k, dtype=bool)
         mask[W] = False
-        idx = np.flatnonzero(mask)
-        t_min, ties = _ratio_test(
-            (h - G @ x)[idx], (G @ dvec)[idx], 1.0 + g_norm[idx] * nd, idx
-        )
-        if t_min is not None and t_min < 1.0:
+        gap, rate, enter = h - G @ x, G @ dvec, None
+        while enter is None:
+            idx = np.flatnonzero(mask)
+            t_min, ties = _ratio_test(gap[idx], rate[idx], 1.0 + g_norm[idx] * nd, idx)
+            if t_min is None or t_min >= 1.0:
+                break
+            # A row in the span of W has zero rate but for rounding, which an
+            # ill-conditioned W can lift past the floor: it cannot block.
+            enter = next((j for j in ties if system.extends(G[j], g_norm[j])), None)
+            mask[ties] = False
+        if enter is not None:
             x = x + t_min * dvec
             # Bland: the smallest-index blocking row enters.
-            W.append(int(ties[0]))
+            W.append(int(enter))
             W.sort()
             system = None
         else:

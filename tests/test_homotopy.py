@@ -242,6 +242,7 @@ def _assert_polytope_scale_covariant(seed, k):
 @given(seed=st.integers(0, 2**31 - 1), k=st.integers(-5, 6))
 @example(seed=4, k=6)
 @example(seed=19, k=6)
+@example(seed=5178361, k=2)  # a rounding rate once let a dependent row into the cone solve
 def test_polytope_scale_covariance(seed, k):
     _assert_polytope_scale_covariant(seed, k)
 
