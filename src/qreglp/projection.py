@@ -303,8 +303,8 @@ def min_distance_active_set(
         dvec = system.project(v)
         nd = np.linalg.norm(dvec)
         if nd <= _STEP_TOL * zscale:
-            lam = system.multipliers(v)[m_red:]
-            neg = np.flatnonzero(lam < -MULT_TOL)
+            y = system.multipliers(v)
+            neg = np.flatnonzero(y[m_red:] < -MULT_TOL)
             if neg.size == 0:
                 break
             # Bland: drop the smallest-index offending row (W is sorted).
@@ -336,8 +336,8 @@ def min_distance_active_set(
             f"no convergence in {max_iter} active-set iterations", best_x=x
         )
 
+    # The loop leaves only through the exit branch, whose ``y`` is final.
     mu = np.zeros(m)
-    y = system.multipliers(z - x)
     mu[eq_idx] = y[:m_red]
     return x, np.asarray(W, dtype=int), mu, y[m_red:], it
 

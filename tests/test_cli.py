@@ -223,6 +223,19 @@ def test_oracle_check_small(capsys):
     assert "ok=true" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("field", ["x_star_gap", "certificate_violation"])
+def test_oracle_check_fails_on_each_measure(monkeypatch, capsys, field):
+    from dataclasses import replace
+
+    from qreglp import oracle
+
+    good = oracle.CrossCheck(1.0, 1.0, 1.0, 1e-12, 1e-12, 1e-12)
+    bad = replace(good, **{field: 1e-6})
+    monkeypatch.setattr(oracle, "cross_check_instance", lambda inst, seed, samples: bad)
+    assert main(["oracle-check", "--polytopes", "1", "--transport", "0"]) == 2
+    assert "ok=false" in capsys.readouterr().out
+
+
 def test_budget_env_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("QREG_BUDGET", "10")
     from qreglp.cli import build_parser

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qreglp import QlpInstance, enumerate_vertices, trace_path
+from qreglp import QlpInstance, enumerate_vertices, projection, solve_qlp, trace_path
 from qreglp.oracle import (
     cross_check_instance,
     eta_star_bruteforce,
@@ -128,6 +128,78 @@ def test_path_verify_rejects_flipped_multiplier(inst):
     assert rep.max_discrepancy <= 1e-7
 
 
+def _cold_spot_checks(inst, path, samples, seed):
+    """``path_verify``'s spot checks as independent cold solves, draw order."""
+    rng = np.random.default_rng(seed)
+    hi = 1.2 * path.eta_star if path.eta_star > 0 else 1.0
+    etas = rng.uniform(0.0, hi, size=samples)
+    etas = etas[etas > 0]
+    worst, worst_eta = 0.0, 0.0
+    for eta in etas:
+        dev = float(np.max(np.abs(solve_qlp(inst, float(eta)).x - path.interpolate(float(eta)))))
+        if dev > worst:
+            worst, worst_eta = dev, float(eta)
+    return len(etas), worst, worst_eta
+
+
+def _move_interior_endpoint(path, by=1e-3):
+    """Move the interior end point with the widest neighbourhood by ``by``
+    and drop the certificates of the two segments that share it."""
+    assert path.n_segments >= 2
+    widths = np.diff(path.breakpoints)
+    k = 1 + int(np.argmax(widths[:-1] + widths[1:]))
+    path.endpoints[k] = path.endpoints[k] + by
+    del path.certificates[k - 1:k + 1]
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [random_polytope_instance(s) for s in (3, 4, 12)]
+    + [quad_cost_instance(4).qlp(), build(cost=random_cost_matrix(10_003, 4)).qlp()],
+)
+def test_path_verify_sweep_matches_cold_solves(inst):
+    # On the traced path every deviation is rounding, so its arg max is
+    # noise; a moved end point gives a real worst sample to compare.
+    path = trace_path(inst)
+    for moved in (False, True):
+        if moved:
+            _move_interior_endpoint(path)
+        rep = path_verify(inst, path, samples=40, seed=7)
+        samples, worst, worst_eta = _cold_spot_checks(inst, path, samples=40, seed=7)
+        assert rep.samples == samples
+        assert abs(rep.max_discrepancy - worst) <= 1e-10
+        if moved:
+            assert rep.worst_eta == worst_eta
+
+
+def test_path_verify_catches_moved_endpoint():
+    # The warm sweep starts from earlier samples, not from the path, so a
+    # wrong interior end point shows in the sampled solves themselves.
+    inst = random_polytope_instance(12)
+    path = trace_path(inst)
+    _move_interior_endpoint(path)
+    rep = path_verify(inst, path, samples=60, seed=12)
+    assert rep.max_discrepancy > 1e-7 and not rep.passed
+
+
+def test_path_verify_sweep_halves_kernel_iterations(monkeypatch):
+    inst = random_polytope_instance(12)
+    path = trace_path(inst)
+    count = [0]
+    kernel = projection.min_distance_active_set
+
+    def counted(*args, **kwargs):
+        out = kernel(*args, **kwargs)
+        count[0] += out[-1]
+        return out
+
+    monkeypatch.setattr(projection, "min_distance_active_set", counted)
+    path_verify(inst, path, samples=60, seed=12)
+    swept, count[0] = count[0], 0
+    _cold_spot_checks(inst, path, samples=60, seed=12)
+    assert swept <= count[0] / 2
+
+
 def test_path_verify_requires_certificates():
     inst = random_polytope_instance(12)
     path = trace_path(inst)
@@ -189,7 +261,7 @@ def test_run_cross_checks_reports_worst_instance(monkeypatch):
 
     records = {
         0: oracle.CrossCheck(1.0, 1.0 + 1e-9, 1.0, 1e-9, 1e-12, 1e-12),
-        1: oracle.CrossCheck(5.0, 5.0, 5.0, 1e-15, 1e-11, 1e-8),
+        1: oracle.CrossCheck(5.0, 5.0, 5.0, 1e-15, 1e-11, 1e-10),
     }
     monkeypatch.setattr(oracle, "cross_check_instance", lambda inst, seed, samples: records[seed])
     worst = oracle.run_cross_checks(n_polytopes=2, n_transport=0, seed=0)
