@@ -45,7 +45,6 @@ from .homotopy import (
     PathState,
     SolutionPath,
     Stationary,
-    direction,
     next_breakpoint,
     path_state,
     trace_path,
@@ -77,7 +76,6 @@ __all__ = [
     "ValidationReport",
     "VertexSet",
     "certify",
-    "direction",
     "enumerate_vertices",
     "geometry",
     "next_breakpoint",

@@ -29,13 +29,12 @@ def _fmt_float(x: float, fmt: str) -> str:
     return s
 
 
-def dumps(obj, float_fmt: str = JSON_FLOAT_FMT, indent: int | None = None) -> str:
+def dumps(obj, indent: int | None = None) -> str:
     """Serialize nested dict/list/scalar structures to JSON text."""
 
     def emit(o, depth):
         pad = "" if indent is None else "\n" + " " * (indent * depth)
         pad_close = "" if indent is None else "\n" + " " * (indent * (depth - 1))
-        sep = "," if indent is None else ","
         if o is None:
             return "null"
         if isinstance(o, bool) or isinstance(o, np.bool_):
@@ -43,7 +42,7 @@ def dumps(obj, float_fmt: str = JSON_FLOAT_FMT, indent: int | None = None) -> st
         if isinstance(o, (int, np.integer)):
             return str(int(o))
         if isinstance(o, (float, np.floating)):
-            return _fmt_float(float(o), float_fmt)
+            return _fmt_float(float(o), JSON_FLOAT_FMT)
         if isinstance(o, str):
             return json.dumps(o)
         if isinstance(o, np.ndarray):
@@ -51,12 +50,12 @@ def dumps(obj, float_fmt: str = JSON_FLOAT_FMT, indent: int | None = None) -> st
         if isinstance(o, (list, tuple)):
             if not o:
                 return "[]"
-            inner = sep.join(pad + emit(v, depth + 1) for v in o)
+            inner = ",".join(pad + emit(v, depth + 1) for v in o)
             return "[" + inner + pad_close + "]"
         if isinstance(o, dict):
             if not o:
                 return "{}"
-            inner = sep.join(
+            inner = ",".join(
                 pad + json.dumps(str(k)) + ": " + emit(v, depth + 1) for k, v in o.items()
             )
             return "{" + inner + pad_close + "}"

@@ -19,6 +19,9 @@ from .projection import QlpInstance, project, solve_qlp
 
 _OPT_TOL = 1e-9
 _TIE_TOL = 1e-9
+_AUX_TOL = 1e-7
+_AUX_SAMPLES = 9
+_ORTHO_TOL = 1e-8
 
 
 def suboptimality(inst: QlpInstance, eta: float, lp_value: float) -> float:
@@ -27,11 +30,11 @@ def suboptimality(inst: QlpInstance, eta: float, lp_value: float) -> float:
     return float(inst.c @ x - lp_value)
 
 
-def eta_star_formula(vs: VertexSet, c, x_star, tol: float = _OPT_TOL):
+def eta_star_formula(vs: VertexSet, c, x_star):
     """Closed-form threshold ``2 max <x*, x* - v> / <c, v - x*>``.
 
     The maximum runs over non-optimal vertices; vertices whose cost gap is
-    within ``tol * (1 + |c|)`` count as optimal and are excluded.  Returns
+    within ``_OPT_TOL * (1 + |c|)`` count as optimal and are excluded.  Returns
     ``(eta_star, argmax_indices)``; ties within ``1e-9`` relative are all
     reported.  When every vertex is optimal the threshold is zero by
     convention and the index list is empty.  A negative maximum (the
@@ -41,7 +44,7 @@ def eta_star_formula(vs: VertexSet, c, x_star, tol: float = _OPT_TOL):
     x_star = np.asarray(x_star, dtype=float).ravel()
     vals = vs.vertices @ c
     gap = vals - vals.min()
-    nonopt = gap > tol * (1.0 + np.linalg.norm(c))
+    nonopt = gap > _OPT_TOL * (1.0 + np.linalg.norm(c))
     if not np.any(nonopt):
         return 0.0, np.zeros(0, dtype=int)
     V = vs.vertices[nonopt]
@@ -121,15 +124,14 @@ def aux_cost_check(
     c,
     vs: VertexSet,
     argmax: np.ndarray | None = None,
-    n_samples: int = 9,
-    tol: float = 1e-7,
 ) -> AuxCostCheck:
     """Check the auxiliary cost ``c* = (eta*/2) c + x*`` certificate.
 
     ``x*`` must minimize ``<c*, .>`` over the polytope, the threshold
     argmax vertices must attain equality, the whole last segment must be
     contained in that minimizing face, and on the open last segment the
-    threshold equals ``2 <x*, x* - x(eta)> / <c, x(eta) - x*>``.
+    threshold equals ``2 <x*, x* - x(eta)> / <c, x(eta) - x*>`` (sampled at
+    ``_AUX_SAMPLES`` points; each check holds to ``_AUX_TOL`` times its scale).
     """
     c = np.asarray(c, dtype=float).ravel()
     x_star = path.x_star
@@ -147,7 +149,7 @@ def aux_cost_check(
     ratio_err = 0.0
     if path.n_segments >= 1:
         lo, hi = path.breakpoints[-2], path.breakpoints[-1]
-        for t in np.linspace(0.05, 0.95, n_samples):
+        for t in np.linspace(0.05, 0.95, _AUX_SAMPLES):
             eta = (1.0 - t) * lo + t * hi
             x = path.interpolate(float(eta))
             max_seg = max(max_seg, abs(float((x - x_star) @ c_aux)))
@@ -156,10 +158,10 @@ def aux_cost_check(
                 ratio = 2.0 * float(x_star @ (x_star - x)) / den
                 ratio_err = max(ratio_err, abs(ratio - eta_star) / (1.0 + eta_star))
     passed = (
-        min_gap >= -tol * scale
-        and max_on_argmax <= tol * scale
-        and max_seg <= tol * scale
-        and ratio_err <= tol
+        min_gap >= -_AUX_TOL * scale
+        and max_on_argmax <= _AUX_TOL * scale
+        and max_seg <= _AUX_TOL * scale
+        and ratio_err <= _AUX_TOL
     )
     return AuxCostCheck(
         aux_cost=c_aux,
@@ -182,7 +184,7 @@ class SmallEtaRow:
     passed: bool
 
 
-def orthogonality_condition(x_zero, vs: VertexSet, tol: float = 1e-8) -> bool:
+def orthogonality_condition(x_zero, vs: VertexSet) -> bool:
     """Whether ``<x0, v - x0>`` vanishes on all vertices.
 
     This is the condition under which the rate constant improves from
@@ -193,7 +195,7 @@ def orthogonality_condition(x_zero, vs: VertexSet, tol: float = 1e-8) -> bool:
     scale = (1.0 + np.linalg.norm(x_zero)) * (
         1.0 + float(np.max(np.linalg.norm(vs.vertices, axis=1), initial=0.0))
     )
-    return bool(np.max(np.abs(vals), initial=0.0) <= tol * scale)
+    return bool(np.max(np.abs(vals), initial=0.0) <= _ORTHO_TOL * scale)
 
 
 def small_eta_report(
@@ -243,14 +245,15 @@ def e_curve(path: SolutionPath, c, grid: int = 512) -> np.ndarray:
     zero.
     """
     c = np.asarray(c, dtype=float).ravel()
+    bp, n_seg = path.breakpoints, path.n_segments
     hi = 1.1 * path.eta_star if path.eta_star > 0 else 1.0
-    etas = np.union1d(np.linspace(0.0, hi, grid), path.breakpoints)
-    lp_val = float(c @ path.x_star)
-    out = np.empty((etas.size, 3))
-    for i, eta in enumerate(etas):
-        x = path.interpolate(float(eta))
-        out[i] = (eta, float(c @ x) - lp_val, path.segment_index(float(eta)))
-    return out
+    etas = np.union1d(np.linspace(0.0, hi, grid), bp)
+    # c . x(eta) is affine between breakpoints, so it interpolates exactly.
+    cx = path.endpoints @ c
+    E = np.interp(etas, bp, cx) - cx[-1]
+    seg = np.clip(np.searchsorted(bp, etas, side="right") - 1, 0, max(n_seg - 1, 0))
+    seg[etas > bp[-1]] = n_seg
+    return np.column_stack([etas, E, seg])
 
 
 @dataclass

@@ -39,12 +39,11 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import linprog
 
+from ._tolerances import (FEAS_TOL, KKT_TOL, POLISH_TOL, ROUNDING_FLOOR, SEGMENT_TOL, STALL_TOL,
+                          ZERO_TOL)
 from .errors import MaxSegmentsExceeded, NumericalBreakdown
-from .polytope import FEAS_TOL, PolytopeSpec, _extend_basis
+from .polytope import PolytopeSpec, _extend_basis
 from .projection import QlpInstance, _FreeSystem, _ratio_test, min_distance_active_set, project
-
-_DIR_ZERO = 1e-12
-_VERIFY_TOL = 1e-8
 
 
 @dataclass
@@ -158,19 +157,6 @@ class PathState:
     cone_ws: list = field(default_factory=list)
 
 
-def direction(active_set, inst: QlpInstance) -> np.ndarray:
-    """Path velocity on the affine piece carried by ``active_set``.
-
-    Projects ``-c/2`` onto the null space of the equality rows stacked
-    with the given tight inequality rows; the zero vector signals a
-    stationary piece.
-    """
-    spec = inst.polytope
-    _, Q = _extend_basis(spec.eq_reduction[1], spec.G, [int(j) for j in active_set])
-    v = -0.5 * inst.c
-    return v - Q.T @ (Q @ v)
-
-
 def _right_derivative(inst: QlpInstance, eta: float, x: np.ndarray, tight: np.ndarray, warm_rows):
     """Projection of ``-c/2`` onto the critical cone at ``x``.
 
@@ -184,7 +170,7 @@ def _right_derivative(inst: QlpInstance, eta: float, x: np.ndarray, tight: np.nd
     A_cone = spec.A
     eq_idx, base_q = spec.eq_reduction
     rn = float(np.linalg.norm(r))
-    if rn > 1e-12 * (1.0 + np.linalg.norm(x) + abs(eta) * np.linalg.norm(inst.c)):
+    if rn > ZERO_TOL * (1.0 + np.linalg.norm(x) + abs(eta) * np.linalg.norm(inst.c)):
         A_cone = np.vstack([spec.A, r / rn])
         kept, base_q = _extend_basis(base_q, A_cone, [spec.n_eq])
         eq_idx = eq_idx + kept
@@ -197,7 +183,7 @@ def _right_derivative(inst: QlpInstance, eta: float, x: np.ndarray, tight: np.nd
         A_cone, G_cone, np.zeros(G_cone.shape[0]), -0.5 * inst.c, np.zeros(spec.dim), w0=w0,
         eq=(eq_idx, base_q), col=spec.unit_columns[tight], row_norms=spec.row_norms[tight],
     )
-    if np.linalg.norm(d) <= _DIR_ZERO * (1.0 + np.linalg.norm(inst.c)):
+    if np.linalg.norm(d) <= ZERO_TOL * (1.0 + np.linalg.norm(inst.c)):
         d = np.zeros(spec.dim)
     return d, r, [int(tight[i]) for i in ws]
 
@@ -221,7 +207,7 @@ def _make_state(inst: QlpInstance, eta: float, x: np.ndarray, warm_ws=None, land
     d, r, cone_ws = _right_derivative(inst, eta, x, tight, warm_ws)
     if tight.size and np.any(d):
         gd = spec.G[tight] @ d
-        scale = 1e-11 * (1.0 + spec.row_norms[tight] * np.linalg.norm(d))
+        scale = SEGMENT_TOL * (1.0 + spec.row_norms[tight] * np.linalg.norm(d))
         seg = tight[np.abs(gd) <= scale]
     else:
         seg = tight
@@ -254,7 +240,7 @@ def _dual_exit_time(spec: PolytopeSpec, seg_rows: np.ndarray, r0: np.ndarray, rd
         if smin is None or (cap is not None and smin >= cap):
             return cap, no_rows, y0, ydot
         scale = 1.0 + float(np.linalg.norm(r0)) + float(np.linalg.norm(rdot))
-        return max(smin, 1e-13 * scale), hit, y0, ydot
+        return max(smin, ROUNDING_FLOOR * scale), hit, y0, ydot
 
     n_lam = GJ.shape[0]
     cost = np.zeros(m + n_lam + 1)
@@ -280,13 +266,7 @@ def next_breakpoint(state: PathState):
     """
     inst, spec = state.inst, state.inst.polytope
     d = state.direction_vec
-    if not np.any(d):
-        # Constant piece: residual must stay in the face's normal cone.
-        rdot = -0.5 * inst.c
-        s_exit, rows, *mult = _dual_exit_time(spec, state.tight, state.residual, rdot, None)
-        if s_exit is None:
-            return state.eta, Stationary()
-        return state.eta + s_exit, DroppingMultiplier(rows, tuple(mult))
+    # A constant piece (d = 0) meets no row: its residual must stay in the normal cone.
     outside = np.ones(spec.n_ineq, dtype=bool)
     outside[state.segment_rows] = False
     idx = np.flatnonzero(outside)
@@ -294,11 +274,13 @@ def next_breakpoint(state: PathState):
     t_block, block_rows = _ratio_test(
         spec.h[idx] - G @ state.x, G @ d, 1.0 + spec.row_norms[idx] * np.linalg.norm(d), idx
     )
-    if t_block is None:
+    if t_block is None and np.any(d):
         raise NumericalBreakdown("moving ray never blocked on a bounded polytope")
     rdot = -0.5 * inst.c - d
     s_dual, drop_rows, *mult = _dual_exit_time(spec, state.segment_rows, state.residual, rdot, t_block)
-    if s_dual is not None and s_dual < t_block:
+    if s_dual is None:
+        return state.eta, Stationary()
+    if t_block is None or s_dual < t_block:
         return state.eta + s_dual, DroppingMultiplier(drop_rows, tuple(mult))
     return state.eta + t_block, BlockingConstraint(block_rows, tuple(mult))
 
@@ -328,8 +310,8 @@ def _check_end(spec: PolytopeSpec, where: str, x: np.ndarray, r: np.ndarray, cer
     off = float(np.max(np.abs(off), initial=0.0))
     resid = float(np.max(np.abs(r - spec.A.T @ cert.mu - spec.G.T @ lam), initial=0.0))
     low = float(lam.min(initial=0.0))
-    tol = _VERIFY_TOL * (1.0 + np.linalg.norm(x))
-    if off > tol or max(resid, -low) > tol + _VERIFY_TOL * np.linalg.norm(r):
+    tol = KKT_TOL * (1.0 + np.linalg.norm(x))
+    if off > tol or max(resid, -low) > tol + KKT_TOL * np.linalg.norm(r):
         raise NumericalBreakdown(
             f"{where} point of the segment from eta={eta!r} fails its certificate (off the "
             f"face by {off:.2e}, stationarity residual {resid:.2e}, smallest multiplier "
@@ -382,7 +364,7 @@ def trace_path(inst: QlpInstance, max_segments: int | None = None) -> SolutionPa
         r_next = inst.target(eta_next) - x_next
         _check_end(spec, "landing", x_next, r_next, right, eta / cost_norm)
         _check_end(spec, "start", x, state.residual, left, eta / cost_norm)
-        stalled = stalled + 1 if eta_next - eta <= 1e-12 * (1.0 + eta) else 0
+        stalled = stalled + 1 if eta_next - eta <= STALL_TOL * (1.0 + eta) else 0
         if stalled >= 5:
             raise NumericalBreakdown(f"path tracer stalled near eta={eta / cost_norm!r}")
         etas.append(float(eta_next))
@@ -413,6 +395,6 @@ def _polish_min_norm(spec: PolytopeSpec, x: np.ndarray) -> np.ndarray:
     x_pol = np.linalg.lstsq(B, np.concatenate([spec.b, spec.h[tight]]), rcond=None)[0]
     ok = (
         spec.contains(x_pol, 10 * FEAS_TOL)
-        and np.max(np.abs(x_pol - x)) <= 1e-6 * (1.0 + np.linalg.norm(x))
+        and np.max(np.abs(x_pol - x)) <= POLISH_TOL * (1.0 + np.linalg.norm(x))
     )
     return x_pol if ok else x

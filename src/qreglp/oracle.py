@@ -16,11 +16,16 @@ from .errors import AllVerticesOptimal, NumericalBreakdown
 from .polytope import PolytopeSpec, VertexSet
 from .projection import QlpInstance, solve_qlp
 
+_TIE_TOL = 1e-9
+_WOLFE_TOL = 1e-12
+_VERIFY_TOL = 1e-7
+_MAX_INEQ = 12
 
-def lp_solve_bruteforce(vs: VertexSet, c, tol: float = 1e-9):
+
+def lp_solve_bruteforce(vs: VertexSet, c):
     """Exact LP optimum over an enumerated vertex set.
 
-    Returns ``(value, optimal_indices)`` where ties within ``tol``
+    Returns ``(value, optimal_indices)`` where ties within ``_TIE_TOL``
     relative are all reported.
     """
     c = np.asarray(c, dtype=float).ravel()
@@ -28,22 +33,22 @@ def lp_solve_bruteforce(vs: VertexSet, c, tol: float = 1e-9):
     for v in vs.vertices:
         vals.append(float(np.dot(c, v)))
     vmin = min(vals)
-    cut = vmin + tol * (1.0 + abs(vmin))
+    cut = vmin + _TIE_TOL * (1.0 + abs(vmin))
     idx = [i for i, val in enumerate(vals) if val <= cut]
     return vmin, np.asarray(idx, dtype=int)
 
 
-def min_norm_point(V: np.ndarray, tol: float = 1e-12, max_iter: int | None = None):
+def min_norm_point(V: np.ndarray):
     """Wolfe's algorithm: the smallest-norm point of ``conv(rows of V)``.
 
     Maintains a corral of affinely independent points; alternates between
     adding the most violating point and restoring nonnegative affine
-    weights.  Returns ``(x, weights)`` with ``weights`` over all rows.
+    weights until no point improves by ``_WOLFE_TOL (1 + max |v|^2)``, for
+    at most ``64 (K + 2)`` rounds.  Returns ``(x, weights)``, a weight per row.
     """
     V = np.atleast_2d(np.asarray(V, dtype=float))
     K = V.shape[0]
-    if max_iter is None:
-        max_iter = 64 * (K + 2)
+    max_iter = 64 * (K + 2)
     norms2 = np.einsum("ij,ij->i", V, V)
     scale = 1.0 + float(norms2.max(initial=0.0))
     j0 = int(np.argmin(norms2))
@@ -66,7 +71,7 @@ def min_norm_point(V: np.ndarray, tol: float = 1e-12, max_iter: int | None = Non
     for _ in range(max_iter):
         vals = V @ x
         j = int(np.argmin(vals))
-        if vals[j] >= x @ x - tol * scale:
+        if vals[j] >= x @ x - _WOLFE_TOL * scale:
             break
         if j in corral:
             break
@@ -104,11 +109,11 @@ def min_norm_over_M(optimal_vertices: np.ndarray) -> np.ndarray:
     return x
 
 
-def eta_star_bruteforce(vs: VertexSet, c, x_star, tol: float = 1e-9) -> float:
+def eta_star_bruteforce(vs: VertexSet, c, x_star) -> float:
     """Direct evaluation of the threshold maximum, vertex by vertex."""
     c = np.asarray(c, dtype=float).ravel()
     x_star = np.asarray(x_star, dtype=float).ravel()
-    value, opt_idx = lp_solve_bruteforce(vs, c, tol)
+    value, opt_idx = lp_solve_bruteforce(vs, c)
     opt = set(int(i) for i in opt_idx)
     if len(opt) == len(vs):
         raise AllVerticesOptimal("threshold maximand has empty index set")
@@ -160,10 +165,9 @@ def _certificate_violation(spec: PolytopeSpec, c: np.ndarray, eta: float, x: np.
     return max(worst, opt / (scale + float(np.linalg.norm(r))))
 
 
-def path_verify(inst: QlpInstance, path, samples: int = 100, seed: int = 0,
-                tol: float = 1e-7) -> PathVerifyReport:
+def path_verify(inst: QlpInstance, path, samples: int = 100, seed: int = 0) -> PathVerifyReport:
     """Check the path's end certificates, then compare its interpolation
-    with direct solves at random etas.
+    with direct solves at random etas; both must hold to ``_VERIFY_TOL``.
 
     Each segment's two certificates (``path.certificates``) are checked with
     plain matrix-vector products at its end points: feasibility, tightness
@@ -200,12 +204,12 @@ def path_verify(inst: QlpInstance, path, samples: int = 100, seed: int = 0,
         samples=len(etas),
         max_discrepancy=worst,
         worst_eta=worst_eta,
-        passed=worst <= tol and violation <= tol,
+        passed=worst <= _VERIFY_TOL and violation <= _VERIFY_TOL,
         certificate_violation=violation,
     )
 
 
-def random_polytope_instance(seed: int, max_dim: int = 6, max_ineq: int = 12) -> QlpInstance:
+def random_polytope_instance(seed: int, max_dim: int = 6) -> QlpInstance:
     """Seeded random instance: unit box cut by random halfspaces.
 
     The box keeps the region bounded by construction; every cut contains
@@ -217,7 +221,7 @@ def random_polytope_instance(seed: int, max_dim: int = 6, max_ineq: int = 12) ->
     G = [np.eye(d), -np.eye(d)]
     h = [np.ones(d), np.zeros(d)]
     anchor = rng.uniform(0.3, 0.7, size=d)
-    n_cuts = int(rng.integers(0, max(0, (max_ineq - 2 * d)) + 1))
+    n_cuts = int(rng.integers(0, max(0, (_MAX_INEQ - 2 * d)) + 1))
     for _ in range(n_cuts):
         g = rng.normal(size=d)
         g /= np.linalg.norm(g)
@@ -312,7 +316,6 @@ def run_cross_checks(
     n_polytopes: int = 50,
     n_transport: int = 25,
     seed: int = 0,
-    samples: int = 40,
     verbose: bool = False,
 ) -> CrossCheck:
     """Randomized agreement battery; returns the worst instance's record.
@@ -336,14 +339,14 @@ def run_cross_checks(
 
     for i in range(n_polytopes):
         inst = random_polytope_instance(seed + i)
-        absorb(cross_check_instance(inst, seed=seed + i, samples=samples), f"polytope[{i}]")
+        absorb(cross_check_instance(inst, seed=seed + i), f"polytope[{i}]")
     for i in range(n_transport):
         rng = np.random.default_rng(seed + 10_000 + i)
         n = int(rng.integers(2, 6))
         C = random_cost_matrix(seed + 10_000 + i, n)
         inst = build(cost=C)
         absorb(
-            cross_check_instance(inst.qlp(), seed=seed + 10_000 + i, samples=samples),
+            cross_check_instance(inst.qlp(), seed=seed + 10_000 + i),
             f"transport[{i}] n={n}",
         )
     return max(

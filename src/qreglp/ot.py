@@ -34,6 +34,7 @@ PERMUTATION_BUDGET = 8
 HOMOTOPY_BUDGET = 32
 ATTACH_VERTICES_UP_TO = 6
 _SUPPORT_TOL = 1e-9
+_LINEARITY_SOLVES = 4
 
 
 def birkhoff_polytope(n: int, attach_vertices: bool = False) -> PolytopeSpec:
@@ -73,10 +74,10 @@ def _permutation_matrices_cached(n: int) -> np.ndarray:
     return P
 
 
-def permutation_matrices(n: int, budget: int = PERMUTATION_BUDGET) -> np.ndarray:
+def permutation_matrices(n: int) -> np.ndarray:
     """All ``n!`` permutation matrices, lexicographic in the permutation."""
-    if n > budget:
-        raise BudgetExceeded(f"{n}! permutation matrices exceed budget n <= {budget}")
+    if n > PERMUTATION_BUDGET:
+        raise BudgetExceeded(f"{n}! permutation matrices exceed budget n <= {PERMUTATION_BUDGET}")
     return _permutation_matrices_cached(n)
 
 
@@ -165,14 +166,13 @@ def build(
     cost=None,
     points=None,
     kind: str | None = None,
-    attach_vertices_up_to: int = ATTACH_VERTICES_UP_TO,
 ) -> OtInstance:
     """Make an instance from a cost matrix or from point clouds.
 
     ``kind`` is ``"custom-matrix"`` (with ``cost``) or ``"sqeuclidean"``
     (with ``points = (x, y)`` of equal length; entries become squared
     distances).  Permutation vertices are attached to the polytope for
-    sizes up to ``attach_vertices_up_to``.
+    sizes up to ``ATTACH_VERTICES_UP_TO``.
     """
     if points is not None:
         x, y = points
@@ -202,7 +202,7 @@ def build(
     if not np.all(np.isfinite(C)):
         raise NaNInCost("cost contains NaN or infinity")
     n = C.shape[0]
-    spec = birkhoff_polytope(n, attach_vertices=(n <= attach_vertices_up_to))
+    spec = birkhoff_polytope(n, attach_vertices=(n <= ATTACH_VERTICES_UP_TO))
     return OtInstance(n=n, cost=np.ascontiguousarray(C), polytope=spec, points=pts, kind=kind)
 
 
@@ -215,7 +215,7 @@ def from_json_dict(data: dict) -> OtInstance:
     raise ValueError("transport input needs 'cost' or 'x'/'y' keys")
 
 
-def ot_eta_star(inst: OtInstance, budget: int = PERMUTATION_BUDGET) -> float:
+def ot_eta_star(inst: OtInstance) -> float:
     """Exact stationarity threshold by permutation enumeration.
 
     Evaluates ``2 n max <pi*, pi* - P> / <C, P - pi*>`` over non-optimal
@@ -228,9 +228,9 @@ def ot_eta_star(inst: OtInstance, budget: int = PERMUTATION_BUDGET) -> float:
     n = inst.n
     if n == 1:
         return 0.0
-    if n > budget:
+    if n > PERMUTATION_BUDGET:
         return _eta_star_separated_fallback(inst)
-    P = permutation_matrices(n, budget).reshape(-1, n * n)
+    P = permutation_matrices(n).reshape(-1, n * n)
     vs = VertexSet(P)
     _, opt_idx = lp_solve_bruteforce(vs, inst.scaled_cost.ravel())
     if len(opt_idx) == len(P):
@@ -367,8 +367,6 @@ class ExperimentRow:
 
 def figure3_experiment(
     n_values,
-    grid: int = 4,
-    homotopy_budget: int = HOMOTOPY_BUDGET,
 ) -> list[ExperimentRow]:
     """Final-segment slope of the quadratic-cost family versus its bound.
 
@@ -376,10 +374,10 @@ def figure3_experiment(
     and the last-segment slope ``L_n`` is read off the exact endpoints
     (never from finite differences).  The bound is ``(n-1)/n^6``; the
     reported ratio ``bound / L_n`` should never drop below one.  Sizes
-    beyond the homotopy budget yield a skipped row.  ``grid`` solves inside
-    the final segment double-check its linearity; each starts from the
-    segment's left breakpoint and its tight rows, steps to its own ``eta``
-    and is KKT-certified.
+    beyond ``HOMOTOPY_BUDGET`` yield a skipped row.  ``_LINEARITY_SOLVES``
+    solves inside the final segment double-check its linearity; each starts
+    from the segment's left breakpoint and its tight rows, steps to its own
+    ``eta`` and is KKT-certified.
     """
     from .analysis import slope_report
     from .projection import solve_qlp
@@ -388,7 +386,7 @@ def figure3_experiment(
     for n in n_values:
         n = int(n)
         bound = (n - 1) / n**6
-        if n > homotopy_budget:
+        if n > HOMOTOPY_BUDGET:
             rows.append(ExperimentRow(n=n, slope=None, bound=bound, ratio=None, skipped=True))
             continue
         inst = quad_cost_instance(n)
@@ -397,7 +395,7 @@ def figure3_experiment(
         rep = slope_report(path, qlp.c)
         lo, hi = path.breakpoints[-2], path.breakpoints[-1]
         x_lo, rows_lo = path.endpoints[-2], path.segment_active_sets[-1]
-        for t in np.linspace(0.2, 0.8, grid):
+        for t in np.linspace(0.2, 0.8, _LINEARITY_SOLVES):
             eta = float((1.0 - t) * lo + t * hi)
             x = solve_qlp(qlp, eta, start=x_lo, working_set=rows_lo).x
             if np.max(np.abs(x - path.interpolate(eta))) > 1e-6 * (1.0 + np.linalg.norm(x)):
@@ -408,8 +406,8 @@ def figure3_experiment(
     return rows
 
 
-def trace_ot_path(inst: OtInstance, homotopy_budget: int = HOMOTOPY_BUDGET) -> SolutionPath:
-    """Path of the doubly-stochastic solve, guarded by the size budget."""
-    if inst.n > homotopy_budget:
-        raise BudgetExceeded(f"path tracing capped at n <= {homotopy_budget}")
+def trace_ot_path(inst: OtInstance) -> SolutionPath:
+    """Path of the doubly-stochastic solve, guarded by ``HOMOTOPY_BUDGET``."""
+    if inst.n > HOMOTOPY_BUDGET:
+        raise BudgetExceeded(f"path tracing capped at n <= {HOMOTOPY_BUDGET}")
     return trace_path(inst.qlp())

@@ -16,6 +16,8 @@ from functools import cached_property
 import numpy as np
 from scipy.optimize import linprog
 
+from ._tolerances import (DEDUP_TOL, EXTREME_RANK_TOL, FEAS_TOL, OPT_TOL, RANK_TOL,
+                          RECESSION_TOL, START_TOL)
 from .errors import (
     AllVerticesOptimal,
     BudgetExceeded,
@@ -24,11 +26,8 @@ from .errors import (
     UnboundedSet,
 )
 
-FEAS_TOL = 1e-9
-DEDUP_TOL = 1e-9
 DEFAULT_BASIS_BUDGET = 10**6
 DEFAULT_PAIRWISE_BUDGET = 4096
-_RANK_TOL = 1e-10
 
 
 def _as_matrix(M, dim, name):
@@ -196,15 +195,15 @@ class VertexSet:
     def __len__(self) -> int:
         return self.vertices.shape[0]
 
-    def mark_optimal(self, c, tol: float = DEDUP_TOL) -> "VertexSet":
+    def mark_optimal(self, c) -> "VertexSet":
         """Return a copy whose mask flags minimizers of ``<c, v>``.
 
         A vertex is flagged optimal when its cost is within
-        ``tol * (1 + |c|)`` of the minimum over all vertices.
+        ``OPT_TOL * (1 + |c|)`` of the minimum over all vertices.
         """
         c = np.asarray(c, dtype=float).ravel()
         vals = self.vertices @ c
-        cut = vals.min() + tol * (1.0 + np.linalg.norm(c))
+        cut = vals.min() + OPT_TOL * (1.0 + np.linalg.norm(c))
         return VertexSet(self.vertices, vals <= cut)
 
     @property
@@ -232,7 +231,7 @@ def _lexsorted(V: np.ndarray) -> np.ndarray:
     return V[order]
 
 
-def _dedup_rows(V: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
+def _dedup_rows(V: np.ndarray) -> np.ndarray:
     """Drop rows that duplicate an earlier row in the infinity norm."""
     V = _lexsorted(V)
     if V.shape[0] <= 1:
@@ -240,7 +239,7 @@ def _dedup_rows(V: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
     kept = [V[0]]
     for row in V[1:]:
         K = np.asarray(kept)
-        if np.min(np.max(np.abs(K - row), axis=1)) > tol:
+        if np.min(np.max(np.abs(K - row), axis=1)) > DEDUP_TOL:
             kept.append(row)
     return np.asarray(kept)
 
@@ -257,7 +256,7 @@ def _extend_basis(base: np.ndarray, M: np.ndarray, order) -> tuple[list[int], np
 
     ``base`` holds orthonormal rows.  A row is kept when its component
     orthogonal to ``base`` and to the rows kept so far (two Gram-Schmidt
-    passes) exceeds ``_RANK_TOL * max(1, |row|)``, so of two dependent rows
+    passes) exceeds ``RANK_TOL * max(1, |row|)``, so of two dependent rows
     the earlier wins.  Returns the kept indices, as ints in visiting order,
     and ``base`` extended by one orthonormal row per kept row.
     """
@@ -274,7 +273,7 @@ def _extend_basis(base: np.ndarray, M: np.ndarray, order) -> tuple[list[int], np
         res = g - Qb.T @ (Qb @ g)
         res -= Qb.T @ (Qb @ res)  # second pass keeps the basis orthonormal
         nr = float(np.linalg.norm(res))
-        if nr > _RANK_TOL * max(1.0, float(np.linalg.norm(g))):
+        if nr > RANK_TOL * max(1.0, float(np.linalg.norm(g))):
             basis[r] = res / nr
             r += 1
             kept.append(int(j))
@@ -283,11 +282,11 @@ def _extend_basis(base: np.ndarray, M: np.ndarray, order) -> tuple[list[int], np
 
 def _find_feasible_point(spec: PolytopeSpec) -> np.ndarray:
     """A feasible point, from the spec hint, a vertex, or a phase-1 LP."""
-    if spec.feasible_point is not None and spec.contains(spec.feasible_point, 1e-7):
+    if spec.feasible_point is not None and spec.contains(spec.feasible_point, START_TOL):
         return np.asarray(spec.feasible_point, dtype=float)
     if spec.vertices is not None and len(spec.vertices):
         v = spec.vertices[0]
-        if spec.contains(v, 1e-7):
+        if spec.contains(v, START_TOL):
             return np.asarray(v, dtype=float)
     res = linprog(
         c=np.zeros(spec.dim),
@@ -303,7 +302,7 @@ def _find_feasible_point(spec: PolytopeSpec) -> np.ndarray:
     return np.asarray(res.x, dtype=float)
 
 
-def _recession_ray(spec: PolytopeSpec, tol: float = 1e-7) -> np.ndarray | None:
+def _recession_ray(spec: PolytopeSpec) -> np.ndarray | None:
     """A nonzero recession direction if one exists, else None.
 
     With the rows of ``[A; G]`` scaled to unit length, a null vector is a
@@ -316,7 +315,7 @@ def _recession_ray(spec: PolytopeSpec, tol: float = 1e-7) -> np.ndarray | None:
     norms = np.linalg.norm(M, axis=1)
     M = M / np.where(norms > 0, norms, 1.0)[:, None]
     _, sv, Vt = np.linalg.svd(M)
-    if sv.size < spec.dim or sv[-1] <= tol:
+    if sv.size < spec.dim or sv[-1] <= RECESSION_TOL:
         return Vt[-1]
     G = M[spec.n_eq:]
     res = linprog(
@@ -328,12 +327,12 @@ def _recession_ray(spec: PolytopeSpec, tol: float = 1e-7) -> np.ndarray | None:
         bounds=[(-1.0, 1.0)] * spec.dim,
         method="highs",
     )
-    if res.status == 0 and res.x is not None and -res.fun > tol:
+    if res.status == 0 and res.x is not None and -res.fun > RECESSION_TOL:
         return np.asarray(res.x, dtype=float)
     return None
 
 
-def validate(spec: PolytopeSpec, tol: float = FEAS_TOL) -> ValidationReport:
+def validate(spec: PolytopeSpec) -> ValidationReport:
     """Check nonemptiness, boundedness, and V/H consistency.
 
     Returns the canonicalized spec (contiguous float arrays, vertices
@@ -350,9 +349,9 @@ def validate(spec: PolytopeSpec, tol: float = FEAS_TOL) -> ValidationReport:
     vertex_consistent = True
     canon = replace(spec, feasible_point=point)
     if spec.vertices is not None:
-        V = _dedup_rows(spec.vertices, DEDUP_TOL)
-        ok_feas = all(spec.contains(v, 10 * tol) for v in V)
-        ok_extreme = all(_is_extreme(spec, v, tol) for v in V)
+        V = _dedup_rows(spec.vertices)
+        ok_feas = all(spec.contains(v, 10 * FEAS_TOL) for v in V)
+        ok_extreme = all(_is_extreme(spec, v) for v in V)
         vertex_consistent = bool(ok_feas and ok_extreme)
         canon = replace(canon, vertices=V)
     return ValidationReport(
@@ -364,16 +363,16 @@ def validate(spec: PolytopeSpec, tol: float = FEAS_TOL) -> ValidationReport:
     )
 
 
-def _is_extreme(spec: PolytopeSpec, v: np.ndarray, tol: float) -> bool:
+def _is_extreme(spec: PolytopeSpec, v: np.ndarray) -> bool:
     """Extreme-point certificate: active constraints have full rank."""
     rows = [spec.A] if spec.n_eq else []
-    tight = spec.tight_rows(v, 10 * tol)
+    tight = spec.tight_rows(v, 10 * FEAS_TOL)
     if tight.size:
         rows.append(spec.G[tight])
     if not rows:
         return False
     M = np.vstack(rows)
-    return np.linalg.matrix_rank(M, tol=1e-8) == spec.dim
+    return np.linalg.matrix_rank(M, tol=EXTREME_RANK_TOL) == spec.dim
 
 
 def _full_rank_mask(M: np.ndarray) -> np.ndarray:
@@ -381,30 +380,29 @@ def _full_rank_mask(M: np.ndarray) -> np.ndarray:
     stack ``M``, screened by one LU each as described there."""
     sign, logdet = np.linalg.slogdet(M)
     fro = np.log(np.maximum(np.linalg.norm(M, axis=(1, 2)), np.finfo(float).tiny))
-    ok = logdet > math.log(_RANK_TOL) + np.maximum(fro, 0.0) + (M.shape[1] - 1) * fro
+    ok = logdet > math.log(RANK_TOL) + np.maximum(fro, 0.0) + (M.shape[1] - 1) * fro
     band = (sign != 0) & ~ok
     sv = np.linalg.svd(M[band], compute_uv=False)
-    ok[band] = sv[:, -1] > _RANK_TOL * np.maximum(sv[:, 0], 1.0)
+    ok[band] = sv[:, -1] > RANK_TOL * np.maximum(sv[:, 0], 1.0)
     return ok
 
 
 def enumerate_vertices(
     spec: PolytopeSpec,
     budget: int = DEFAULT_BASIS_BUDGET,
-    tol: float = FEAS_TOL,
 ) -> VertexSet:
     """Enumerate all extreme points of the polytope.
 
     If the spec carries an explicit vertex list it is deduplicated,
     sorted, and returned.  Otherwise every candidate basis (a size-
     ``dim - rank(A)`` subset of inequality rows stacked on the equality
-    rows) is solved; feasible solutions are vertices.  Deterministic
-    lexicographic output order.
+    rows) is solved; feasible solutions (to ``FEAS_TOL``) are vertices.
+    Deterministic lexicographic output order.
 
     A candidate is solved when its matrix passes the rank test
-    ``σ_min > _RANK_TOL max(σ_max, 1)``.  One LU per candidate decides
+    ``σ_min > RANK_TOL max(σ_max, 1)``.  One LU per candidate decides
     nearly all of them (:func:`_full_rank_mask`): an exact zero pivot
-    rejects, and ``|det| / |M|_F^(d-1) > _RANK_TOL max(|M|_F, 1)`` accepts,
+    rejects, and ``|det| / |M|_F^(d-1) > RANK_TOL max(|M|_F, 1)`` accepts,
     which is a proof that the test passes because
     ``σ_min >= |det| / σ_max^(d-1)`` and ``σ_max <= |M|_F``.  Singular values
     are computed only for the few candidates in between.
@@ -415,7 +413,7 @@ def enumerate_vertices(
         If the number of candidate bases exceeds ``budget``.
     """
     if spec.vertices is not None:
-        return VertexSet(_dedup_rows(spec.vertices, DEDUP_TOL))
+        return VertexSet(_dedup_rows(spec.vertices))
 
     d = spec.dim
     eq_idx, _ = spec.eq_reduction
@@ -458,26 +456,25 @@ def enumerate_vertices(
         X = np.linalg.solve(M[ok], rhs[ok][..., None])[..., 0]
         feas = np.ones(X.shape[0], dtype=bool)
         if spec.n_ineq:
-            feas &= np.max(X @ spec.G.T - spec.h, axis=1) <= tol
+            feas &= np.max(X @ spec.G.T - spec.h, axis=1) <= FEAS_TOL
         if spec.n_eq:
-            feas &= np.max(np.abs(X @ spec.A.T - spec.b), axis=1) <= tol
+            feas &= np.max(np.abs(X @ spec.A.T - spec.b), axis=1) <= FEAS_TOL
         if np.any(feas):
             found.append(X[feas])
     if not found:
         raise EmptyFeasibleSet("no basic feasible solution found")
-    V = _dedup_rows(np.vstack(found), DEDUP_TOL)
+    V = _dedup_rows(np.vstack(found))
     return VertexSet(V)
 
 
 def geometry(
     spec_or_vs: PolytopeSpec | VertexSet,
-    budget: int = DEFAULT_PAIRWISE_BUDGET,
 ) -> tuple[float, float]:
     """Norm bound ``B`` and diameter ``D`` of the polytope.
 
     Both are attained at vertices; requires vertices (supplied or
     enumerable within budget).  The pairwise diameter scan is capped at
-    ``budget`` vertices.
+    ``DEFAULT_PAIRWISE_BUDGET`` vertices.
     """
     if isinstance(spec_or_vs, PolytopeSpec):
         vs = enumerate_vertices(spec_or_vs)
@@ -485,8 +482,8 @@ def geometry(
         vs = spec_or_vs
     V = vs.vertices
     K = V.shape[0]
-    if K > budget:
-        raise BudgetExceeded(f"{K} vertices exceed pairwise budget {budget}")
+    if K > DEFAULT_PAIRWISE_BUDGET:
+        raise BudgetExceeded(f"{K} vertices exceed pairwise budget {DEFAULT_PAIRWISE_BUDGET}")
     B = float(np.max(np.linalg.norm(V, axis=1))) if K else 0.0
     sq = np.sum(V * V, axis=1)
     D2 = sq[:, None] + sq[None, :] - 2.0 * (V @ V.T)
@@ -494,14 +491,14 @@ def geometry(
     return B, D
 
 
-def suboptimality_gap(vs: VertexSet, c, tol: float = DEDUP_TOL) -> float:
+def suboptimality_gap(vs: VertexSet, c) -> float:
     """Gap ``min over non-optimal vertices of <c, v - v_opt>``.
 
     Strictly positive when at least one vertex is non-optimal; raises
     :class:`AllVerticesOptimal` otherwise.
     """
     c = np.asarray(c, dtype=float).ravel()
-    marked = vs.mark_optimal(c, tol) if vs.optimal_mask is None else vs
+    marked = vs.mark_optimal(c) if vs.optimal_mask is None else vs
     if marked.optimal_mask.all():
         raise AllVerticesOptimal("every vertex minimizes the cost")
     vals = marked.vertices @ c

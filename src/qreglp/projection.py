@@ -26,10 +26,10 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import MaxIterationsExceeded, NumericalBreakdown
+from ._tolerances import (CERTIFY_TOL, FEAS_TOL, FULL_RANK_TOL, KKT_TOL, MULT_TOL, RANK_TOL,
+                          ROUNDING_FLOOR, START_INFEAS_TOL, START_TOL, TIE_TOL, ZERO_TOL)
+from .errors import MaxIterationsExceeded, NumericalBreakdown, ShapeMismatch
 from .polytope import (
-    FEAS_TOL,
-    _RANK_TOL,
     PolytopeSpec,
     VertexSet,
     _extend_basis,
@@ -37,9 +37,6 @@ from .polytope import (
     _unit_columns,
 )
 
-MULT_TOL = 1e-10
-KKT_TOL = 1e-8
-_STEP_TOL = 1e-12
 # Orders of unit rows at least this long are seeded in one batch; below it the
 # batch's fixed cost of about ten LAPACK calls exceeds the row loop.
 _BATCH_MIN_ROWS = 32
@@ -58,8 +55,6 @@ class QlpInstance:
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float).ravel()
         if c.shape[0] != self.polytope.dim:
-            from .errors import ShapeMismatch
-
             raise ShapeMismatch(
                 f"cost has {c.shape[0]} entries, polytope dim {self.polytope.dim}"
             )
@@ -107,21 +102,22 @@ def _ratio_test(gap: np.ndarray, rate: np.ndarray, scale, rows: np.ndarray):
 
     ``gap`` holds slacks or multipliers (negative values count as zero) and
     ``rate`` the speed at which each shrinks; a rate counts as positive above
-    ``1e-13 * scale``.  Returns ``t_min`` and the sorted labels from ``rows``
-    of the rows tied with it to ``1e-10 (1 + t_min)``, or ``None`` and no rows
-    when nothing crosses.
+    ``ROUNDING_FLOOR * scale``.  Returns ``t_min`` and the sorted labels from
+    ``rows`` of the rows tied with it to ``TIE_TOL (1 + t_min)``, or ``None``
+    and no rows when nothing crosses.
     """
-    pos = rate > 1e-13 * scale
+    pos = rate > ROUNDING_FLOOR * scale
     if not np.any(pos):
         return None, rows[:0]
     t = np.maximum(gap[pos], 0.0) / rate[pos]
     t_min = float(t.min())
-    return t_min, np.sort(rows[pos][t <= t_min + 1e-10 * (1.0 + t_min)])
+    return t_min, np.sort(rows[pos][t <= t_min + TIE_TOL * (1.0 + t_min)])
 
 
-def _extend_independent(base_q: np.ndarray, G: np.ndarray, order) -> list[int]:
+def _extend_independent(base_q: np.ndarray, G: np.ndarray, order, col: np.ndarray) -> list[int]:
     """Rows of ``G``, visited in ``order``, that extend the span of the
     orthonormal rows ``base_q``, as :func:`polytope._extend_basis` keeps them.
+    ``col`` holds the unit columns of ``G`` (:func:`polytope._unit_columns`).
 
     When at least ``_BATCH_MIN_ROWS`` rows are visited and every one is a unit
     row they are chosen in one batch instead, which near the rank tolerance
@@ -130,9 +126,9 @@ def _extend_independent(base_q: np.ndarray, G: np.ndarray, order) -> list[int]:
     """
     order = [int(j) for j in order]
     if len(order) >= _BATCH_MIN_ROWS:
-        col = _unit_columns(G[order])
-        if np.all(col >= 0):
-            return _extend_unit_rows(base_q, G, order, col)
+        unit = col[order]
+        if np.all(unit >= 0):
+            return _extend_unit_rows(base_q, G, order, unit)
     return _extend_basis(base_q, G, order)[0]
 
 
@@ -144,23 +140,23 @@ def _extend_unit_rows(base_q, G, order, col) -> list[int]:
     column matroid.  On the visited coordinates ``T`` that dual is the dual of
     the contraction by the other columns, so the greedy choice keeps all of
     ``T`` but the contraction's greedy column basis in reverse order.  Rank
-    decisions are made to ``_RANK_TOL`` on the contraction, not row by row.
+    decisions are made to ``RANK_TOL`` on the contraction, not row by row.
     """
     first = np.sort(np.unique(col, return_index=True)[1])  # a repeat is dependent
     rows = [order[i] for i in first]
     T, coef = col[first], np.abs(G[rows, col[first]])
     if base_q.shape[0] == 0:
-        return [j for j, a in zip(rows, coef) if a > _RANK_TOL * max(1.0, a)]
+        return [j for j, a in zip(rows, coef) if a > RANK_TOL * max(1.0, a)]
     free = np.ones(base_q.shape[1], dtype=bool)
     free[T] = False
     P = base_q[:, T]
     if free.any():  # contract: project out the span of the other columns
         U, sv, _ = np.linalg.svd(base_q[:, free], full_matrices=False)
-        U = U[:, sv > _RANK_TOL * max(1.0, sv[0])]
+        U = U[:, sv > RANK_TOL * max(1.0, sv[0])]
         P = P - U @ (U.T @ P)
     dropped = np.zeros(T.size, dtype=bool)
     while True:
-        big = np.flatnonzero(np.linalg.norm(P, axis=0) > _RANK_TOL)
+        big = np.flatnonzero(np.linalg.norm(P, axis=0) > RANK_TOL)
         if big.size == 0:
             break
         t = big[-1]
@@ -196,14 +192,14 @@ class _FreeSystem:
 
         It has exactly when the unit rows fix distinct coordinates and the
         other rows are independent on the rest: no more of them than free
-        coordinates, and every diagonal entry of ``R`` above ``1e-9`` times
-        the largest (or one).
+        coordinates, and every diagonal entry of ``R`` above ``FULL_RANK_TOL``
+        times the largest (or one).
         """
         diag = np.abs(np.diag(self.R))
         return bool(
             np.unique(self.fixed).size == self.fixed.size
             and self.B.shape[0] <= self.free.size
-            and (diag.size == 0 or diag.min() > 1e-9 * max(diag.max(), 1.0))
+            and (diag.size == 0 or diag.min() > FULL_RANK_TOL * max(diag.max(), 1.0))
         )
 
     def project(self, v: np.ndarray) -> np.ndarray:
@@ -219,7 +215,7 @@ class _FreeSystem:
     def extends(self, g: np.ndarray, g_norm: float) -> bool:
         """Whether the row ``g`` (of norm ``g_norm``) is independent of the
         working-set rows, to the tolerance of :func:`polytope._extend_basis`."""
-        return float(np.linalg.norm(self.project(g))) > _RANK_TOL * max(1.0, g_norm)
+        return float(np.linalg.norm(self.project(g))) > RANK_TOL * max(1.0, g_norm)
 
     def multipliers(self, v: np.ndarray) -> np.ndarray:
         """Least-squares ``y`` with ``[A_red; G[W]]^T y = v``, in that row order.
@@ -266,7 +262,7 @@ def min_distance_active_set(
     x = np.asarray(x0, dtype=float).copy()
     if k:
         worst = float(np.max(G @ x - h))
-        if worst > 1e-6:
+        if worst > START_INFEAS_TOL:
             raise ValueError(f"start point infeasible by {worst:.2e}")
     max_iter = max(50 * (m + k), 100)
 
@@ -284,7 +280,7 @@ def min_distance_active_set(
     else:
         w0 = [int(j) for j in w0 if k and slack[j] <= FEAS_TOL]
         order = list(dict.fromkeys(list(w0) + list(tight)))
-    W = sorted(_extend_independent(base_q, G, order)) if k else []
+    W = sorted(_extend_independent(base_q, G, order, col)) if k else []
     system = _FreeSystem(A_red, G, W, col)
     if not system.full_rank:  # the batch seed kept a dependent row
         W = sorted(_extend_basis(base_q, G, order)[0])
@@ -302,7 +298,7 @@ def min_distance_active_set(
         v = z - x
         dvec = system.project(v)
         nd = np.linalg.norm(dvec)
-        if nd <= _STEP_TOL * zscale:
+        if nd <= ZERO_TOL * zscale:
             y = system.multipliers(v)
             neg = np.flatnonzero(y[m_red:] < -MULT_TOL)
             if neg.size == 0:
@@ -369,7 +365,7 @@ def project(
     x0 = None
     if start is not None:
         cand = np.asarray(start, dtype=float).ravel()
-        if spec.contains(cand, 1e-7):
+        if spec.contains(cand, START_TOL):
             x0 = cand
     if x0 is None:
         x0 = _find_feasible_point(spec)
@@ -388,11 +384,8 @@ def project(
         raise NumericalBreakdown(f"KKT stationarity residual {kkt:.2e}")
 
     active = spec.tight_rows(x, FEAS_TOL)
-    mults = np.zeros(active.size)
-    pos = {int(j): i for i, j in enumerate(active)}
-    for wj, lj in zip(W, lam):
-        if int(wj) in pos:
-            mults[pos[int(wj)]] = lj
+    held = dict(zip(W.tolist(), lam.tolist()))
+    mults = np.array([held.get(j, 0.0) for j in active.tolist()])
 
     if spec.vertices is not None and len(spec.vertices):
         residual = float(np.max((spec.vertices - x) @ (z - x)))
@@ -441,12 +434,12 @@ def certify(
 ) -> CertReport:
     """Verify ``<z - x, v - x> <= tol`` over all vertices ``v``.
 
-    The default tolerance is ``1e-7 * (1 + |z|)``.
+    The default tolerance is ``CERTIFY_TOL * (1 + |z|)``.
     """
     z = np.asarray(z, dtype=float).ravel()
     V = vertices.vertices if isinstance(vertices, VertexSet) else np.asarray(vertices)
     if tol is None:
-        tol = 1e-7 * (1.0 + float(np.linalg.norm(z)))
+        tol = CERTIFY_TOL * (1.0 + float(np.linalg.norm(z)))
     vals = (V - result.x) @ (z - result.x)
     worst = int(np.argmax(vals))
     mx = float(vals[worst])

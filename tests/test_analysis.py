@@ -228,6 +228,20 @@ def test_e_curve_shape_and_monotone(interval_inst):
     assert np.max(np.abs(np.diff(diffs))) <= 1e-8
 
 
+def test_e_curve_matches_pointwise_interpolation(interval):
+    # Reference: the path's own interpolation and segment lookup, one eta at a time.
+    insts = [QlpInstance(interval, np.zeros(1)), QlpInstance(interval, np.array([-1.0])),
+             quad_cost_instance(4).qlp()] + [random_polytope_instance(s) for s in range(12)]
+    for inst in insts:
+        path = trace_path(inst)
+        curve = e_curve(path, inst.c, grid=97)
+        lp = float(inst.c @ path.x_star)
+        E = [float(inst.c @ path.interpolate(float(eta))) - lp for eta in curve[:, 0]]
+        seg = [path.segment_index(float(eta)) for eta in curve[:, 0]]
+        assert np.all(np.abs(curve[:, 1] - E) <= 1e-12 * (1.0 + np.abs(E)))
+        assert np.array_equal(curve[:, 2], seg)
+
+
 def test_analyze_full_report(interval_inst):
     rep = analyze(interval_inst, grid=64)
     assert rep.eta_star_path == pytest.approx(2.0, abs=1e-12)

@@ -231,7 +231,7 @@ def test_oracle_check_fails_on_each_measure(monkeypatch, capsys, field):
 
     good = oracle.CrossCheck(1.0, 1.0, 1.0, 1e-12, 1e-12, 1e-12)
     bad = replace(good, **{field: 1e-6})
-    monkeypatch.setattr(oracle, "cross_check_instance", lambda inst, seed, samples: bad)
+    monkeypatch.setattr(oracle, "cross_check_instance", lambda inst, seed: bad)
     assert main(["oracle-check", "--polytopes", "1", "--transport", "0"]) == 2
     assert "ok=false" in capsys.readouterr().out
 

@@ -11,7 +11,6 @@ from qreglp import (
     PolytopeSpec,
     QlpInstance,
     Stationary,
-    direction,
     next_breakpoint,
     path_state,
     project,
@@ -59,19 +58,20 @@ def test_quad_cost_threshold():
 
 
 def test_direction_interval_interior(interval_inst):
-    d = direction([], interval_inst)
+    # At eta = 0 the path leaves the vertex x = 0 into the interval.
+    d = path_state(interval_inst, 0.0).direction_vec
     assert d == pytest.approx(0.5, abs=1e-14)
 
 
 def test_direction_interval_pinned(interval_inst):
-    # Row 0 is x <= 1; pinning it leaves a zero-dimensional face.
-    d = direction([0], interval_inst)
+    # At eta = 2 the path reaches x = 1, where row 0 (x <= 1) pins it.
+    d = path_state(interval_inst, 2.0).direction_vec
     assert abs(float(d[0])) <= 1e-14
 
 
 def test_direction_birkhoff_interior():
     inst = neg_id_instance(2)
-    d = direction([], inst).reshape(2, 2)
+    d = path_state(inst, 0.0).direction_vec.reshape(2, 2)
     expect = np.array([[0.125, -0.125], [-0.125, 0.125]])
     assert np.allclose(d, expect, atol=1e-14)
 

@@ -263,7 +263,7 @@ def test_run_cross_checks_reports_worst_instance(monkeypatch):
         0: oracle.CrossCheck(1.0, 1.0 + 1e-9, 1.0, 1e-9, 1e-12, 1e-12),
         1: oracle.CrossCheck(5.0, 5.0, 5.0, 1e-15, 1e-11, 1e-10),
     }
-    monkeypatch.setattr(oracle, "cross_check_instance", lambda inst, seed, samples: records[seed])
+    monkeypatch.setattr(oracle, "cross_check_instance", lambda inst, seed: records[seed])
     worst = oracle.run_cross_checks(n_polytopes=2, n_transport=0, seed=0)
     assert worst == replace(records[0], label="polytope[0]")
     records[1] = replace(records[1], path_discrepancy=1e-6)

@@ -208,16 +208,16 @@ def test_extend_independent_contract():
         [1.0, 1.0, 1.0],  # 5
     ])
     base_q = np.array([[0.0, 0.0, 1.0]])  # orthonormal basis of the row (0, 0, 3)
-    assert _extend_independent(base_q, G, []) == []
-    kept = _extend_independent(base_q, G, np.array([3, 1, 0, 2, 4, 5]))
+    assert _extend_independent(base_q, G, [], _unit_columns(G)) == []
+    kept = _extend_independent(base_q, G, np.array([3, 1, 0, 2, 4, 5]), _unit_columns(G))
     assert kept == [3, 1]
     assert isinstance(kept, list) and all(type(j) is int for j in kept)
     # Without equality rows: the earlier of two dependent rows wins.
     none = np.zeros((0, 3))
-    assert _extend_independent(none, G, [0, 1, 2, 3, 4, 5]) == [0, 2, 4]
-    assert _extend_independent(none, G, [1, 0]) == [1]
-    assert _extend_independent(none, G, [5, 0, 2, 4]) == [5, 0, 2]
-    assert _extend_independent(base_q, G, [5, 4]) == [5]
+    assert _extend_independent(none, G, [0, 1, 2, 3, 4, 5], _unit_columns(G)) == [0, 2, 4]
+    assert _extend_independent(none, G, [1, 0], _unit_columns(G)) == [1]
+    assert _extend_independent(none, G, [5, 0, 2, 4], _unit_columns(G)) == [5, 0, 2]
+    assert _extend_independent(base_q, G, [5, 4], _unit_columns(G)) == [5]
     # Long orders of unit rows are kept in one batch, which agrees with the
     # row-by-row test away from the rank tolerance; it is called directly on
     # the short orders below.
@@ -227,8 +227,8 @@ def test_extend_independent_contract():
     spec = birkhoff_polytope(3)
     _, base_q = spec.eq_reduction
     G = spec.G
-    assert _extend_independent(base_q, G, [1, 2, 3, 6]) == [1, 2, 3]
-    assert _extend_independent(base_q, G, [6, 1, 2, 3]) == [6, 1, 2]
+    assert _extend_independent(base_q, G, [1, 2, 3, 6], _unit_columns(G)) == [1, 2, 3]
+    assert _extend_independent(base_q, G, [6, 1, 2, 3], _unit_columns(G)) == [6, 1, 2]
     assert _batch(base_q, G, [1, 2, 3, 6]) == [1, 2, 3]
     assert _batch(base_q, G, [6, 1, 2, 3]) == [6, 1, 2]
     rng = np.random.default_rng(11)
@@ -240,7 +240,7 @@ def test_extend_independent_contract():
         for _ in range(20):
             order = rng.permutation(G2.shape[0])[: rng.integers(1, G2.shape[0] + 1)]
             ref = _extend_basis(base_q, G2, list(order))[0]
-            assert _extend_independent(base_q, G2, order) == ref
+            assert _extend_independent(base_q, G2, order, _unit_columns(G2)) == ref
             assert _batch(base_q, G2, order) == ref
             long_orders += len(order) >= _BATCH_MIN_ROWS
     assert long_orders > 0

@@ -1,0 +1,24 @@
+"""The solver layers take every threshold from ``qreglp._tolerances``."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import qreglp
+
+SOLVER_MODULES = ("polytope.py", "projection.py", "homotopy.py")
+
+
+@pytest.mark.parametrize("name", SOLVER_MODULES)
+def test_no_threshold_literal_outside_the_table(name):
+    path = Path(qreglp.__file__).parent / name
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [
+        (node.lineno, node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, float)
+        and 0.0 < abs(node.value) < 1e-3
+    ]
+    assert found == [], f"{name}: move these thresholds into _tolerances.py: {found}"
