@@ -192,18 +192,25 @@ def path_state(inst: QlpInstance, eta: float, x=None) -> PathState:
     """State of the tracer at ``eta``: point, tight rows, velocity.
 
     ``x`` defaults to a fresh solve at ``eta`` (projection of the origin
-    when ``eta`` is zero).  Feed the result to :func:`next_breakpoint`.
+    when ``eta`` is zero), whose active set is the face; the face of a given
+    ``x`` is the rows tight within ``FEAS_TOL``.  Feed the result to
+    :func:`next_breakpoint`.
     """
-    if x is None:
-        x = project(inst.polytope, inst.target(eta)).x
-    return _make_state(inst, float(eta), np.asarray(x, dtype=float).ravel())
-
-
-def _make_state(inst: QlpInstance, eta: float, x: np.ndarray, warm_ws=None, landed=()) -> PathState:
-    # ``landed``: rows tight at ``x`` by construction, whatever the rounding
-    # that ``x = x_prev + s d`` gathered along a long step.
     spec = inst.polytope
-    tight = np.union1d(spec.tight_rows(x, FEAS_TOL), np.asarray(landed, dtype=int))
+    if x is None:
+        res = project(spec, inst.target(eta))
+        x, tight = res.x, res.active_set
+    else:
+        x = np.asarray(x, dtype=float).ravel()
+        tight = spec.tight_rows(x, FEAS_TOL)
+    return _make_state(inst, float(eta), x, tight)
+
+
+def _make_state(
+    inst: QlpInstance, eta: float, x: np.ndarray, tight: np.ndarray, warm_ws=None
+) -> PathState:
+    # ``tight``: the inequality rows of the face that ``x`` lies on.
+    spec = inst.polytope
     d, r, cone_ws = _right_derivative(inst, eta, x, tight, warm_ws)
     if tight.size and np.any(d):
         gd = spec.G[tight] @ d
@@ -347,13 +354,13 @@ def trace_path(inst: QlpInstance, max_segments: int | None = None) -> SolutionPa
     if max_segments is None:
         max_segments = max(10 * (spec.n_eq + spec.n_ineq), 8)
     res0 = project(spec, np.zeros(spec.dim))
-    eta, x = 0.0, res0.x
-    right = Certificate(res0.active_set, res0.eq_multipliers, res0.multipliers)
+    eta, x, tight = 0.0, res0.x, res0.active_set
+    right = Certificate(tight, res0.eq_multipliers, res0.multipliers)
     etas, points, seg_sets, certs = [0.0], [x], [], []
-    warm, landed, stalled = None, (), 0
+    warm, stalled = None, 0
 
     for _ in range(max_segments):
-        state = _make_state(inst, eta, x, warm, landed)
+        state = _make_state(inst, eta, x, tight, warm)
         eta_next, event = next_breakpoint(state)
         if isinstance(event, Stationary):
             break
@@ -372,23 +379,25 @@ def trace_path(inst: QlpInstance, max_segments: int | None = None) -> SolutionPa
         seg_sets.append(J)
         certs.append((left, right))
         eta, x, warm = float(eta_next), x_next, state.cone_ws
-        landed = np.union1d(J, event.rows)
+        # The landing's face is the rows tight by construction, whatever the
+        # rounding that ``x + s d`` gathered along a long step.
+        tight = np.union1d(J, event.rows)
     else:
         raise MaxSegmentsExceeded(f"more than {max_segments} path segments")
 
-    points[-1] = _polish_min_norm(spec, points[-1])
+    points[-1] = _polish_min_norm(spec, points[-1], tight)
     return SolutionPath(np.asarray(etas) / cost_norm, np.asarray(points), seg_sets, certs)
 
 
-def _polish_min_norm(spec: PolytopeSpec, x: np.ndarray) -> np.ndarray:
+def _polish_min_norm(spec: PolytopeSpec, x: np.ndarray, tight: np.ndarray) -> np.ndarray:
     """Re-solve the stationary endpoint at unit scale.
 
     The stationary point is the origin's projection onto the affine hull
-    of its own face, i.e. the minimum-norm solution of the face's tight
-    constraints.  Solving that system directly removes the error inherited
-    from projecting the large target ``-eta c / 2``.
+    of its own face ``tight`` (the rows the tracer landed on), i.e. the
+    minimum-norm solution of the face's tight constraints.  Solving that
+    system directly removes the error inherited from projecting the large
+    target ``-eta c / 2``.
     """
-    tight = spec.tight_rows(x, FEAS_TOL)
     if not spec.n_eq and not tight.size:
         return x
     B = np.vstack([spec.A, spec.G[tight]])

@@ -375,18 +375,6 @@ def _is_extreme(spec: PolytopeSpec, v: np.ndarray) -> bool:
     return np.linalg.matrix_rank(M, tol=EXTREME_RANK_TOL) == spec.dim
 
 
-def _full_rank_mask(M: np.ndarray) -> np.ndarray:
-    """The rank test of :func:`enumerate_vertices` on each matrix of the
-    stack ``M``, screened by one LU each as described there."""
-    sign, logdet = np.linalg.slogdet(M)
-    fro = np.log(np.maximum(np.linalg.norm(M, axis=(1, 2)), np.finfo(float).tiny))
-    ok = logdet > math.log(RANK_TOL) + np.maximum(fro, 0.0) + (M.shape[1] - 1) * fro
-    band = (sign != 0) & ~ok
-    sv = np.linalg.svd(M[band], compute_uv=False)
-    ok[band] = sv[:, -1] > RANK_TOL * np.maximum(sv[:, 0], 1.0)
-    return ok
-
-
 def enumerate_vertices(
     spec: PolytopeSpec,
     budget: int = DEFAULT_BASIS_BUDGET,
@@ -399,13 +387,11 @@ def enumerate_vertices(
     rows) is solved; feasible solutions (to ``FEAS_TOL``) are vertices.
     Deterministic lexicographic output order.
 
-    A candidate is solved when its matrix passes the rank test
-    ``σ_min > RANK_TOL max(σ_max, 1)``.  One LU per candidate decides
-    nearly all of them (:func:`_full_rank_mask`): an exact zero pivot
-    rejects, and ``|det| / |M|_F^(d-1) > RANK_TOL max(|M|_F, 1)`` accepts,
-    which is a proof that the test passes because
-    ``σ_min >= |det| / σ_max^(d-1)`` and ``σ_max <= |M|_F``.  Singular values
-    are computed only for the few candidates in between.
+    A candidate whose LU has an exact zero pivot (the sign of its
+    ``slogdet``) is singular and skipped; every other one is solved.  A
+    feasible solution is a vertex when its matrix passes the rank test
+    ``σ_min > RANK_TOL max(σ_max, 1)``, so singular values are taken only
+    of the few candidates that land in the polytope.
 
     Raises
     ------
@@ -450,21 +436,20 @@ def enumerate_vertices(
             sel = np.fromiter(flat, np.intp, count=len(chunk) * s).reshape(-1, s)
             M[:, r_eq:, :] = spec.G[sel]
             rhs[:, r_eq:] = spec.h[sel]
-        ok = _full_rank_mask(M)
-        if not np.any(ok):
-            continue
-        X = np.linalg.solve(M[ok], rhs[ok][..., None])[..., 0]
+        ok = np.linalg.slogdet(M)[0] != 0  # a batched solve raises on a zero pivot
+        M = M[ok]
+        X = np.linalg.solve(M, rhs[ok][..., None])[..., 0]
         feas = np.ones(X.shape[0], dtype=bool)
         if spec.n_ineq:
             feas &= np.max(X @ spec.G.T - spec.h, axis=1) <= FEAS_TOL
         if spec.n_eq:
             feas &= np.max(np.abs(X @ spec.A.T - spec.b), axis=1) <= FEAS_TOL
-        if np.any(feas):
-            found.append(X[feas])
-    if not found:
+        sv = np.linalg.svd(M[feas], compute_uv=False)
+        found.append(X[feas][sv[:, -1] > RANK_TOL * np.maximum(sv[:, 0], 1.0)])
+    V = np.vstack(found)
+    if not V.size:
         raise EmptyFeasibleSet("no basic feasible solution found")
-    V = _dedup_rows(np.vstack(found))
-    return VertexSet(V)
+    return VertexSet(_dedup_rows(V))
 
 
 def geometry(

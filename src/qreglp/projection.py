@@ -37,10 +37,6 @@ from .polytope import (
     _unit_columns,
 )
 
-# Orders of unit rows at least this long are seeded in one batch; below it the
-# batch's fixed cost of about ten LAPACK calls exceeds the row loop.
-_BATCH_MIN_ROWS = 32
-
 
 @dataclass(frozen=True)
 class QlpInstance:
@@ -119,16 +115,15 @@ def _extend_independent(base_q: np.ndarray, G: np.ndarray, order, col: np.ndarra
     orthonormal rows ``base_q``, as :func:`polytope._extend_basis` keeps them.
     ``col`` holds the unit columns of ``G`` (:func:`polytope._unit_columns`).
 
-    When at least ``_BATCH_MIN_ROWS`` rows are visited and every one is a unit
-    row they are chosen in one batch instead, which near the rank tolerance
-    may keep other rows than the loop, or a dependent one;
-    :func:`min_distance_active_set` certifies the batch's choice.
+    An order made only of unit rows is chosen in one batch instead
+    (:func:`_extend_unit_rows`), whatever its length; near the rank tolerance
+    the batch may keep other rows than the loop, or a dependent one, and
+    :func:`min_distance_active_set` certifies its choice.
     """
     order = [int(j) for j in order]
-    if len(order) >= _BATCH_MIN_ROWS:
-        unit = col[order]
-        if np.all(unit >= 0):
-            return _extend_unit_rows(base_q, G, order, unit)
+    unit = col[order]
+    if order and np.all(unit >= 0):
+        return _extend_unit_rows(base_q, G, order, unit)
     return _extend_basis(base_q, G, order)[0]
 
 
@@ -252,6 +247,10 @@ def min_distance_active_set(
     (:attr:`PolytopeSpec.eq_reduction`), ``col`` the unit columns of ``G``
     (:attr:`PolytopeSpec.unit_columns`) and ``row_norms`` the norms of its
     rows (:attr:`PolytopeSpec.row_norms`); each is computed when not given.
+    The working set starts from the rows of ``w0`` still tight at ``x0``, then
+    the other tight rows, as :func:`_extend_independent` keeps them; should
+    its batch keep a dependent row, :attr:`_FreeSystem.full_rank` says so
+    and the row loop of :func:`polytope._extend_basis` seeds it again.
     Returns ``(x, working_set, eq_mult, ineq_mult, iters)`` where ``eq_mult``
     has one entry per row of ``A`` (zero on redundant rows, which are removed
     internally).

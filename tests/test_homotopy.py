@@ -247,25 +247,25 @@ def test_polytope_scale_covariance(seed, k):
     _assert_polytope_scale_covariant(seed, k)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="x* drifts by 4.9e-4 relative at scale 1e-6 while the breakpoints stay exact; "
-    "likely the absolute FEAS_TOL of tight_rows and _polish_min_norm",
-)
 def test_polytope_scale_covariance_tiny():
+    # At scale 1e-6 the absolute FEAS_TOL is 1e-3 of the polytope: the face
+    # must come from the tracer's events, not from re-detecting tight rows.
     _assert_polytope_scale_covariant(165, -6)
 
 
-def _with_redundant_rows(inst, seed):
+def _with_redundant_rows(inst, seed, rescale=False):
     # Up to two inequality rows appended again at a random positive scale,
-    # then every inequality row permuted: the same polytope.
+    # then, with ``rescale``, every inequality row and its h multiplied by
+    # 10^U(-2, 2), then every inequality row permuted: the same polytope.
     spec = inst.polytope
     rng = np.random.default_rng(seed)
     dup = rng.choice(spec.n_ineq, min(2, spec.n_ineq), replace=False)
     scale = rng.uniform(0.5, 3.0, dup.size)
     G = np.vstack([spec.G, scale[:, None] * spec.G[dup]])
     h = np.append(spec.h, scale * spec.h[dup])
+    if rescale:
+        row_scale = 10.0 ** rng.uniform(-2.0, 2.0, G.shape[0])
+        G, h = row_scale[:, None] * G, row_scale * h
     perm = rng.permutation(G.shape[0])
     redundant = PolytopeSpec(
         dim=spec.dim, A=spec.A, b=spec.b, G=G[perm], h=h[perm], feasible_point=spec.feasible_point
@@ -273,13 +273,13 @@ def _with_redundant_rows(inst, seed):
     return QlpInstance(redundant, inst.c)
 
 
-@given(seed=st.integers(0, 2**31 - 1))
-@example(seed=596)
-@example(seed=622)
-def test_redundant_rows_and_permutation_invariance(seed):
+@given(seed=st.integers(0, 2**31 - 1), rescale=st.booleans())
+@example(seed=596, rescale=False)
+@example(seed=622, rescale=False)
+def test_redundant_rows_and_permutation_invariance(seed, rescale):
     inst = random_polytope_instance(seed)
     path = trace_path(inst)
-    redundant = trace_path(_with_redundant_rows(inst, seed))
+    redundant = trace_path(_with_redundant_rows(inst, seed, rescale))
     assert redundant.n_segments == path.n_segments
     np.testing.assert_allclose(redundant.breakpoints, path.breakpoints, rtol=1e-9, atol=0.0)
     x_tol = 1e-9 * max(1.0, np.max(np.abs(path.x_star)))
@@ -537,7 +537,7 @@ def _reference_trace(inst):
     eta, x, warm = 0.0, project(spec, np.zeros(spec.dim)).x, None
     etas = [0.0]
     while True:
-        state = homotopy._make_state(unit, eta, x, warm)
+        state = homotopy._make_state(unit, eta, x, spec.tight_rows(x), warm)
         eta_next, event = homotopy.next_breakpoint(state)
         if isinstance(event, Stationary):
             return np.asarray(etas) / cost_norm

@@ -230,10 +230,13 @@ def test_closed_form_path_neg_id():
 def test_formula_matches_path_on_random_costs():
     for seed in range(6):
         n = 2 + seed % 5  # up to 6
-        inst = ot.build(cost=random_cost_matrix(100 + seed, n))
-        eta_formula = ot.ot_eta_star(inst)
-        eta_path = ot.trace_ot_path(inst).eta_star
-        assert abs(eta_formula - eta_path) <= 1e-7 * (1.0 + eta_path)
+        # Integer costs in {0, 1, 2} tie many entries and permutations.
+        ties = np.random.default_rng(100 + seed).integers(0, 3, size=(n, n)).astype(float)
+        for cost in (random_cost_matrix(100 + seed, n), ties):
+            inst = ot.build(cost=cost)
+            eta_formula = ot.ot_eta_star(inst)
+            eta_path = ot.trace_ot_path(inst).eta_star
+            assert abs(eta_formula - eta_path) <= 1e-7 * (1.0 + eta_path)
 
 
 def test_figure3_rows():

@@ -20,7 +20,7 @@ from qreglp import (
 )
 from qreglp.oracle import random_polytope_instance
 from qreglp.ot import birkhoff_polytope, permutation_matrices
-from qreglp.polytope import _full_rank_mask, _recession_ray
+from qreglp.polytope import _recession_ray
 
 
 def test_validate_interval(interval):
@@ -153,20 +153,26 @@ def test_enumeration_row_permutation_invariant():
     assert np.max(np.abs(v1 - v2)) <= 1e-9
 
 
-def test_full_rank_screen_outcomes(monkeypatch):
-    accept = np.eye(3) + 0.1  # |det| far above the bound: certified by the LU
-    zero_pivot = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    tilted = np.array([[1.0, 0.0, 0.0], [1.0, 1e-11, 0.0], [0.0, 0.0, 1.0]])  # angle 1e-11
-    small = np.diag([1e-6, 1e-6, 1.0])  # |det| 1e-12, yet sigma_min 1e-6
-    seen = []
-    real_svd = np.linalg.svd
-    monkeypatch.setattr(
-        np.linalg, "svd", lambda M, **kw: seen.append(M.copy()) or real_svd(M, **kw)
-    )
-    ok = _full_rank_mask(np.stack([accept, zero_pivot, tilted, small]))
-    assert ok.tolist() == [True, False, False, True]
-    # Only the band reaches the singular values, and they decide it both ways.
-    assert len(seen) == 1 and np.array_equal(seen[0], np.stack([tilted, small]))
+def test_enumeration_rank_rule():
+    # Three rows in R^3 give one candidate basis, M itself, and its solution
+    # v is feasible: v is a vertex exactly when M passes the rank rule.  The
+    # tilted basis has the larger |det| of the two near-singular ones, so no
+    # determinant test keeps the small one and rejects the tilted one.
+    cases = {
+        "plain": (np.eye(3) + 0.1, True),
+        "zero pivot": (np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]), False),
+        "angle 1e-11": (np.array([[1.0, 0.0, 0.0], [1.0, 1e-11, 0.0], [0.0, 0.0, 1.0]]), False),
+        "|det| 1e-12, sigma_min 1e-6": (np.diag([1e-6, 1e-6, 1.0]), True),
+    }
+    v = np.array([0.5, 0.25, 1.0])
+    for name, (M, kept) in cases.items():
+        try:
+            got = enumerate_vertices(PolytopeSpec(dim=3, G=M, h=M @ v)).vertices
+        except EmptyFeasibleSet:
+            got = np.zeros((0, 3))
+        expect = v[None, :] if kept else np.zeros((0, 3))
+        assert got.shape == expect.shape, name
+        assert np.max(np.abs(got - expect), initial=0.0) <= 1e-12, name
 
 
 def _box_plus_cuts(seed: int) -> tuple[PolytopeSpec, np.ndarray]:

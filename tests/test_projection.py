@@ -17,7 +17,6 @@ from qreglp.oracle import random_cost_matrix, random_polytope_instance
 from qreglp.ot import birkhoff_polytope
 from qreglp.polytope import _extend_basis
 from qreglp.projection import (
-    _BATCH_MIN_ROWS,
     KKT_TOL,
     _extend_independent,
     _extend_unit_rows,
@@ -218,9 +217,8 @@ def test_extend_independent_contract():
     assert _extend_independent(none, G, [1, 0], _unit_columns(G)) == [1]
     assert _extend_independent(none, G, [5, 0, 2, 4], _unit_columns(G)) == [5, 0, 2]
     assert _extend_independent(base_q, G, [5, 4], _unit_columns(G)) == [5]
-    # Long orders of unit rows are kept in one batch, which agrees with the
-    # row-by-row test away from the rank tolerance; it is called directly on
-    # the short orders below.
+    # An order of unit rows alone is kept in one batch, whatever its length,
+    # which agrees with the row-by-row test away from the rank tolerance.
     # On Birkhoff(3), once coordinates 1, 2 and 3 are fixed, edge 6 (row 2,
     # column 0) is a bridge of the free support graph, so fixing it too
     # depends on the equality rows alone.
@@ -232,7 +230,6 @@ def test_extend_independent_contract():
     assert _batch(base_q, G, [1, 2, 3, 6]) == [1, 2, 3]
     assert _batch(base_q, G, [6, 1, 2, 3]) == [6, 1, 2]
     rng = np.random.default_rng(11)
-    long_orders = 0
     for n in (2, 3, 4, 5, 6):
         spec = birkhoff_polytope(n)
         _, base_q = spec.eq_reduction
@@ -242,8 +239,6 @@ def test_extend_independent_contract():
             ref = _extend_basis(base_q, G2, list(order))[0]
             assert _extend_independent(base_q, G2, order, _unit_columns(G2)) == ref
             assert _batch(base_q, G2, order) == ref
-            long_orders += len(order) >= _BATCH_MIN_ROWS
-    assert long_orders > 0
     # Near the rank tolerance: a column of A scaled towards zero, or nearly
     # a copy of another.  The batch may then differ from the loop, but a
     # choice the kernel's full-rank test certifies is independent.
@@ -260,7 +255,9 @@ def test_extend_independent_contract():
         A_red = A[eq_idx]
         G3 = -np.eye(d) * rng.choice([1.0, 2.0, 1e-3], size=d)[:, None]
         order = list(rng.permutation(d))
-        kept = sorted(_batch(base_q, G3, order))
+        batch = _batch(base_q, G3, order)
+        assert _extend_independent(base_q, G3, order, _unit_columns(G3)) == batch
+        kept = sorted(batch)
         if _FreeSystem(A_red, G3, kept, _unit_columns(G3)).full_rank:
             rows = np.vstack([A_red, G3[kept]])
             rows /= np.linalg.norm(rows, axis=1)[:, None]
@@ -273,7 +270,7 @@ def test_extend_independent_contract():
 
 
 def _batch(base_q, G, order):
-    """The batch seed on an order of unit rows, whatever its length."""
+    """The batch seed on an order of unit rows, called directly."""
     order = [int(j) for j in order]
     return _extend_unit_rows(base_q, G, order, _unit_columns(G[order]))
 
