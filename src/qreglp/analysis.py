@@ -17,7 +17,6 @@ from .homotopy import SolutionPath, trace_path
 from .polytope import VertexSet, enumerate_vertices, geometry, suboptimality_gap
 from .projection import QlpInstance, project, solve_qlp
 
-_OPT_TOL = 1e-9
 _TIE_TOL = 1e-9
 _AUX_TOL = 1e-7
 _AUX_SAMPLES = 9
@@ -33,18 +32,18 @@ def suboptimality(inst: QlpInstance, eta: float, lp_value: float) -> float:
 def eta_star_formula(vs: VertexSet, c, x_star):
     """Closed-form threshold ``2 max <x*, x* - v> / <c, v - x*>``.
 
-    The maximum runs over non-optimal vertices; vertices whose cost gap is
-    within ``_OPT_TOL * (1 + |c|)`` count as optimal and are excluded.  Returns
-    ``(eta_star, argmax_indices)``; ties within ``1e-9`` relative are all
-    reported.  When every vertex is optimal the threshold is zero by
-    convention and the index list is empty.  A negative maximum (the
+    The maximum runs over the vertices that ``vs.optimal_mask`` leaves
+    unflagged; an unset mask is set by :meth:`VertexSet.mark_optimal`.
+    Returns ``(eta_star, argmax_indices)``; ties within ``1e-9`` relative
+    are all reported.  When every vertex is optimal the threshold is zero
+    by convention and the index list is empty.  A negative maximum (the
     origin projection already solves the LP) is clamped to zero.
     """
     c = np.asarray(c, dtype=float).ravel()
     x_star = np.asarray(x_star, dtype=float).ravel()
-    vals = vs.vertices @ c
-    gap = vals - vals.min()
-    nonopt = gap > _OPT_TOL * (1.0 + np.linalg.norm(c))
+    if vs.optimal_mask is None:
+        vs = vs.mark_optimal(c)
+    nonopt = ~vs.optimal_mask
     if not np.any(nonopt):
         return 0.0, np.zeros(0, dtype=int)
     V = vs.vertices[nonopt]
@@ -308,24 +307,21 @@ class AnalysisReport:
 def analyze(
     inst: QlpInstance,
     grid: int = 512,
-    path: SolutionPath | None = None,
-    vs: VertexSet | None = None,
     vertex_budget: int = 10**6,
 ) -> AnalysisReport:
     """Full report for one instance: path, threshold, bounds, curve.
 
-    Vertex-based quantities are filled in when the vertex set is supplied
-    or enumerable within budget, otherwise left as ``None`` with
-    ``agreement`` unset.
+    Traces the path once and enumerates the vertices within
+    ``vertex_budget`` candidate bases.  Vertex-based quantities are filled
+    in when the enumeration fits the budget, otherwise left as ``None``
+    with ``agreement`` unset.
     """
-    if path is None:
-        path = trace_path(inst)
+    path = trace_path(inst)
     c = inst.c
-    if vs is None:
-        try:
-            vs = enumerate_vertices(inst.polytope, budget=vertex_budget)
-        except BudgetExceeded:
-            vs = None
+    try:
+        vs = enumerate_vertices(inst.polytope, budget=vertex_budget)
+    except BudgetExceeded:
+        vs = None
 
     eta_formula = None
     argmax = None

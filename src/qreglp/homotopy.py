@@ -188,22 +188,15 @@ def _right_derivative(inst: QlpInstance, eta: float, x: np.ndarray, tight: np.nd
     return d, r, [int(tight[i]) for i in ws]
 
 
-def path_state(inst: QlpInstance, eta: float, x=None) -> PathState:
+def path_state(inst: QlpInstance, eta: float) -> PathState:
     """State of the tracer at ``eta``: point, tight rows, velocity.
 
-    ``x`` defaults to a fresh solve at ``eta`` (projection of the origin
-    when ``eta`` is zero), whose active set is the face; the face of a given
-    ``x`` is the rows tight within ``FEAS_TOL``.  Feed the result to
-    :func:`next_breakpoint`.
+    The point is a fresh solve at ``eta`` (projection of the origin when
+    ``eta`` is zero) and the face is that solve's active set.  Feed the
+    result to :func:`next_breakpoint`.
     """
-    spec = inst.polytope
-    if x is None:
-        res = project(spec, inst.target(eta))
-        x, tight = res.x, res.active_set
-    else:
-        x = np.asarray(x, dtype=float).ravel()
-        tight = spec.tight_rows(x, FEAS_TOL)
-    return _make_state(inst, float(eta), x, tight)
+    res = project(inst.polytope, inst.target(eta))
+    return _make_state(inst, float(eta), res.x, res.active_set)
 
 
 def _make_state(

@@ -12,8 +12,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .analysis import eta_star_formula
 from .errors import AllVerticesOptimal, NumericalBreakdown
-from .polytope import PolytopeSpec, VertexSet
+from .homotopy import trace_path
+from .polytope import PolytopeSpec, VertexSet, enumerate_vertices
 from .projection import QlpInstance, solve_qlp
 
 _TIE_TOL = 1e-9
@@ -282,10 +284,6 @@ def cross_check_instance(inst: QlpInstance, seed: int = 0, samples: int = 40) ->
     solution; the brute-force route recomputes it over the optimal hull,
     so a wrong endpoint shows up as disagreement.
     """
-    from .analysis import eta_star_formula
-    from .homotopy import trace_path
-    from .polytope import enumerate_vertices
-
     vs = enumerate_vertices(inst.polytope)
     marked = vs.mark_optimal(inst.c)
     _, opt_idx = lp_solve_bruteforce(vs, inst.c)

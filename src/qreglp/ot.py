@@ -17,7 +17,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
+from .analysis import eta_star_formula, slope_report
 from .errors import (
     AssumptionViolated,
     BudgetExceeded,
@@ -26,9 +28,9 @@ from .errors import (
     NumericalBreakdown,
 )
 from .homotopy import SolutionPath, trace_path
-from .oracle import lp_solve_bruteforce, min_norm_over_M
+from .oracle import min_norm_over_M
 from .polytope import PolytopeSpec, VertexSet
-from .projection import QlpInstance
+from .projection import QlpInstance, solve_qlp
 
 PERMUTATION_BUDGET = 8
 HOMOTOPY_BUDGET = 32
@@ -218,36 +220,30 @@ def from_json_dict(data: dict) -> OtInstance:
 def ot_eta_star(inst: OtInstance) -> float:
     """Exact stationarity threshold by permutation enumeration.
 
-    Evaluates ``2 n max <pi*, pi* - P> / <C, P - pi*>`` over non-optimal
-    permutation matrices ``P``; zero when every permutation is optimal.
-    Beyond the enumeration budget the separated-cost shortcut is tried:
-    when the optimal matching has zero cost, every other pairing is
-    strictly positive, and the cost is symmetric, the threshold has a
-    closed form without enumeration.
+    ``n`` times :func:`~qreglp.analysis.eta_star_formula` over the
+    permutation matrices, evaluated on the unscaled cost ``C`` so integer
+    costs stay exact (the solver's cost ``C / n`` multiplies the threshold
+    by ``n``).  :meth:`VertexSet.mark_optimal` decides which permutations
+    are optimal, and ``pi*`` is Wolfe's min-norm point of their hull; zero
+    when every permutation is optimal.  Beyond the enumeration budget the
+    separated-cost shortcut is tried: when the optimal matching has zero
+    cost, every other pairing is strictly positive, and the cost is
+    symmetric, the threshold has a closed form without enumeration.
     """
     n = inst.n
     if n == 1:
         return 0.0
     if n > PERMUTATION_BUDGET:
         return _eta_star_separated_fallback(inst)
-    P = permutation_matrices(n).reshape(-1, n * n)
-    vs = VertexSet(P)
-    _, opt_idx = lp_solve_bruteforce(vs, inst.scaled_cost.ravel())
-    if len(opt_idx) == len(P):
+    C = inst.cost.ravel()
+    vs = VertexSet(permutation_matrices(n).reshape(-1, n * n)).mark_optimal(C)
+    if vs.optimal_mask.all():
         return 0.0
-    pi_star = min_norm_over_M(P[opt_idx])
-    mask = np.ones(len(P), dtype=bool)
-    mask[opt_idx] = False
-    V = P[mask]
-    num = (pi_star - V) @ pi_star
-    den = (V - pi_star) @ inst.cost.ravel()
-    return max(float(2.0 * n * np.max(num / den)), 0.0)
+    return n * eta_star_formula(vs, C, min_norm_over_M(vs.optimal_vertices))[0]
 
 
 def _eta_star_separated_fallback(inst: OtInstance) -> float:
     """Closed-form threshold for separated symmetric costs, any size."""
-    from scipy.optimize import linear_sum_assignment
-
     sigma = linear_sum_assignment(inst.cost)[1]
     try:
         sb = separated_bounds(inst, sigma)
@@ -379,9 +375,6 @@ def figure3_experiment(
     from the segment's left breakpoint and its tight rows, steps to its own
     ``eta`` and is KKT-certified.
     """
-    from .analysis import slope_report
-    from .projection import solve_qlp
-
     rows = []
     for n in n_values:
         n = int(n)

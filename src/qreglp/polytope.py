@@ -62,7 +62,8 @@ class PolytopeSpec:
         Inequality block, shape (k, dim) and (k,).  May be empty.
     vertices : array_like, optional
         Explicit vertex list, shape (K, dim).  When given, enumeration
-        returns them directly after validation.
+        returns them directly after validation.  An empty list counts as
+        none and is stored as ``None``.
     feasible_point : array_like, optional
         A known feasible point, used to skip the feasibility phase.
     """
@@ -86,7 +87,7 @@ class PolytopeSpec:
         object.__setattr__(self, "h", _as_vector(self.h, G.shape[0], "h"))
         if self.vertices is not None:
             V = _as_matrix(self.vertices, self.dim, "vertices")
-            object.__setattr__(self, "vertices", V)
+            object.__setattr__(self, "vertices", V if V.shape[0] else None)
         if self.feasible_point is not None:
             p = _as_vector(self.feasible_point, self.dim, "feasible_point")
             object.__setattr__(self, "feasible_point", p)
@@ -191,6 +192,8 @@ class VertexSet:
 
     def __post_init__(self):
         self.vertices = np.atleast_2d(np.asarray(self.vertices, dtype=float))
+        if self.optimal_mask is not None:
+            self.optimal_mask = np.asarray(self.optimal_mask, dtype=bool)
 
     def __len__(self) -> int:
         return self.vertices.shape[0]
@@ -284,7 +287,7 @@ def _find_feasible_point(spec: PolytopeSpec) -> np.ndarray:
     """A feasible point, from the spec hint, a vertex, or a phase-1 LP."""
     if spec.feasible_point is not None and spec.contains(spec.feasible_point, START_TOL):
         return np.asarray(spec.feasible_point, dtype=float)
-    if spec.vertices is not None and len(spec.vertices):
+    if spec.vertices is not None:
         v = spec.vertices[0]
         if spec.contains(v, START_TOL):
             return np.asarray(v, dtype=float)

@@ -386,7 +386,7 @@ def project(
     held = dict(zip(W.tolist(), lam.tolist()))
     mults = np.array([held.get(j, 0.0) for j in active.tolist()])
 
-    if spec.vertices is not None and len(spec.vertices):
+    if spec.vertices is not None:
         residual = float(np.max((spec.vertices - x) @ (z - x)))
     else:
         residual = kkt

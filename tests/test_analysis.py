@@ -5,6 +5,7 @@ from qreglp import (
     DegeneratePath,
     PolytopeSpec,
     QlpInstance,
+    VertexSet,
     enumerate_vertices,
     trace_path,
 )
@@ -46,6 +47,16 @@ def test_eta_star_formula_interval(interval_inst):
     eta, argmax = eta_star_formula(vs, interval_inst.c, np.array([1.0]))
     assert eta == pytest.approx(2.0, abs=1e-12)
     assert np.allclose(vs.vertices[argmax], [[0.0]])
+
+
+def test_eta_star_formula_reads_the_optimal_mask(interval_inst):
+    # The formula excludes the vertices the mask flags, and marks an
+    # unmarked set itself: on [0, 1] with c = -1 only v = 1 is optimal.
+    c, x_star = interval_inst.c, np.array([1.0])
+    eta, argmax = eta_star_formula(VertexSet([[0.0], [1.0]], optimal_mask=[True, True]), c, x_star)
+    assert eta == 0.0 and argmax.size == 0
+    eta, argmax = eta_star_formula(VertexSet([[0.0], [1.0]]), c, x_star)
+    assert eta == 2.0 and argmax.tolist() == [0]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -79,6 +79,19 @@ def test_project_cert_failure_on_bogus_vertices(tmp_path, capsys):
     assert main(["project", str(f), "--eta", "5.0"]) == 2
 
 
+@pytest.mark.parametrize("command", [["project", "--eta", "0.7"], ["analyze"]])
+def test_empty_vertex_list_matches_no_key(interval_file, tmp_path, capsys, command):
+    data = json.loads(Path(interval_file).read_text())
+    data["vertices"] = []
+    empty = tmp_path / "empty_vertices.json"
+    empty.write_text(json.dumps(data))
+    outputs = []
+    for path in (interval_file, str(empty)):
+        assert main([command[0], path, *command[1:]]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_path_json(interval_file, capsys):
     assert main(["path", interval_file]) == 0
     out = json.loads(capsys.readouterr().out)

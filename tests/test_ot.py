@@ -4,16 +4,23 @@ import numpy as np
 import pytest
 
 from qreglp import (
+    AllVerticesOptimal,
     AssumptionViolated,
     BudgetExceeded,
     NaNInCost,
     NonSquareCost,
     NumericalBreakdown,
+    VertexSet,
     solve_qlp,
 )
 from qreglp.analysis import slope_report
 from qreglp.homotopy import SolutionPath, trace_path
-from qreglp.oracle import random_cost_matrix
+from qreglp.oracle import (
+    eta_star_bruteforce,
+    lp_solve_bruteforce,
+    min_norm_over_M,
+    random_cost_matrix,
+)
 from qreglp import ot
 
 
@@ -73,6 +80,30 @@ def test_ot_eta_star_neg_id(n):
 def test_ot_eta_star_quad(n):
     inst = ot.quad_cost_instance(n)
     assert ot.ot_eta_star(inst) == pytest.approx(2.0 * n**3, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_ot_eta_star_matches_oracle(n):
+    # The oracle decides the optimal permutations by its own tie rule on
+    # the scaled cost and loops over the rest; integer costs in {0, 1, 2}
+    # tie many permutations, and sometimes all of them.
+    P = ot.permutation_matrices(n).reshape(-1, n * n)
+    all_optimal = 0
+    for s in range(24):
+        ties = np.random.default_rng(s).integers(0, 3, (n, n))
+        for C in (random_cost_matrix(s, n), ties):
+            got = ot.ot_eta_star(ot.build(cost=C))
+            c = np.asarray(C, dtype=float).ravel() / n
+            x_star = min_norm_over_M(P[lp_solve_bruteforce(VertexSet(P), c)[1]])
+            try:
+                want = eta_star_bruteforce(VertexSet(P), c, x_star)
+            except AllVerticesOptimal:
+                all_optimal += 1
+                assert got == 0.0
+                continue
+            assert abs(got - want) <= 1e-10 * want
+    if n == 2:
+        assert all_optimal
 
 
 def test_ot_eta_star_budget():

@@ -91,6 +91,14 @@ def test_validate_empty():
         validate(spec)
 
 
+def test_empty_vertex_list_counts_as_none(interval):
+    spec = PolytopeSpec(dim=1, G=interval.G, h=interval.h, vertices=[])
+    assert spec.vertices is None
+    data = {"dim": 1, "G": interval.G.tolist(), "h": interval.h.tolist(), "vertices": []}
+    assert PolytopeSpec.from_json_dict(data).vertices is None
+    assert np.array_equal(enumerate_vertices(spec).vertices, [[0.0], [1.0]])
+
+
 def test_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         PolytopeSpec(dim=2, G=[[1.0, 0.0, 0.0]], h=[1.0])
