@@ -5,7 +5,7 @@ Each comment states the decision and the scale the value multiplies.  The checki
 judges the solver.
 """
 
-FEAS_TOL = 1e-9  # a row is tight at slack <= this, and holds at slack >= -this (absolute)
+FEAS_TOL = 1e-9  # a row holds at slack >= -this (absolute); ZERO_TOL decides which rows are tight
 START_TOL = 1e-7  # a given start point (hint, first vertex, warm start) holds every row to this
 START_INFEAS_TOL = 1e-6  # the kernel refuses a start point that breaks a row by more (absolute)
 DEDUP_TOL = 1e-9  # two vertices are one point when no coordinate differs by more (absolute)
@@ -14,7 +14,7 @@ EXTREME_RANK_TOL = 1e-8  # a vertex's tight rows have rank dim above this singul
 RECESSION_TOL = 1e-7  # unbounded if unit-row [A; G] has sigma_min <= this or the ray LP exceeds it
 RANK_TOL = 1e-10  # independent: residual > this max(1, |row|); sigma_min > this max(1, sigma_max)
 FULL_RANK_TOL = 1e-9  # working-set rows are independent when min |R_ii| > this max(1, max |R_ii|)
-ZERO_TOL = 1e-12  # a step, residual or direction is zero at <= this times 1 + the norms of its data
+ZERO_TOL = 1e-12  # zero at <= this times (1 +) the data's norms: a step, residual, direction, slack
 ROUNDING_FLOOR = 1e-13  # rates <= this times their scale never cross; exit times are raised to it
 TIE_TOL = 1e-10  # a crossing time within this times 1 + t_min of the first ties with it
 SEGMENT_TOL = 1e-11  # a tight row carries the moving piece when |g . d| <= this (1 + |g| |d|)

@@ -37,8 +37,10 @@ def _load_instance(path: str):
     spec = PolytopeSpec.from_json_dict(data)
     if "c" not in data:
         raise ValueError("instance file lacks a cost vector 'c'")
-    spec = validate(spec).spec
-    return QlpInstance(spec, np.asarray(data["c"], dtype=float)), None
+    report = validate(spec)
+    if not report.vertex_consistent:
+        raise ValueError("a listed vertex is not a vertex of the polytope")
+    return QlpInstance(report.spec, np.asarray(data["c"], dtype=float)), None
 
 
 def _cmd_project(args) -> int:

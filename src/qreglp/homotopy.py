@@ -372,9 +372,7 @@ def trace_path(inst: QlpInstance, max_segments: int | None = None) -> SolutionPa
         seg_sets.append(J)
         certs.append((left, right))
         eta, x, warm = float(eta_next), x_next, state.cone_ws
-        # The landing's face is the rows tight by construction, whatever the
-        # rounding that ``x + s d`` gathered along a long step.
-        tight = np.union1d(J, event.rows)
+        tight = spec.tight_rows(x, inst.target(eta))
     else:
         raise MaxSegmentsExceeded(f"more than {max_segments} path segments")
 

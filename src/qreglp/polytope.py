@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from ._tolerances import (DEDUP_TOL, EXTREME_RANK_TOL, FEAS_TOL, OPT_TOL, RANK_TOL,
-                          RECESSION_TOL, START_TOL)
+                          RECESSION_TOL, START_TOL, ZERO_TOL)
 from .errors import (
     AllVerticesOptimal,
     BudgetExceeded,
@@ -125,12 +125,11 @@ class PolytopeSpec:
             return False
         return True
 
-    def tight_rows(self, x, tol: float = FEAS_TOL) -> np.ndarray:
-        """Indices of inequality rows active at ``x`` (within ``tol``)."""
-        if self.n_ineq == 0:
-            return np.zeros(0, dtype=int)
-        slack = self.h - self.G @ np.asarray(x, dtype=float).ravel()
-        return np.flatnonzero(slack <= tol)
+    def tight_rows(self, x, z) -> np.ndarray:
+        """Inequality rows tight at ``x``, the projection of ``z`` (:func:`_tight_rows`)."""
+        x = np.asarray(x, dtype=float).ravel()
+        scale = float(np.linalg.norm(x)) + float(np.linalg.norm(z))
+        return _tight_rows(self.h - self.G @ x, self.h, self.row_norms, scale)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -245,6 +244,12 @@ def _dedup_rows(V: np.ndarray) -> np.ndarray:
         if np.min(np.max(np.abs(K - row), axis=1)) > DEDUP_TOL:
             kept.append(row)
     return np.asarray(kept)
+
+
+def _tight_rows(slack, h, row_norms, scale: float) -> np.ndarray:
+    """The one rule for which rows ``g_i x <= h_i`` are tight: ``slack_i <= ZERO_TOL (|h_i| +
+    |g_i| scale)``, with ``scale = |x| + |z|`` for the point ``x`` and the point ``z`` projected."""
+    return np.flatnonzero(slack <= ZERO_TOL * (np.abs(h) + row_norms * scale))
 
 
 def _unit_columns(G: np.ndarray) -> np.ndarray:
@@ -367,14 +372,9 @@ def validate(spec: PolytopeSpec) -> ValidationReport:
 
 
 def _is_extreme(spec: PolytopeSpec, v: np.ndarray) -> bool:
-    """Extreme-point certificate: active constraints have full rank."""
-    rows = [spec.A] if spec.n_eq else []
-    tight = spec.tight_rows(v, 10 * FEAS_TOL)
-    if tight.size:
-        rows.append(spec.G[tight])
-    if not rows:
-        return False
-    M = np.vstack(rows)
+    """Extreme-point certificate: the rows tight at ``v`` have full rank.  ``v`` comes from
+    outside the program, so a row is tight at the absolute slack ``10 FEAS_TOL``."""
+    M = np.vstack([spec.A, spec.G[spec.h - spec.G @ v <= 10 * FEAS_TOL]])
     return np.linalg.matrix_rank(M, tol=EXTREME_RANK_TOL) == spec.dim
 
 

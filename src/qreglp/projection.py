@@ -26,14 +26,15 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from ._tolerances import (CERTIFY_TOL, FEAS_TOL, FULL_RANK_TOL, KKT_TOL, MULT_TOL, RANK_TOL,
-                          ROUNDING_FLOOR, START_INFEAS_TOL, START_TOL, TIE_TOL, ZERO_TOL)
+from ._tolerances import (CERTIFY_TOL, FULL_RANK_TOL, KKT_TOL, MULT_TOL, RANK_TOL, ROUNDING_FLOOR,
+                          START_INFEAS_TOL, START_TOL, TIE_TOL, ZERO_TOL)
 from .errors import MaxIterationsExceeded, NumericalBreakdown, ShapeMismatch
 from .polytope import (
     PolytopeSpec,
     VertexSet,
     _extend_basis,
     _find_feasible_point,
+    _tight_rows,
     _unit_columns,
 )
 
@@ -69,7 +70,7 @@ class QlpInstance:
 class ProjectionResult:
     """Projection output with a checkable optimality certificate.
 
-    ``active_set`` lists every inequality row tight at ``x``;
+    ``active_set`` lists every inequality row tight at ``x`` (:meth:`PolytopeSpec.tight_rows`);
     ``multipliers`` holds one Lagrange multiplier per tight row (zero for
     tight rows outside the working set).  ``residual`` is the largest
     variational-inequality violation over the polytope's attached vertices,
@@ -272,14 +273,13 @@ def min_distance_active_set(
 
     col = _unit_columns(G) if col is None else col
     g_norm = np.linalg.norm(G, axis=1) if row_norms is None else row_norms
-    slack = h - G @ x if k else np.zeros(0)
-    tight = np.flatnonzero(slack <= FEAS_TOL) if k else np.zeros(0, dtype=int)
-    if w0 is None:
-        order = tight
-    else:
-        w0 = [int(j) for j in w0 if k and slack[j] <= FEAS_TOL]
-        order = list(dict.fromkeys(list(w0) + list(tight)))
-    W = sorted(_extend_independent(base_q, G, order, col)) if k else []
+    # |x0| keeps the tight-row and zero-step tests relative far from the origin.
+    scale = float(np.linalg.norm(z)) + float(np.linalg.norm(x))
+    order = _tight_rows(h - G @ x, h, g_norm, scale)
+    if w0 is not None:  # the rows of w0 still tight go first
+        held = set(order.tolist())
+        order = list(dict.fromkeys([int(j) for j in w0 if int(j) in held] + order.tolist()))
+    W = sorted(_extend_independent(base_q, G, order, col))
     system = _FreeSystem(A_red, G, W, col)
     if not system.full_rank:  # the batch seed kept a dependent row
         W = sorted(_extend_basis(base_q, G, order)[0])
@@ -287,8 +287,6 @@ def min_distance_active_set(
     # Later working sets stay independent: a drop removes a row, and a row
     # enters only when the step moves against it and it extends the span.
 
-    # |x0| keeps the zero-step test relative on a polytope far from the origin.
-    zscale = 1.0 + float(np.linalg.norm(z)) + float(np.linalg.norm(x))
     it = 0
     while it < max_iter:
         it += 1
@@ -297,7 +295,7 @@ def min_distance_active_set(
         v = z - x
         dvec = system.project(v)
         nd = np.linalg.norm(dvec)
-        if nd <= ZERO_TOL * zscale:
+        if nd <= ZERO_TOL * (1.0 + scale):
             y = system.multipliers(v)
             neg = np.flatnonzero(y[m_red:] < -MULT_TOL)
             if neg.size == 0:
@@ -382,7 +380,7 @@ def project(
     if kkt > KKT_TOL * (1.0 + np.linalg.norm(z)):
         raise NumericalBreakdown(f"KKT stationarity residual {kkt:.2e}")
 
-    active = spec.tight_rows(x, FEAS_TOL)
+    active = spec.tight_rows(x, z)
     held = dict(zip(W.tolist(), lam.tolist()))
     mults = np.array([held.get(j, 0.0) for j in active.tolist()])
 

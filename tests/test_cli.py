@@ -65,8 +65,8 @@ def test_project_bad_eta(interval_file):
     assert main(["project", interval_file, "--eta", "-1.0"]) == 1
 
 
-def test_project_cert_failure_on_bogus_vertices(tmp_path, capsys):
-    # A vertex list that is wildly wrong must trip the certificate.
+def test_project_rejects_bogus_vertices(tmp_path, capsys):
+    # A vertex list that is wildly wrong is bad input.
     data = {
         "dim": 1,
         "G": [[1.0], [-1.0]],
@@ -76,7 +76,25 @@ def test_project_cert_failure_on_bogus_vertices(tmp_path, capsys):
     }
     f = tmp_path / "bogus.json"
     f.write_text(json.dumps(data))
-    assert main(["project", str(f), "--eta", "5.0"]) == 2
+    assert main(["project", str(f), "--eta", "5.0"]) == 1
+    assert "not a vertex" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [[0.5, 0.5], [1.2, 0.0]], ids=["interior", "infeasible"])
+@pytest.mark.parametrize("command", [["project", "--eta", "1.0"], ["analyze"]])
+def test_inconsistent_vertex_list_exits_1(tmp_path, capsys, command, extra):
+    # Three corners of the unit square plus a point that is no vertex of it.
+    data = {
+        "dim": 2,
+        "G": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+        "h": [1.0, 1.0, 0.0, 0.0],
+        "vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], extra],
+        "c": [-1.0, -0.5],
+    }
+    f = tmp_path / "square.json"
+    f.write_text(json.dumps(data))
+    assert main([command[0], str(f), *command[1:]]) == 1
+    assert "not a vertex" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [["project", "--eta", "0.7"], ["analyze"]])

@@ -406,3 +406,20 @@ def test_warm_start_redundant_row():
     assert np.max(np.abs(x_warm - x_cold)) <= 1e-12
     rank_a = np.linalg.matrix_rank(A)
     assert np.linalg.matrix_rank(np.vstack([A, G[W]])) == rank_a + len(W)
+
+
+@pytest.mark.parametrize("k", [-6, 6])
+def test_active_set_scale_covariance(k):
+    # proj_{sP}(s z) = s proj_P(z), and the rows tight there are the same.
+    s = 10.0**k
+    for seed in range(20):
+        inst = random_polytope_instance(seed)
+        spec = inst.polytope
+        scaled = PolytopeSpec(
+            dim=spec.dim, A=spec.A, b=s * spec.b, G=spec.G, h=s * spec.h,
+            feasible_point=s * spec.feasible_point,
+        )
+        for eta in (1.0, 10.0):
+            z = inst.target(eta)
+            expect = project(spec, z).active_set
+            np.testing.assert_array_equal(project(scaled, s * z).active_set, expect)
