@@ -70,7 +70,9 @@ class QlpInstance:
 class ProjectionResult:
     """Projection output with a checkable optimality certificate.
 
-    ``active_set`` lists every inequality row tight at ``x`` (:meth:`PolytopeSpec.tight_rows`);
+    ``active_set`` lists every inequality row tight at ``x`` (:meth:`PolytopeSpec.tight_rows`:
+    slack at most ``ZERO_TOL (|h_i| + |g_i| (|x| + |z|))`` for the target ``z``), so far from
+    the polytope it can include a row whose slack is up to about ``1e-12 |g_i| |z|``;
     ``multipliers`` holds one Lagrange multiplier per tight row (zero for
     tight rows outside the working set).  ``residual`` is the largest
     variational-inequality violation over the polytope's attached vertices,

@@ -97,6 +97,54 @@ def test_inconsistent_vertex_list_exits_1(tmp_path, capsys, command, extra):
     assert "not a vertex" in capsys.readouterr().err
 
 
+def test_project_exit_2_on_wrong_point(tmp_path, monkeypatch, capsys):
+    # A solver fault: the corner (0, 0) returned for the target (0.5, 0.25) of the unit
+    # square breaks the variational inequality at its listed vertices by 0.75.
+    from dataclasses import replace
+
+    from qreglp import cli
+
+    real = cli.solve_qlp
+
+    def wrong(inst, eta):
+        res = real(inst, eta)
+        x = np.zeros(2)
+        residual = float(np.max((inst.polytope.vertices - x) @ (inst.target(eta) - x)))
+        return replace(res, x=x, residual=residual)
+
+    monkeypatch.setattr(cli, "solve_qlp", wrong)
+    data = {
+        "dim": 2,
+        "G": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+        "h": [1.0, 1.0, 0.0, 0.0],
+        "vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+        "c": [-1.0, -0.5],
+    }
+    f = tmp_path / "square.json"
+    f.write_text(json.dumps(data))
+    assert main(["project", str(f), "--eta", "1.0"]) == 2
+    assert json.loads(capsys.readouterr().out)["residual"] == pytest.approx(0.75)
+
+
+def test_scaled_vertex_list_round_trips(tmp_path, capsys):
+    # Vertices the program enumerates on a polytope scaled by 1e7, written with
+    # ``to_json_dict``, load as a consistent list and trace.
+    from dataclasses import replace
+
+    from qreglp.oracle import random_polytope_instance
+    from qreglp.polytope import enumerate_vertices
+
+    for seed in range(20):
+        inst = random_polytope_instance(seed)
+        spec = inst.polytope
+        scaled = replace(spec, h=1e7 * spec.h, feasible_point=1e7 * spec.feasible_point)
+        listed = replace(scaled, vertices=enumerate_vertices(scaled).vertices)
+        f = tmp_path / f"scaled{seed}.json"
+        f.write_text(json.dumps({**listed.to_json_dict(), "c": inst.c.tolist()}))
+        assert main(["path", str(f)]) == 0, seed
+    assert "error" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [["project", "--eta", "0.7"], ["analyze"]])
 def test_empty_vertex_list_matches_no_key(interval_file, tmp_path, capsys, command):
     data = json.loads(Path(interval_file).read_text())

@@ -423,3 +423,19 @@ def test_active_set_scale_covariance(k):
             z = inst.target(eta)
             expect = project(spec, z).active_set
             np.testing.assert_array_equal(project(scaled, s * z).active_set, expect)
+
+
+def test_active_set_tolerance_grows_with_target():
+    # The cut x1 + x2 <= 2 + 1e-4 misses the corner (1, 1) by 1e-4.  At eta = 1e9 the
+    # target is 7e8 away, the tight-row tolerance ZERO_TOL (|h| + |g| (|x| + |z|)) is
+    # about 1e-3, and the cut is reported tight with multiplier zero; at eta = 10 it is not.
+    G = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
+    spec = PolytopeSpec(dim=2, G=G, h=np.array([1.0, 1.0, 0.0, 0.0, 2.0 + 1e-4]))
+    inst = QlpInstance(spec, np.array([-1.0, -1.0]))
+    near = solve_qlp(inst, 10.0)
+    np.testing.assert_array_equal(near.active_set, [0, 1])
+    far = solve_qlp(inst, 1e9)
+    np.testing.assert_array_equal(far.x, [1.0, 1.0])
+    np.testing.assert_array_equal(far.active_set, [0, 1, 4])
+    assert far.multipliers[2] == 0.0
+    np.testing.assert_array_equal(far.working_set, [0, 1])
