@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import AllVerticesOptimal, BudgetExceeded, DegeneratePath
 from .homotopy import SolutionPath, trace_path
-from .polytope import VertexSet, enumerate_vertices, geometry, suboptimality_gap
+from .polytope import (DEFAULT_BASIS_BUDGET, VertexSet, enumerate_vertices, geometry,
+                       suboptimality_gap)
 from .projection import QlpInstance, project, solve_qlp
 
 _TIE_TOL = 1e-9
@@ -307,14 +308,15 @@ class AnalysisReport:
 def analyze(
     inst: QlpInstance,
     grid: int = 512,
-    vertex_budget: int = 10**6,
+    vertex_budget: int = DEFAULT_BASIS_BUDGET,
 ) -> AnalysisReport:
     """Full report for one instance: path, threshold, bounds, curve.
 
-    Traces the path once and enumerates the vertices within
-    ``vertex_budget`` candidate bases.  Vertex-based quantities are filled
-    in when the enumeration fits the budget, otherwise left as ``None``
-    with ``agreement`` unset.
+    Traces the path once and enumerates the vertices with at most
+    ``vertex_budget`` rays held plus zero-set tests in any step of the
+    enumeration.
+    Vertex-based quantities are filled in when the enumeration fits the
+    budget, otherwise left as ``None`` with ``agreement`` unset.
     """
     path = trace_path(inst)
     c = inst.c

@@ -172,7 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=int(os.environ.get("QREG_BUDGET", DEFAULT_BASIS_BUDGET)),
-        help="vertex-enumeration candidate budget (env QREG_BUDGET)",
+        help="vertex-enumeration budget: most rays held plus zero-set tests in one step "
+        "(env QREG_BUDGET)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -2,14 +2,15 @@
 
 A polytope is described by equalities ``A x = b`` and inequalities
 ``G x <= h`` (nonnegativity is encoded as rows of ``G``), optionally
-accompanied by an explicit vertex list.  All enumeration here is meant for
-desk-scale instances and guarded by an explicit work budget.
+accompanied by an explicit vertex list.  Vertices are enumerated by the
+double description method on the homogenized cone, so the work grows with
+the number of vertices and rows rather than with the number of candidate
+bases.  A budget caps the work of each step of the method, the rays
+held plus the zero-set tests it runs, and is charged before the step runs.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -26,7 +27,7 @@ from .errors import (
     UnboundedSet,
 )
 
-DEFAULT_BASIS_BUDGET = 10**6
+DEFAULT_BASIS_BUDGET = 10**7
 DEFAULT_PAIRWISE_BUDGET = 4096
 
 
@@ -234,16 +235,21 @@ def _lexsorted(V: np.ndarray) -> np.ndarray:
 
 
 def _dedup_rows(V: np.ndarray) -> np.ndarray:
-    """Drop rows that duplicate an earlier row in the infinity norm."""
+    """Drop rows that duplicate an earlier row in the infinity norm.
+
+    Rows are visited in lexicographic order, so a row can only duplicate an
+    earlier one whose first coordinate is within ``DEDUP_TOL`` of its own;
+    only those are compared.
+    """
     V = _lexsorted(V)
-    if V.shape[0] <= 1:
-        return V
-    kept = [V[0]]
-    for row in V[1:]:
-        K = np.asarray(kept)
-        if np.min(np.max(np.abs(K - row), axis=1)) > DEDUP_TOL:
-            kept.append(row)
-    return np.asarray(kept)
+    first = V[:, 0]
+    lo = np.searchsorted(first, first - DEDUP_TOL)
+    keep = np.ones(V.shape[0], dtype=bool)
+    for i in np.flatnonzero(lo < np.arange(V.shape[0])):
+        near = V[lo[i]:i][keep[lo[i]:i]]
+        if near.size and np.min(np.max(np.abs(near - V[i]), axis=1)) <= DEDUP_TOL:
+            keep[i] = False
+    return V[keep]
 
 
 def _tight_rows(slack, h, row_norms, scale: float) -> np.ndarray:
@@ -378,6 +384,93 @@ def _is_extreme(spec: PolytopeSpec, v: np.ndarray) -> bool:
     return np.linalg.matrix_rank(M, tol=EXTREME_RANK_TOL) == spec.dim
 
 
+def _check_budget(rays: int, tests: int, budget: int) -> None:
+    if rays + tests > budget:
+        raise BudgetExceeded(
+            f"{rays} rays held and {tests} zero-set tests exceed budget {budget}; "
+            "use the homotopy path instead of vertex formulas"
+        )
+
+
+def _adjacent_pairs(Z: np.ndarray, plus: np.ndarray, minus: np.ndarray, need: int,
+                    budget: int):
+    """Pairs ``(plus[a], minus[b])`` of rays whose common zero set has at least
+    ``need`` rows and lies in no third ray's zero set.
+
+    ``Z`` holds the zero sets as 0/1 rows, so both tests are matrix
+    products: ``Z[p] @ Z[q].T`` counts common zeros, and a ray holds a set
+    when the set meets none of the ray's nonzero rows.  Each test is
+    charged against ``budget``, with the rays held, before it runs: first
+    the pairs, then each pair that has enough common zeros times the rays
+    that could hold its set.  Work runs in chunks of about ``2**21``
+    products, so memory does not grow with the pairs times the rays.
+    """
+    rays = Z.shape[0]
+    _check_budget(rays, plus.size * minus.size, budget)
+    chunk = 1 << 21
+    step = max(1, chunk // max(1, minus.size))
+    Zq = Z[minus].T
+    pa, qb = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
+    for lo in range(0, plus.size, step):
+        p = plus[lo:lo + step]
+        a, b = np.nonzero(Z[p] @ Zq >= need)
+        pa.append(p[a])
+        qb.append(minus[b])
+    pa, qb = np.concatenate(pa), np.concatenate(qb)
+    _check_budget(rays, plus.size * minus.size + pa.size * rays, budget)
+    outside = 1 - Z
+    per = max(1, chunk // rays)
+    adj = np.zeros(pa.size, dtype=bool)
+    for lo in range(0, pa.size, per):
+        common = Z[pa[lo:lo + per]] * Z[qb[lo:lo + per]]
+        adj[lo:lo + per] = np.count_nonzero(common @ outside.T == 0, axis=1) == 2
+    return pa[adj], qb[adj]  # only the pair itself holds its common set
+
+
+def _double_description(M: np.ndarray, budget: int) -> np.ndarray:
+    """Zero sets of the extreme rays of the pointed cone ``{w : M w <= 0}``.
+
+    ``M`` has unit rows.  The seed is the cone of ``len(w)`` independent
+    rows picked by :func:`_extend_basis` in row order; every other row is
+    then added in turn (Motzkin et al. 1953; Fukuda & Prodon 1996).  A ray
+    is zero on a row when ``|row . ray| <= ZERO_TOL`` (unit ray).  Rays
+    positive on the new row go; each pair of a positive and a negative ray
+    that is adjacent gives a new ray on the row.  Adjacency is decided
+    from the zero sets alone: the pair's common zero set has at least
+    ``len(w) - 2`` rows and lies in no third ray's zero set.
+
+    Returns the zero sets as a bool array, one row per ray and one column
+    per row of ``M``; it has no rows when ``M`` has rank below ``len(w)``.
+    Each step's zero-set tests plus the rays held are charged against
+    ``budget`` before the tests run (:func:`_adjacent_pairs`), and
+    :class:`BudgetExceeded` is raised when they pass it.  A new ray comes
+    from a tested pair, so the rays held never pass the budget either.
+    """
+    n, m = M.shape
+    seed, _ = _extend_basis(np.zeros((0, m)), M, range(n))
+    if len(seed) < m:  # the cone holds a line, so it has no extreme ray
+        return np.zeros((0, n), dtype=bool)
+    _check_budget(m, 0, budget)
+    R = -np.linalg.solve(M[seed], np.eye(m)).T  # M[seed] @ R[j] = -e_j
+    R /= np.linalg.norm(R, axis=1)[:, None]
+    Z = np.zeros((m, n), dtype=np.float32)  # zero sets as 0/1 rows
+    Z[:, seed] = 1 - np.eye(m, dtype=np.float32)
+    for i in sorted(set(range(n)) - set(seed)):
+        v = R @ M[i]
+        keep = v <= ZERO_TOL
+        Z[np.abs(v) <= ZERO_TOL, i] = 1
+        if keep.all():
+            continue
+        p, q = _adjacent_pairs(Z, np.flatnonzero(~keep), np.flatnonzero(v < -ZERO_TOL), m - 2,
+                               budget)
+        W = v[p, None] * R[q] - v[q, None] * R[p]
+        Zw = Z[p] * Z[q]
+        Zw[:, i] = 1
+        R = np.vstack([R[keep], W / np.linalg.norm(W, axis=1)[:, None]])
+        Z = np.vstack([Z[keep], Zw])
+    return Z > 0
+
+
 def enumerate_vertices(
     spec: PolytopeSpec,
     budget: int = DEFAULT_BASIS_BUDGET,
@@ -385,74 +478,80 @@ def enumerate_vertices(
     """Enumerate all extreme points of the polytope.
 
     If the spec carries an explicit vertex list it is deduplicated,
-    sorted, and returned.  Otherwise every candidate basis (a size-
-    ``dim - rank(A)`` subset of inequality rows stacked on the equality
-    rows) is solved; feasible solutions (to ``FEAS_TOL``) are vertices.
-    Deterministic lexicographic output order.
-
-    A candidate whose LU has an exact zero pivot (the sign of its
-    ``slogdet``) is singular and skipped; every other one is solved.  A
-    feasible solution is a vertex when its matrix passes the rank test
-    ``σ_min > RANK_TOL max(σ_max, 1)``, so singular values are taken only
-    of the few candidates that land in the polytope.
+    sorted, and returned.  Otherwise the affine hull ``A x = b`` is
+    written as ``x0 + N y`` and the vertices are read off the extreme rays
+    of the cone ``{(y, t) : G N y - (h - G x0) t / L <= 0, t >= 0}`` with
+    unit rows, found by :func:`_double_description`.  ``L``, the largest
+    distance from ``x0`` to a row's hyperplane in the hull, measures ``t``
+    in the polytope's own unit of length, so the zero test on the rays
+    does not change when the polytope is scaled.  A ray with ``t = 0`` is
+    a recession direction and is dropped.  Each vertex is solved from its
+    tight rows: the equality rows of ``spec.eq_reduction`` stacked on the
+    tight inequality rows in ascending order, or on the independent ones
+    :func:`_extend_basis` keeps when more than ``dim - rank(A)`` are
+    tight.  A row of ``G`` that is constant on the affine hull (zero
+    there to ``RANK_TOL``) bounds nothing: it is dropped, or the set is
+    empty when ``x0`` breaks it.  Deterministic lexicographic output
+    order.
 
     Raises
     ------
     BudgetExceeded
-        If the number of candidate bases exceeds ``budget``.
+        If a step of the cone pass would hold rays and run zero-set tests
+        that number more than ``budget`` (:func:`_double_description`).
     """
     if spec.vertices is not None:
         return VertexSet(_dedup_rows(spec.vertices))
 
     d = spec.dim
-    eq_idx, _ = spec.eq_reduction
+    eq_idx, base_q = spec.eq_reduction
     A_red = spec.A[eq_idx]
     b_red = spec.b[eq_idx]
     r_eq = A_red.shape[0]
     s = d - r_eq
-    k = spec.n_ineq
-    if s > k:
+    if s > spec.n_ineq:
         raise UnboundedSet(
             "fewer inequality rows than the codimension of the equality "
             "block; a nonempty region of this form has no vertices"
         )
-    n_cand = math.comb(k, s)
-    if n_cand > budget:
-        raise BudgetExceeded(
-            f"{n_cand} candidate bases exceed budget {budget}; "
-            "use the homotopy path instead of vertex formulas"
-        )
-
-    found = []
-    combos = itertools.combinations(range(k), s)
-    chunk_size = 32768
-    while True:
-        chunk = list(itertools.islice(combos, chunk_size))
-        if not chunk:
-            break
-        M = np.empty((len(chunk), d, d))
-        rhs = np.empty((len(chunk), d))
-        M[:, :r_eq, :] = A_red
-        rhs[:, :r_eq] = b_red
-        if s:
-            flat = itertools.chain.from_iterable(chunk)
-            sel = np.fromiter(flat, np.intp, count=len(chunk) * s).reshape(-1, s)
-            M[:, r_eq:, :] = spec.G[sel]
-            rhs[:, r_eq:] = spec.h[sel]
-        ok = np.linalg.slogdet(M)[0] != 0  # a batched solve raises on a zero pivot
-        M = M[ok]
-        X = np.linalg.solve(M, rhs[ok][..., None])[..., 0]
-        feas = np.ones(X.shape[0], dtype=bool)
-        if spec.n_ineq:
-            feas &= np.max(X @ spec.G.T - spec.h, axis=1) <= FEAS_TOL
-        if spec.n_eq:
-            feas &= np.max(np.abs(X @ spec.A.T - spec.b), axis=1) <= FEAS_TOL
-        sv = np.linalg.svd(M[feas], compute_uv=False)
-        found.append(X[feas][sv[:, -1] > RANK_TOL * np.maximum(sv[:, 0], 1.0)])
-    V = np.vstack(found)
-    if not V.size:
+    x0 = base_q.T @ np.linalg.solve(A_red @ base_q.T, b_red)
+    N = np.linalg.qr(base_q.T, mode="complete")[0][:, r_eq:]  # orthonormal, A N = 0
+    size = np.linalg.norm(x0)
+    off = np.abs(spec.b - spec.A @ x0)
+    if np.any(off > ZERO_TOL * (np.abs(spec.b) + np.linalg.norm(spec.A, axis=1) * size)):
+        raise EmptyFeasibleSet("the equality rows are inconsistent")
+    GN = spec.G @ N
+    slack = spec.h - spec.G @ x0
+    flat = np.linalg.norm(GN, axis=1) <= RANK_TOL * np.maximum(spec.row_norms, 1.0)
+    if np.any(flat & (slack < -ZERO_TOL * (np.abs(spec.h) + spec.row_norms * size))):
+        raise EmptyFeasibleSet("an inequality row constant on the affine hull is violated")
+    rows = np.flatnonzero(~flat)
+    dist = np.abs(slack[rows]) / np.linalg.norm(GN[rows], axis=1)
+    length = float(np.max(dist, initial=0.0)) or 1.0
+    cone = np.hstack([GN[rows], -slack[rows, None] / length])
+    cone /= np.linalg.norm(cone, axis=1)[:, None]
+    t_row = np.zeros((1, s + 1))
+    t_row[0, s] = -1.0
+    zero = _double_description(np.vstack([t_row, cone]), budget)
+    tight = zero[~zero[:, 0], 1:]  # rays with t = 0 are recession directions
+    simple = tight.sum(axis=1) == s
+    sel = rows[np.nonzero(tight[simple])[1]].reshape(int(simple.sum()), s)
+    extra = []
+    for mask in tight[~simple]:
+        kept, _ = _extend_basis(base_q, spec.G, rows[mask])
+        if len(kept) == s:
+            extra.append(kept)
+    sel = np.vstack([sel, np.asarray(extra, dtype=np.intp).reshape(len(extra), s)])
+    if not sel.shape[0]:
         raise EmptyFeasibleSet("no basic feasible solution found")
-    return VertexSet(_dedup_rows(V))
+    M = np.empty((sel.shape[0], d, d))
+    rhs = np.empty((sel.shape[0], d))
+    M[:, :r_eq, :] = A_red
+    rhs[:, :r_eq] = b_red
+    M[:, r_eq:, :] = spec.G[sel]
+    rhs[:, r_eq:] = spec.h[sel]
+    X = np.linalg.solve(M, rhs[..., None])[..., 0]
+    return VertexSet(_dedup_rows(X))
 
 
 def geometry(

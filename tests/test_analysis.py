@@ -20,8 +20,8 @@ from qreglp.analysis import (
     small_eta_report,
     suboptimality,
 )
-from qreglp.oracle import random_polytope_instance
-from qreglp.ot import birkhoff_polytope, quad_cost_instance
+from qreglp.oracle import random_cost_matrix, random_polytope_instance
+from qreglp.ot import birkhoff_polytope, build, quad_cost_instance
 
 
 def neg_id_instance(n):
@@ -281,4 +281,15 @@ def test_analyze_without_vertices():
     assert rep.agreement is None
     assert rep.gap_bound is None
     assert rep.slope_last_segment == pytest.approx(2.0 / 18.0, rel=1e-9)
+    assert rep.bounds_ok
+
+
+def test_analyze_transport_beyond_vertex_lists():
+    # From n = 7 a transport spec lists no vertices; at n = 8 the default
+    # budget refuses the enumeration before its work is done, so the
+    # report keeps the path-derived quantities only.
+    rep = analyze(build(cost=random_cost_matrix(0, 8)).qlp(), grid=32)
+    assert rep.eta_star_formula is None
+    assert rep.agreement is None
+    assert rep.eta_star_path > 0
     assert rep.bounds_ok

@@ -297,6 +297,26 @@ def test_analyze_fig1_instance(tmp_path, capsys):
     assert any(abs(e - 9.0) < 1e-6 for e in etas)  # first breakpoint present
 
 
+def test_analyze_generic_d8_polytope(tmp_path, capsys):
+    # Unit box in d = 8 cut by 14 unit halfspaces through an interior anchor:
+    # 30 rows and C(30, 8) = 5.85 million candidate bases, 2,623 vertices.
+    rng = np.random.default_rng(1)
+    d = 8
+    anchor = rng.uniform(0.3, 0.7, size=d)
+    cuts = rng.normal(size=(14, d))
+    cuts /= np.linalg.norm(cuts, axis=1)[:, None]
+    G = np.vstack([np.eye(d), -np.eye(d), cuts])
+    h = np.concatenate([np.ones(d), np.zeros(d), cuts @ anchor + rng.uniform(0.05, 0.3, 14)])
+    f = tmp_path / "generic.json"
+    f.write_text(json.dumps({"dim": d, "G": G.tolist(), "h": h.tolist(),
+                             "c": rng.normal(size=d).tolist()}))
+    out_base = str(tmp_path / "generic_report")
+    assert main(["analyze", str(f), "--out", out_base]) == 0
+    report = json.loads((tmp_path / "generic_report.json").read_text())
+    assert report["agreement"] is True
+    assert report["bounds_ok"] is True
+
+
 def test_oracle_check_small(capsys):
     assert main(["oracle-check", "--polytopes", "4", "--transport", "2"]) == 0
     assert "ok=true" in capsys.readouterr().out

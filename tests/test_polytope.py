@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -221,8 +222,117 @@ def test_enumeration_matches_halfspace_intersection(seed, boxed):
 
 
 def test_enumeration_budget():
+    # The budget caps the rays held plus the zero-set tests of each step of
+    # the cone pass; Birkhoff n = 5 has 120 vertices.
     with pytest.raises(BudgetExceeded):
-        enumerate_vertices(birkhoff_polytope(5), budget=10**6)
+        enumerate_vertices(birkhoff_polytope(5), budget=100)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 12])
+def test_enumeration_budget_refuses_before_the_work(n):
+    # A step is charged before it runs.  Charging only the rays held lets
+    # Birkhoff 7 reach a step of 117,649 rays and 1.1e9 pairs to test;
+    # under the default budget each n is refused at a step of a few
+    # thousand rays.
+    with pytest.raises(BudgetExceeded, match="rays held"):
+        enumerate_vertices(birkhoff_polytope(n))
+
+
+def test_enumerate_birkhoff5_from_constraints():
+    V = enumerate_vertices(birkhoff_polytope(5)).vertices
+    P = permutation_matrices(5).reshape(-1, 25).astype(float)
+    assert np.array_equal(V, P[np.lexsort(P.T[::-1])])
+
+
+def _basis_sweep_reference(spec: PolytopeSpec) -> np.ndarray:
+    """Vertices from every candidate basis: ``dim - rank(A)`` inequality rows
+    stacked on the equality rows, solved, kept when feasible to ``1e-9`` and
+    of full rank, then deduplicated and sorted as the program does."""
+    eq_idx, _ = spec.eq_reduction
+    A_red, b_red = spec.A[eq_idx], spec.b[eq_idx]
+    r_eq = len(eq_idx)
+    s = spec.dim - r_eq
+    sel = np.array(list(itertools.combinations(range(spec.n_ineq), s)), dtype=np.intp)
+    M = np.empty((sel.shape[0], spec.dim, spec.dim))
+    rhs = np.empty((sel.shape[0], spec.dim))
+    M[:, :r_eq], rhs[:, :r_eq] = A_red, b_red
+    M[:, r_eq:], rhs[:, r_eq:] = spec.G[sel], spec.h[sel]
+    ok = np.linalg.slogdet(M)[0] != 0
+    M = M[ok]
+    X = np.linalg.solve(M, rhs[ok][..., None])[..., 0]
+    feas = np.max(X @ spec.G.T - spec.h, axis=1) <= 1e-9
+    if spec.n_eq:
+        feas &= np.max(np.abs(X @ spec.A.T - spec.b), axis=1) <= 1e-9
+    sv = np.linalg.svd(M[feas], compute_uv=False)
+    V = X[feas][sv[:, -1] > 1e-10 * np.maximum(sv[:, 0], 1.0)]
+    kept: list[np.ndarray] = []
+    for row in V[np.lexsort(V.T[::-1])]:
+        if all(np.max(np.abs(row - q)) > 1e-9 for q in kept):
+            kept.append(row)
+    return np.asarray(kept)
+
+
+def _degenerate_specs():
+    for d in range(2, 6):
+        yield PolytopeSpec.box(np.zeros(d), np.ones(d))
+        signs = np.array(list(itertools.product([-1.0, 1.0], repeat=d)))
+        yield PolytopeSpec(dim=d, G=signs, h=np.ones(len(signs)))
+    for d in (4, 5):  # hypersimplex
+        yield PolytopeSpec(dim=d, A=np.ones((1, d)), b=[2.0],
+                           G=np.vstack([np.eye(d), -np.eye(d)]), h=np.r_[np.ones(d), np.zeros(d)])
+    yield PolytopeSpec(dim=3, G=[[0, 0, -1], [1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]],
+                       h=[0, 1, 1, 1, 1])  # square pyramid, four rows tight at the apex
+    for n in (2, 3, 4):
+        yield birkhoff_polytope(n)
+    box = PolytopeSpec.box(np.zeros(3), np.ones(3))
+    yield PolytopeSpec(dim=3, G=np.vstack([box.G, box.G[:2]]), h=np.r_[box.h, box.h[:2]])
+    square = PolytopeSpec.box(np.zeros(2), np.ones(2))
+    yield PolytopeSpec(dim=2, A=np.eye(2), b=[0.5, 0.5], G=square.G, h=square.h)  # one point
+    yield PolytopeSpec(dim=2, A=[[1, 1], [2, 2]], b=[1, 2], G=-np.eye(2), h=[0, 0])
+    for h0 in (0.5, 0.7):  # a row constant on the line x_0 = 0.5, tight or slack
+        yield PolytopeSpec(dim=2, A=[[1, 0]], b=[0.5], G=[[1, 0], [0, 1], [0, -1]], h=[h0, 1, 0])
+
+
+def test_enumeration_matches_basis_sweep():
+    specs = [random_polytope_instance(seed).polytope for seed in range(300)]
+    for spec in specs + list(_degenerate_specs()):
+        assert np.array_equal(enumerate_vertices(spec).vertices, _basis_sweep_reference(spec))
+
+
+@pytest.mark.parametrize("scale", [1e7, 1e8, 1e12])
+def test_enumeration_scaled_matches_halfspace_intersection(scale):
+    # An absolute feasibility test drops true vertices of these polytopes
+    # once they are scaled: seed 31 loses 4 of its 29 vertices at 1e7.
+    # Zero tests on unit rays miss them at 1e12 unless t is measured in
+    # the polytope's own unit of length.
+    for seed in (9, 31, 119, 299):
+        spec = random_polytope_instance(seed).polytope
+        scaled = PolytopeSpec(dim=spec.dim, G=spec.G, h=spec.h * scale)
+        interior = spec.feasible_point * scale
+        V = enumerate_vertices(scaled).vertices
+        pts = HalfspaceIntersection(np.hstack([scaled.G, -scaled.h[:, None]]), interior)
+        ref = pts.intersections
+        gaps = np.max(np.abs(V[:, None, :] - ref[None, :, :]), axis=2)
+        assert np.max(gaps.min(axis=1)) <= 1e-9 * scale, seed
+        assert np.max(gaps.min(axis=0)) <= 1e-9 * scale, seed
+
+
+@pytest.mark.parametrize("h0", [0.0, 2.0])
+def test_enumeration_drops_zero_row(h0):
+    box = PolytopeSpec.box(np.zeros(2), np.ones(2))
+    spec = PolytopeSpec(dim=2, G=np.vstack([box.G, np.zeros((1, 2))]), h=np.r_[box.h, h0])
+    assert np.array_equal(enumerate_vertices(spec).vertices, enumerate_vertices(box).vertices)
+
+
+@pytest.mark.parametrize("spec", [
+    PolytopeSpec(dim=2, G=np.vstack([np.eye(2), -np.eye(2), np.zeros((1, 2))]),
+                 h=[1, 1, 0, 0, -1]),  # 0 <= -1
+    PolytopeSpec(dim=2, A=[[1, 0]], b=[0.5], G=[[1, 0], [0, 1], [0, -1]], h=[0.4, 1, 0]),
+    PolytopeSpec(dim=2, A=[[1, 1], [2, 2]], b=[1, 2.1], G=-np.eye(2), h=[0, 0]),
+], ids=["zero row", "row constant on the hull", "dependent equality rows"])
+def test_enumeration_row_violated_on_the_hull_is_empty(spec):
+    with pytest.raises(EmptyFeasibleSet):
+        enumerate_vertices(spec)
 
 
 def test_geometry_interval(interval):
