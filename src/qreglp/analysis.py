@@ -8,7 +8,7 @@ All quantities come with the tolerances used by the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -258,7 +258,11 @@ def e_curve(path: SolutionPath, c, grid: int = 512) -> np.ndarray:
 
 @dataclass
 class AnalysisReport:
-    """Everything the threshold theory predicts, with pass flags."""
+    """Everything the threshold theory predicts, with pass flags.
+
+    ``checks`` maps the name of each check that applies to its outcome, and
+    ``bounds_ok`` is true when all of them hold.
+    """
 
     eta_star_path: float
     eta_star_formula: float | None
@@ -274,35 +278,22 @@ class AnalysisReport:
     bounds_ok: bool = True
     all_vertices_optimal: bool = False
     half_constant: bool | None = None
+    checks: dict[str, bool] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        def arr(a):
-            return None if a is None else np.asarray(a).tolist()
+        """Every field but ``e_curve`` (written as CSV), as plain JSON values."""
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self) if f.name != "e_curve"}
 
-        return {
-            "eta_star_path": self.eta_star_path,
-            "eta_star_formula": self.eta_star_formula,
-            "argmax_vertices": arr(self.argmax_vertices),
-            "aux_cost": arr(self.aux_cost),
-            "slope_last_segment": self.slope_last_segment,
-            "slope_bound_angle": self.slope_bound_angle,
-            "slope_bound_norm": self.slope_bound_norm,
-            "gap_bound": self.gap_bound,
-            "small_eta_bounds": [
-                {
-                    "eta": r.eta,
-                    "distance": r.distance,
-                    "bound": r.bound,
-                    "half_constant": r.half_constant,
-                    "passed": r.passed,
-                }
-                for r in self.small_eta_bounds
-            ],
-            "agreement": self.agreement,
-            "bounds_ok": self.bounds_ok,
-            "all_vertices_optimal": self.all_vertices_optimal,
-            "half_constant": self.half_constant,
-        }
+
+def _plain(value):
+    """``value`` as lists, dicts and Python scalars, which ``json`` encodes as they are."""
+    if isinstance(value, list):
+        return [_plain(v) for v in value]
+    if is_dataclass(value):
+        return asdict(value)
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    return value
 
 
 def analyze(
@@ -316,7 +307,10 @@ def analyze(
     ``vertex_budget`` rays held plus zero-set tests in any step of the
     enumeration.
     Vertex-based quantities are filled in when the enumeration fits the
-    budget, otherwise left as ``None`` with ``agreement`` unset.
+    budget, otherwise left as ``None`` with ``agreement`` unset.  ``checks``
+    names each check that applies (``agreement``, ``gap_bound``, ``aux_cost``,
+    ``slope_chain``, ``small_eta``, ``e_monotone``); ``bounds_ok`` is their
+    conjunction.
     """
     path = trace_path(inst)
     c = inst.c
@@ -332,22 +326,22 @@ def analyze(
     agreement = None
     all_opt = False
     half = None
-    checks = []
+    checks = {}
     if vs is not None:
         marked = vs.mark_optimal(c)
         eta_formula, argmax = eta_star_formula(marked, c, path.x_star)
         all_opt = bool(marked.optimal_mask.all())
         agreement = abs(eta_formula - path.eta_star) <= 1e-7 * (1.0 + path.eta_star)
-        checks.append(agreement)
+        checks["agreement"] = agreement
         try:
             bound_2bd = gap_bound(marked, c)
-            checks.append(eta_formula <= bound_2bd + 1e-9)
+            checks["gap_bound"] = eta_formula <= bound_2bd + 1e-9
         except AllVerticesOptimal:
             bound_2bd = None
         if path.n_segments:
             aux_chk = aux_cost_check(path, c, marked, argmax)
             aux = aux_chk.aux_cost
-            checks.append(aux_chk.passed)
+            checks["aux_cost"] = aux_chk.passed
         half = orthogonality_condition(path.x_zero, marked)
 
     slope = angle = None
@@ -355,14 +349,15 @@ def analyze(
     if path.n_segments:
         rep = slope_report(path, c)
         slope, angle = rep.slope, rep.bound_angle
-        checks.append(rep.chain_holds)
+        checks["slope_chain"] = rep.chain_holds
 
     etas = [path.eta_star / 10.0, path.eta_star / 100.0] if path.eta_star > 0 else [0.1]
     small = small_eta_report(inst, etas, x_zero=path.x_zero, vs=vs, half=half)
-    checks.extend(r.passed for r in small)
+    checks["small_eta"] = all(r.passed for r in small)
 
     curve = e_curve(path, c, grid)
-    checks.append(bool(np.all(np.diff(curve[:, 1]) <= 1e-9)))
+    checks["e_monotone"] = bool(np.all(np.diff(curve[:, 1]) <= 1e-9))
+    checks = {name: bool(ok) for name, ok in checks.items()}
 
     return AnalysisReport(
         eta_star_path=path.eta_star,
@@ -376,7 +371,8 @@ def analyze(
         small_eta_bounds=small,
         e_curve=curve,
         agreement=agreement,
-        bounds_ok=all(checks),
+        bounds_ok=all(checks.values()),
         all_vertices_optimal=all_opt,
         half_constant=half,
+        checks=checks,
     )

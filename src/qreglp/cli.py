@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 input or validation error, 2 certificate or
 agreement failure.  All commands are deterministic given the same inputs
-and ``--seed``.
+and ``--seed``.  JSON results come from the standard encoder, which prints
+each float as the shortest string that reads back to the same double.
 """
 
 from __future__ import annotations
@@ -15,13 +16,23 @@ import sys
 import numpy as np
 
 from . import analysis, oracle, ot
-from ._serialize import dumps, write_csv
 from .errors import BudgetExceeded, QreglpError
 from .homotopy import trace_path
 from .polytope import DEFAULT_BASIS_BUDGET, PolytopeSpec, validate
 from .projection import QlpInstance, solve_qlp
 
 _BASE_TOL = 1e-9
+
+
+def _csv_cell(v) -> str:
+    return format(float(v), ".12g") if isinstance(v, (float, np.floating)) else str(v)
+
+
+def _write_csv(handle, header: str, rows) -> None:
+    """Write a CSV with a bit-exact header line and floats to 12 significant digits."""
+    handle.write(header + "\n")
+    for row in rows:
+        handle.write(",".join(_csv_cell(v) for v in row) + "\n")
 
 
 def _load_instance(path: str):
@@ -48,7 +59,7 @@ def _cmd_project(args) -> int:
     if args.eta <= 0:
         raise ValueError("--eta must be positive")
     res = solve_qlp(inst, args.eta)
-    print(dumps(res.to_json_dict()))
+    print(json.dumps(res.to_json_dict(), separators=(",", ": ")))
     scale = args.tol / _BASE_TOL
     if inst.polytope.vertices is not None:
         tol = scale * 1e-7 * (1.0 + float(np.linalg.norm(inst.target(args.eta))))
@@ -60,10 +71,10 @@ def _cmd_path(args) -> int:
     inst, _ = _load_instance(args.instance)
     path = trace_path(inst)
     if args.format == "json":
-        print(dumps(path.to_json_dict()))
+        print(json.dumps(path.to_json_dict(), separators=(",", ": ")))
     else:
         header = "i,eta," + ",".join(f"x{j}" for j in range(inst.polytope.dim))
-        write_csv(sys.stdout, header, path.csv_rows())
+        _write_csv(sys.stdout, header, path.csv_rows())
     return 0
 
 
@@ -74,9 +85,9 @@ def _cmd_analyze(args) -> int:
     if out:
         base = out[:-5] if out.endswith(".json") else out
         with open(base + ".json" if not out.endswith(".json") else out, "w") as fh:
-            fh.write(dumps(report.to_json_dict(), indent=2) + "\n")
+            fh.write(json.dumps(report.to_json_dict(), indent=2) + "\n")
         with open(base + "_ecurve.csv", "w") as fh:
-            write_csv(
+            _write_csv(
                 fh,
                 "eta,E,segment_index",
                 ([row[0], row[1], int(row[2])] for row in report.e_curve),
@@ -132,7 +143,7 @@ def _cmd_ot(args) -> int:
         rows = ot.figure3_experiment(n_values)
         handle = open(args.out, "w") if args.out else sys.stdout
         try:
-            write_csv(handle, "N,L_N,bound,ratio", (r.csv_values() for r in rows))
+            _write_csv(handle, "N,L_N,bound,ratio", (r.csv_values() for r in rows))
         finally:
             if args.out:
                 handle.close()

@@ -228,11 +228,10 @@ def _dual_exit_time(spec: PolytopeSpec, seg_rows: np.ndarray, r0: np.ndarray, rd
     reported, ``y0`` is the program's ``(mu, lam)`` and ``ydot`` is zero, so
     ``y0`` holds at ``s_exit`` only.
     """
-    GJ = spec.G[seg_rows]
     A_red = spec.A[spec.eq_reduction[0]]
     m = A_red.shape[0]
     no_rows = np.zeros(0, dtype=int)
-    system = _FreeSystem(A_red, GJ, range(GJ.shape[0]), spec.unit_columns[seg_rows])
+    system = _FreeSystem(A_red, spec.G, seg_rows, spec.unit_columns)
     if system.full_rank:
         y0, ydot = system.multipliers(r0), system.multipliers(rdot)
         lam0, lamdot = y0[m:], ydot[m:]
@@ -242,6 +241,7 @@ def _dual_exit_time(spec: PolytopeSpec, seg_rows: np.ndarray, r0: np.ndarray, rd
         scale = 1.0 + float(np.linalg.norm(r0)) + float(np.linalg.norm(rdot))
         return max(smin, ROUNDING_FLOOR * scale), hit, y0, ydot
 
+    GJ = spec.G[seg_rows]
     n_lam = GJ.shape[0]
     cost = np.zeros(m + n_lam + 1)
     cost[-1] = -1.0

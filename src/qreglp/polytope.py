@@ -491,8 +491,10 @@ def enumerate_vertices(
     :func:`_extend_basis` keeps when more than ``dim - rank(A)`` are
     tight.  A row of ``G`` that is constant on the affine hull (zero
     there to ``RANK_TOL``) bounds nothing: it is dropped, or the set is
-    empty when ``x0`` breaks it.  Deterministic lexicographic output
-    order.
+    empty when ``x0`` breaks it.  Each extreme ray gives one vertex, so
+    the rows need no deduplication (a merge at an absolute distance would
+    fuse true vertices of a small polytope).  Deterministic lexicographic
+    output order.
 
     Raises
     ------
@@ -551,7 +553,7 @@ def enumerate_vertices(
     M[:, r_eq:, :] = spec.G[sel]
     rhs[:, r_eq:] = spec.h[sel]
     X = np.linalg.solve(M, rhs[..., None])[..., 0]
-    return VertexSet(_dedup_rows(X))
+    return VertexSet(_lexsorted(X))
 
 
 def geometry(

@@ -262,6 +262,8 @@ def test_analyze_full_report(interval_inst):
     assert rep.gap_bound == pytest.approx(2.0, abs=1e-12)
     data = rep.to_json_dict()
     assert data["bounds_ok"] is True
+    names = ["agreement", "gap_bound", "aux_cost", "slope_chain", "small_eta", "e_monotone"]
+    assert data["checks"] == dict.fromkeys(names, True)
 
 
 def test_analyze_zero_cost(interval):
@@ -269,6 +271,8 @@ def test_analyze_zero_cost(interval):
     assert rep.eta_star_path == 0.0
     assert rep.all_vertices_optimal
     assert rep.bounds_ok
+    # No moving segment and no non-optimal vertex: those checks do not apply.
+    assert list(rep.checks) == ["agreement", "small_eta", "e_monotone"]
 
 
 def test_analyze_without_vertices():
@@ -282,6 +286,7 @@ def test_analyze_without_vertices():
     assert rep.gap_bound is None
     assert rep.slope_last_segment == pytest.approx(2.0 / 18.0, rel=1e-9)
     assert rep.bounds_ok
+    assert list(rep.checks) == ["slope_chain", "small_eta", "e_monotone"]
 
 
 def test_analyze_transport_beyond_vertex_lists():
@@ -293,3 +298,17 @@ def test_analyze_transport_beyond_vertex_lists():
     assert rep.agreement is None
     assert rep.eta_star_path > 0
     assert rep.bounds_ok
+
+
+def test_formula_matches_path_on_a_tiny_polytope():
+    # Scaled by 1e-6, seed 140 has 24 vertices, two pairs of them 2.8e-10 and
+    # 5.2e-10 apart.  A merge of rows closer than an absolute 1e-9 lost two and
+    # moved the formula's threshold 2.5e-4 off the path.
+    inst = random_polytope_instance(140)
+    spec = inst.polytope
+    tiny = QlpInstance(PolytopeSpec(dim=spec.dim, G=spec.G, h=spec.h * 1e-6), inst.c)
+    path = trace_path(tiny)
+    vs = enumerate_vertices(tiny.polytope)
+    assert len(vs) == 24
+    eta, _ = eta_star_formula(vs, inst.c, path.x_star)
+    assert eta == pytest.approx(path.eta_star, rel=1e-9)

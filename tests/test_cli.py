@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from qreglp import solve_qlp
-from qreglp._serialize import dumps
 from qreglp.cli import main
 from qreglp.ot import from_json_dict
 
@@ -343,7 +342,107 @@ def test_budget_env_override(tmp_path, monkeypatch, capsys):
     assert args.budget == 10
 
 
-def test_dumps_17_digits():
-    text = dumps({"v": 1.0 / 3.0})
-    assert "0.33333333333333331" in text
-    assert json.loads(text)["v"] == 1.0 / 3.0
+def _generic_d6(tmp_path):
+    # An ``analyze-vertex``-style instance: the unit box in d = 6 cut by ten
+    # unit halfspaces through an interior anchor, with a normal cost.
+    rng = np.random.default_rng([0, 3])
+    d = 6
+    anchor = rng.uniform(0.3, 0.7, size=d)
+    G, h = [np.eye(d), -np.eye(d)], [np.ones(d), np.zeros(d)]
+    for _ in range(10):
+        g = rng.normal(size=d)
+        g /= np.linalg.norm(g)
+        G.append(g[None, :])
+        h.append([float(g @ anchor) + rng.uniform(0.05, 0.3)])
+    f = tmp_path / "generic6.json"
+    f.write_text(json.dumps({"dim": d, "G": np.vstack(G).tolist(), "h": np.concatenate(h).tolist(),
+                             "c": rng.normal(size=d).tolist()}))
+    return str(f)
+
+
+@pytest.mark.parametrize("make", ["interval", "generic6", "negid4"])
+def test_json_floats_read_back_exactly(make, interval_file, neg_id_file, tmp_path, capsys):
+    # Every float the CLI prints as JSON parses back to the library's own double.
+    from dataclasses import fields
+
+    from qreglp import analysis, trace_path
+    from qreglp.cli import _load_instance
+
+    f = {"interval": lambda: interval_file, "generic6": lambda: _generic_d6(tmp_path),
+         "negid4": lambda: neg_id_file(4)}[make]()
+    inst, _ = _load_instance(f)
+
+    assert main(["project", f, "--eta", "0.7"]) == 0
+    assert json.loads(capsys.readouterr().out)["x"] == solve_qlp(inst, 0.7).x.tolist()
+
+    assert main(["path", f]) == 0
+    out = json.loads(capsys.readouterr().out)
+    path = trace_path(inst)
+    assert out["breakpoints"] == path.breakpoints.tolist()
+    assert out["endpoints"] == path.endpoints.tolist()
+
+    base = str(tmp_path / "report")
+    assert main(["analyze", f, "--out", base]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "report.json").read_text())
+    ref = analysis.analyze(inst)
+    names = [fld.name for fld in fields(ref) if fld.name != "e_curve"]
+    assert list(report) == names
+    for name in names:
+        value = getattr(ref, name)
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        elif name == "small_eta_bounds":
+            value = [vars(row) for row in value]
+        assert report[name] == value, name
+
+
+def test_json_nonfinite_floats(interval_file, tmp_path, monkeypatch, capsys):
+    from dataclasses import replace
+
+    from qreglp import analysis
+
+    real = analysis.analyze
+    monkeypatch.setattr(analysis, "analyze", lambda *a, **k: replace(
+        real(*a, **k), slope_bound_angle=float("nan"), gap_bound=float("inf"),
+        slope_last_segment=-np.inf))
+    assert main(["analyze", interval_file, "--out", str(tmp_path / "r")]) == 0
+    text = (tmp_path / "r.json").read_text()
+    assert '"slope_bound_angle": NaN' in text
+    assert '"gap_bound": Infinity' in text
+    assert '"slope_last_segment": -Infinity' in text
+    report = json.loads(text)
+    assert np.isnan(report["slope_bound_angle"]) and report["gap_bound"] == np.inf
+
+
+def test_analyze_names_the_failed_check(interval_file, tmp_path, monkeypatch, capsys):
+    from dataclasses import replace
+
+    from qreglp import analysis
+
+    real = analysis.slope_report
+    monkeypatch.setattr(analysis, "slope_report",
+                        lambda *a: replace(real(*a), slope=real(*a).bound_angle + 1.0))
+    assert main(["analyze", interval_file, "--out", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().out.strip().endswith("bounds_ok=false")
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["checks"] == {"agreement": True, "gap_bound": True, "aux_cost": True,
+                                "slope_chain": False, "small_eta": True, "e_monotone": True}
+    assert report["bounds_ok"] is False
+
+
+def test_ot_threshold_without_the_formula_route(tmp_path, capsys):
+    # n = 9 is past the permutation budget, so only the traced route runs.
+    f = tmp_path / "cost9.json"
+    f.write_text(json.dumps({"cost": np.random.default_rng(1).uniform(size=(9, 9)).tolist()}))
+    assert main(["ot", "threshold", str(f)]) == 0
+    assert capsys.readouterr().out.strip() == (
+        "eta_star_formula=skipped eta_star_path=302.097171025 agree=n/a"
+    )
+
+
+def test_ot_threshold_too_large_for_both_routes(tmp_path, capsys):
+    f = tmp_path / "cost33.json"
+    f.write_text(json.dumps({"cost": np.random.default_rng(1).uniform(size=(33, 33)).tolist()}))
+    assert main(["ot", "threshold", str(f)]) == 1
+    assert "instance too large for both threshold routes" in capsys.readouterr().err

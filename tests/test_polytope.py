@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -315,6 +316,35 @@ def test_enumeration_scaled_matches_halfspace_intersection(scale):
         gaps = np.max(np.abs(V[:, None, :] - ref[None, :, :]), axis=2)
         assert np.max(gaps.min(axis=1)) <= 1e-9 * scale, seed
         assert np.max(gaps.min(axis=0)) <= 1e-9 * scale, seed
+
+
+def test_enumeration_tiny_matches_halfspace_intersection():
+    # Scaled by 1e-6, each of these polytopes has true vertices closer than
+    # 1e-9 to each other; a merge of rows at an absolute 1e-9 lost 17 of them.
+    scale = 1e-6
+    for seed in (6, 140, 268, 447, 606, 745, 755, 756, 762, 799, 924, 927):
+        spec = random_polytope_instance(seed).polytope
+        tiny = PolytopeSpec(dim=spec.dim, G=spec.G, h=spec.h * scale)
+        V = enumerate_vertices(tiny).vertices
+        pts = HalfspaceIntersection(np.hstack([tiny.G, -tiny.h[:, None]]),
+                                    spec.feasible_point * scale).intersections
+        ref: list[np.ndarray] = []
+        for p in pts:  # qhull repeats a vertex where more than dim rows are tight
+            if all(np.max(np.abs(p - q)) > 1e-12 * scale for q in ref):
+                ref.append(p)
+        assert V.shape == (len(ref), spec.dim), seed
+        gaps = np.max(np.abs(V[:, None, :] - np.asarray(ref)[None, :, :]), axis=2)
+        assert np.max(gaps.min(axis=1)) <= 1e-12 * scale, seed
+        assert np.max(gaps.min(axis=0)) <= 1e-12 * scale, seed
+
+
+def test_validate_merges_near_duplicate_listed_vertices():
+    # A listed vertex list is outside input: rows within 1e-9 are one vertex.
+    square = PolytopeSpec.box(np.zeros(2), np.ones(2))
+    listed = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 1e-10]]
+    rep = validate(replace(square, vertices=listed))
+    assert rep.vertex_consistent
+    assert rep.spec.vertices.tolist() == [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
 
 
 @pytest.mark.parametrize("h0", [0.0, 2.0])
