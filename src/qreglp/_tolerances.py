@@ -9,17 +9,17 @@ FEAS_TOL = 1e-9  # a row holds at slack >= -this (absolute); ZERO_TOL decides wh
 START_TOL = 1e-7  # a given start point (hint, first vertex, warm start) holds every row to this
 START_INFEAS_TOL = 1e-6  # the kernel refuses a start point that breaks a row by more (absolute)
 DEDUP_TOL = 1e-9  # two vertices are one point when no coordinate differs by more (absolute)
-OPT_TOL = 1e-9  # a vertex is LP-optimal when its cost is within this (1 + |c|) of the least
+OPT_TOL = 1e-9  # a vertex is LP-optimal when its cost is within this |c| |ptp(V)| of the least
 EXTREME_RANK_TOL = 1e-8  # a vertex's tight rows have rank dim above this singular value (absolute)
 RECESSION_TOL = 1e-7  # unbounded if unit-row [A; G] has sigma_min <= this or the ray LP exceeds it
 RANK_TOL = 1e-10  # independent: residual > this max(1, |row|); sigma_min > this max(1, sigma_max)
 FULL_RANK_TOL = 1e-9  # working-set rows are independent when min |R_ii| > this max(1, max |R_ii|)
 ZERO_TOL = 1e-12  # zero at <= this times (1 +) the data's norms: a step, residual, direction, slack
 ROUNDING_FLOOR = 1e-13  # rates <= this times their scale never cross; exit times are raised to it
-TIE_TOL = 1e-10  # a crossing time within this times 1 + t_min of the first ties with it
+TIE_TOL = 1e-10  # crossings tie within this (1 + t_min), or (|x| / |step| + t_min) if less (kernel)
 SEGMENT_TOL = 1e-11  # a tight row carries the moving piece when |g . d| <= this (1 + |g| |d|)
 STALL_TOL = 1e-12  # an eta step <= this (1 + eta) is no progress; five in a row stall the trace
 MULT_TOL = 1e-10  # a working-set multiplier below -this is negative (absolute)
-KKT_TOL = 1e-8  # a KKT certificate holds to this times 1 + the norms of x, target or residual
+KKT_TOL = 1e-8  # certificate: rows to this (|h_i| + |g_i| s), s = |x| + size; residual to s + |r|
 CERTIFY_TOL = 1e-7  # certify's default: <z - x, v - x> <= this (1 + |z|) at every vertex
 POLISH_TOL = 1e-6  # the polished endpoint is kept if no coordinate moves more than this (1 + |x|)

@@ -30,6 +30,11 @@ def suboptimality(inst: QlpInstance, eta: float, lp_value: float) -> float:
     return float(inst.c @ x - lp_value)
 
 
+def routes_agree(a: float, b: float) -> bool:
+    """Whether two routes to ``eta*`` agree: ``|a - b| <= 1e-7 max(|a|, |b|)``, at any scale."""
+    return abs(a - b) <= 1e-7 * max(abs(a), abs(b))
+
+
 def eta_star_formula(vs: VertexSet, c, x_star):
     """Closed-form threshold ``2 max <x*, x* - v> / <c, v - x*>``.
 
@@ -331,7 +336,7 @@ def analyze(
         marked = vs.mark_optimal(c)
         eta_formula, argmax = eta_star_formula(marked, c, path.x_star)
         all_opt = bool(marked.optimal_mask.all())
-        agreement = abs(eta_formula - path.eta_star) <= 1e-7 * (1.0 + path.eta_star)
+        agreement = routes_agree(eta_formula, path.eta_star)
         checks["agreement"] = agreement
         try:
             bound_2bd = gap_bound(marked, c)

@@ -123,9 +123,8 @@ def _cmd_ot(args) -> int:
             pass
         if eta_formula is None and eta_path is None:
             raise BudgetExceeded("instance too large for both threshold routes")
-        agree = None
-        if eta_formula is not None and eta_path is not None:
-            agree = abs(eta_formula - eta_path) <= 1e-7 * (1.0 + max(eta_formula, eta_path))
+        both = eta_formula is not None and eta_path is not None
+        agree = analysis.routes_agree(eta_formula, eta_path) if both else None
         print(
             "eta_star_formula={} eta_star_path={} agree={}".format(
                 "{:.12g}".format(eta_formula) if eta_formula is not None else "skipped",

@@ -11,8 +11,8 @@ affine piece at a time:
   (closed-form smallest crossing) or when a multiplier of the carrying
   face crosses zero (closed form when the face's tight rows are linearly
   independent, otherwise one linear program over the face's multipliers);
-* each piece is certified at its two ends: ``x`` is feasible, the piece's
-  rows ``J`` are tight and ``target - x = A^T mu + G_J^T lam``, ``lam >= 0``.
+* each piece is certified at its two ends by :func:`projection._check_certificate`: ``x`` is
+  feasible, the piece's rows ``J`` are tight and ``target - x = A^T mu + G_J^T lam``, ``lam >= 0``.
   All of it is affine in ``eta``, so the ends certify the whole piece.  The
   right end's multipliers are the event analysis's own, the left end's
   those of the previous right end (or the cold start) on ``J``; a failed
@@ -34,16 +34,15 @@ vertex's normal cone and exit on the far side).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linprog
 
-from ._tolerances import (FEAS_TOL, KKT_TOL, POLISH_TOL, ROUNDING_FLOOR, SEGMENT_TOL, STALL_TOL,
-                          ZERO_TOL)
+from ._tolerances import POLISH_TOL, ROUNDING_FLOOR, SEGMENT_TOL, STALL_TOL, ZERO_TOL
 from .errors import MaxSegmentsExceeded, NumericalBreakdown
 from .polytope import PolytopeSpec, _extend_basis
-from .projection import QlpInstance, _FreeSystem, _ratio_test, min_distance_active_set, project
+from .projection import (Certificate, QlpInstance, _check_certificate, _FreeSystem, _ratio_test,
+                         _rows_hold, min_distance_active_set, project)
 
 
 @dataclass
@@ -65,15 +64,6 @@ class DroppingMultiplier:
 @dataclass
 class Stationary:
     """No further event: the point is optimal for every larger eta."""
-
-
-class Certificate(NamedTuple):
-    """Optimality of a path point: ``target - x = A^T mu + G[rows]^T lam``,
-    ``lam >= 0`` and ``rows`` tight; ``mu`` has one entry per row of ``A``."""
-
-    rows: np.ndarray
-    mu: np.ndarray
-    lam: np.ndarray
 
 
 @dataclass
@@ -293,32 +283,6 @@ def _certificate(spec: PolytopeSpec, rows: np.ndarray, y: np.ndarray) -> Certifi
     return Certificate(rows, mu, y[len(eq_idx) :])
 
 
-def _restrict(cert: Certificate, rows: np.ndarray) -> Certificate:
-    """``cert`` on ``rows``: a row it does not hold gets a zero multiplier."""
-    lam = np.zeros(rows.size)
-    _, into, outof = np.intersect1d(rows, cert.rows, assume_unique=True, return_indices=True)
-    lam[into] = cert.lam[outof]
-    return Certificate(rows, cert.mu, lam)
-
-
-def _check_end(spec: PolytopeSpec, where: str, x: np.ndarray, r: np.ndarray, cert: Certificate, eta):
-    """Raise unless ``cert`` proves ``x`` optimal for the residual ``r``."""
-    lam = np.zeros(spec.n_ineq)
-    lam[cert.rows] = cert.lam
-    slack = spec.h - spec.G @ x
-    off = np.concatenate([spec.A @ x - spec.b, np.minimum(slack, 0.0), slack[cert.rows]])
-    off = float(np.max(np.abs(off), initial=0.0))
-    resid = float(np.max(np.abs(r - spec.A.T @ cert.mu - spec.G.T @ lam), initial=0.0))
-    low = float(lam.min(initial=0.0))
-    tol = KKT_TOL * (1.0 + np.linalg.norm(x))
-    if off > tol or max(resid, -low) > tol + KKT_TOL * np.linalg.norm(r):
-        raise NumericalBreakdown(
-            f"{where} point of the segment from eta={eta!r} fails its certificate (off the "
-            f"face by {off:.2e}, stationarity residual {resid:.2e}, smallest multiplier "
-            f"{low:.2e}); the event analysis missed a kink"
-        )
-
-
 def trace_path(inst: QlpInstance, max_segments: int | None = None) -> SolutionPath:
     """Trace the full solution path from ``eta = 0`` to stationarity.
 
@@ -337,9 +301,8 @@ def trace_path(inst: QlpInstance, max_segments: int | None = None) -> SolutionPa
         If more than ``10 (m + k)`` pieces are produced, which signals a
         cycling bug rather than a legitimate path.
     NumericalBreakdown
-        If either end of a piece fails its certificate (the landing point
-        is infeasible or off the piece's rows, or the multipliers leave a
-        stationarity residual or go negative), or the tracer stops advancing.
+        If either end of a piece fails its certificate
+        (:func:`projection._check_certificate`), or the tracer stops advancing.
     """
     spec = inst.polytope
     cost_norm = float(np.linalg.norm(inst.c)) or 1.0
@@ -360,10 +323,10 @@ def trace_path(inst: QlpInstance, max_segments: int | None = None) -> SolutionPa
         J = np.asarray(state.segment_rows, dtype=int)
         x_next = x + (eta_next - eta) * state.direction_vec
         y0, ydot = event.multipliers
-        left, right = _restrict(right, J), _certificate(spec, J, y0 + (eta_next - eta) * ydot)
-        r_next = inst.target(eta_next) - x_next
-        _check_end(spec, "landing", x_next, r_next, right, eta / cost_norm)
-        _check_end(spec, "start", x, state.residual, left, eta / cost_norm)
+        left, right = right.restrict(J), _certificate(spec, J, y0 + (eta_next - eta) * ydot)
+        piece = f"point of the segment from eta={eta / cost_norm!r}"
+        _check_certificate(spec, x_next, inst.target(eta_next) - x_next, right, "landing " + piece)
+        _check_certificate(spec, x, state.residual, left, "start " + piece)
         stalled = stalled + 1 if eta_next - eta <= STALL_TOL * (1.0 + eta) else 0
         if stalled >= 5:
             raise NumericalBreakdown(f"path tracer stalled near eta={eta / cost_norm!r}")
@@ -393,8 +356,6 @@ def _polish_min_norm(spec: PolytopeSpec, x: np.ndarray, tight: np.ndarray) -> np
         return x
     B = np.vstack([spec.A, spec.G[tight]])
     x_pol = np.linalg.lstsq(B, np.concatenate([spec.b, spec.h[tight]]), rcond=None)[0]
-    ok = (
-        spec.contains(x_pol, 10 * FEAS_TOL)
-        and np.max(np.abs(x_pol - x)) <= POLISH_TOL * (1.0 + np.linalg.norm(x))
-    )
-    return x_pol if ok else x
+    if np.max(np.abs(x_pol - x)) > POLISH_TOL * (1.0 + np.linalg.norm(x)):
+        return x
+    return x_pol if _rows_hold(spec, x_pol, tight) else x

@@ -117,6 +117,13 @@ class PolytopeSpec:
         """Euclidean norms of the rows of ``G``, computed once per spec."""
         return np.linalg.norm(self.G, axis=1)
 
+    @cached_property
+    def size(self) -> float:
+        """``max |rhs| / max |row|`` over both blocks: a length that scales with the polytope."""
+        top = max(self.row_norms.max(initial=0), np.linalg.norm(self.A, axis=1).max(initial=0))
+        rhs = max(np.abs(self.h).max(initial=0), np.abs(self.b).max(initial=0))
+        return float(rhs / top) if top else 0.0
+
     def contains(self, x, tol: float = FEAS_TOL) -> bool:
         """Membership test up to ``tol`` on both constraint blocks."""
         x = np.asarray(x, dtype=float).ravel()
@@ -129,7 +136,7 @@ class PolytopeSpec:
     def tight_rows(self, x, z) -> np.ndarray:
         """Inequality rows tight at ``x``, the projection of ``z`` (:func:`_tight_rows`)."""
         x = np.asarray(x, dtype=float).ravel()
-        scale = float(np.linalg.norm(x)) + float(np.linalg.norm(z))
+        scale = float(np.sqrt(x @ x) + np.sqrt(z @ z))
         return _tight_rows(self.h - self.G @ x, self.h, self.row_norms, scale)
 
     def to_json_dict(self) -> dict:
@@ -201,12 +208,12 @@ class VertexSet:
     def mark_optimal(self, c) -> "VertexSet":
         """Return a copy whose mask flags minimizers of ``<c, v>``.
 
-        A vertex is flagged optimal when its cost is within
-        ``OPT_TOL * (1 + |c|)`` of the minimum over all vertices.
+        A vertex is flagged optimal when its cost is within ``OPT_TOL |c| |ptp(V)|`` of the
+        least, ``|ptp(V)|`` the diagonal of the vertices' bounding box (scale covariant).
         """
         c = np.asarray(c, dtype=float).ravel()
         vals = self.vertices @ c
-        cut = vals.min() + OPT_TOL * (1.0 + np.linalg.norm(c))
+        cut = vals.min() + OPT_TOL * np.linalg.norm(c) * np.linalg.norm(np.ptp(self.vertices, 0))
         return VertexSet(self.vertices, vals <= cut)
 
     @property

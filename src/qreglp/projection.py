@@ -20,8 +20,10 @@ deterministic and finitely terminating under degeneracy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -276,7 +278,7 @@ def min_distance_active_set(
     col = _unit_columns(G) if col is None else col
     g_norm = np.linalg.norm(G, axis=1) if row_norms is None else row_norms
     # |x0| keeps the tight-row and zero-step tests relative far from the origin.
-    scale = float(np.linalg.norm(z)) + float(np.linalg.norm(x))
+    scale = float(np.sqrt(z @ z) + np.sqrt(x @ x))
     order = _tight_rows(h - G @ x, h, g_norm, scale)
     if w0 is not None:  # the rows of w0 still tight go first
         held = set(order.tolist())
@@ -296,7 +298,7 @@ def min_distance_active_set(
             system = _FreeSystem(A_red, G, W, col)
         v = z - x
         dvec = system.project(v)
-        nd = np.linalg.norm(dvec)
+        nd = np.sqrt(dvec @ dvec)
         if nd <= ZERO_TOL * (1.0 + scale):
             y = system.multipliers(v)
             neg = np.flatnonzero(y[m_red:] < -MULT_TOL)
@@ -314,6 +316,11 @@ def min_distance_active_set(
             t_min, ties = _ratio_test(gap[idx], rate[idx], 1.0 + g_norm[idx] * nd, idx)
             if t_min is None or t_min >= 1.0:
                 break
+            # Ties to TIE_TOL (|x| / nd + t_min) on a step longer than |x|: TIE_TOL (1 + t_min)
+            # would let a row enter with slack TIE_TOL |g| nd, 1e-1 for a target 1e9 away.
+            if (reach := math.sqrt(x @ x) / nd) < 1.0:
+                width = t_min + TIE_TOL * (reach + t_min)
+                ties = ties[np.maximum(gap[ties], 0.0) / rate[ties] <= width]
             # A row in the span of W has zero rate but for rounding, which an
             # ill-conditioned W can lift past the floor: it cannot block.
             enter = next((j for j in ties if system.extends(G[j], g_norm[j])), None)
@@ -337,6 +344,53 @@ def min_distance_active_set(
     return x, np.asarray(W, dtype=int), mu, y[m_red:], it
 
 
+class Certificate(NamedTuple):
+    """Optimality of ``x`` for the residual ``r = z - x``: ``r = A^T mu + G[rows]^T lam``,
+    ``lam >= 0`` and ``rows`` tight; ``mu`` has one entry per row of ``A``."""
+
+    rows: np.ndarray
+    mu: np.ndarray
+    lam: np.ndarray
+
+    def restrict(self, rows: np.ndarray) -> "Certificate":
+        """This certificate on ``rows``: a row it does not hold gets a zero multiplier."""
+        full = np.zeros(1 + max(rows.max(initial=-1), self.rows.max(initial=-1)))
+        full[self.rows] = self.lam
+        return Certificate(rows, self.mu, full[rows])
+
+
+def _rows_hold(spec: PolytopeSpec, x, rows) -> bool:
+    """Whether ``x`` holds every row and lies on the inequality rows ``rows``, row ``i`` to
+    ``KKT_TOL (|h_i| + |g_i| s)`` (``|b_i| + |a_i| s`` for equality rows), ``s = |x| + size``."""
+    scale = math.sqrt(x @ x) + spec.size
+    off = spec.G @ x - spec.h  # positive on a broken row; the rows of ``rows`` count both ways
+    off[rows] = np.abs(off[rows])
+    ok = (off <= KKT_TOL * (np.abs(spec.h) + spec.row_norms * scale)).all()
+    if ok and spec.n_eq:
+        eq_bound = KKT_TOL * (np.abs(spec.b) + np.linalg.norm(spec.A, axis=1) * scale)
+        ok = (np.abs(spec.A @ x - spec.b) <= eq_bound).all()
+    return bool(ok)
+
+
+def _check_certificate(spec: PolytopeSpec, x, r, cert: Certificate, where: str) -> float:
+    """Raise unless ``cert`` proves ``x = proj(x + r)``; return its stationarity residual.
+
+    The one KKT rule, at the data's scale: the rows hold by :func:`_rows_hold`, and the
+    stationarity residual and ``-min lam`` lie within ``KKT_TOL (|x| + size + |r|)``, where
+    ``size`` (:attr:`PolytopeSpec.size`) keeps rounding in ``x`` at the origin from failing.
+    """
+    resid = float(np.abs(r - spec.A.T @ cert.mu - spec.G[cert.rows].T @ cert.lam).max())
+    low = float(cert.lam.min(initial=0))
+    bound = KKT_TOL * (math.sqrt(x @ x) + math.sqrt(r @ r) + spec.size)
+    if not (_rows_hold(spec, x, cert.rows) and resid <= bound and -low <= bound):
+        off = np.concatenate([np.abs(spec.A @ x - spec.b), spec.G @ x - spec.h,
+                              np.abs(spec.G[cert.rows] @ x - spec.h[cert.rows])])
+        raise NumericalBreakdown(
+            f"{where} fails its certificate (off the face by {off.max(initial=0):.2e}, "
+            f"stationarity residual {resid:.2e}, smallest multiplier {low:.2e})")
+    return resid
+
+
 def project(
     spec: PolytopeSpec,
     z,
@@ -358,7 +412,7 @@ def project(
     Returns
     -------
     ProjectionResult
-        Minimizer with KKT certificate data.
+        Minimizer with KKT certificate data, checked by :func:`_check_certificate`.
     """
     z = np.asarray(z, dtype=float).ravel()
     x0 = None
@@ -373,27 +427,14 @@ def project(
         spec.A, spec.G, spec.h, z, x0, w0=working_set, eq=spec.eq_reduction,
         col=spec.unit_columns, row_norms=spec.row_norms,
     )
-    grad = z - x
-    if spec.n_eq:
-        grad = grad - spec.A.T @ mu
-    if W.size:
-        grad = grad - spec.G[W].T @ lam
-    kkt = float(np.max(np.abs(grad))) if grad.size else 0.0
-    if kkt > KKT_TOL * (1.0 + np.linalg.norm(z)):
-        raise NumericalBreakdown(f"KKT stationarity residual {kkt:.2e}")
-
+    cert = Certificate(W, mu, lam)
+    kkt = _check_certificate(spec, x, z - x, cert, "projection")
     active = spec.tight_rows(x, z)
-    held = dict(zip(W.tolist(), lam.tolist()))
-    mults = np.array([held.get(j, 0.0) for j in active.tolist()])
-
-    if spec.vertices is not None:
-        residual = float(np.max((spec.vertices - x) @ (z - x)))
-    else:
-        residual = kkt
+    residual = kkt if spec.vertices is None else float(np.max((spec.vertices - x) @ (z - x)))
     return ProjectionResult(
         x=x,
         active_set=active,
-        multipliers=mults,
+        multipliers=cert.restrict(active).lam,
         residual=residual,
         working_set=W,
         eq_multipliers=mu,

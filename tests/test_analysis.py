@@ -5,6 +5,7 @@ from qreglp import (
     DegeneratePath,
     PolytopeSpec,
     QlpInstance,
+    SolutionPath,
     VertexSet,
     enumerate_vertices,
     trace_path,
@@ -173,6 +174,12 @@ def test_slope_degenerate(interval):
         slope_report(trace_path(inst), inst.c)
 
 
+def test_slope_zero_length_last_segment():
+    path = SolutionPath(np.array([0.0, 1.0]), np.array([[0.5], [0.5]]))
+    with pytest.raises(DegeneratePath, match="zero length"):
+        slope_report(path, np.array([-1.0]))
+
+
 def test_gap_bound_interval(interval_inst):
     vs = enumerate_vertices(interval_inst.polytope).mark_optimal(interval_inst.c)
     assert gap_bound(vs, interval_inst.c) == pytest.approx(2.0, abs=1e-12)
@@ -312,3 +319,33 @@ def test_formula_matches_path_on_a_tiny_polytope():
     assert len(vs) == 24
     eta, _ = eta_star_formula(vs, inst.c, path.x_star)
     assert eta == pytest.approx(path.eta_star, rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", [447, 606])
+def test_optimal_mask_scales_with_the_polytope(seed):
+    # Scaled by 1e-6, a vertex 1.3e-10 (seed 447) or 1.9e-9 (seed 606) above the optimum
+    # lay within an absolute cut OPT_TOL (1 + |c|), was flagged optimal, and moved the
+    # formula's threshold 53 % and 90 % off the path.
+    inst = random_polytope_instance(seed)
+    spec = inst.polytope
+    tiny = QlpInstance(
+        PolytopeSpec(dim=spec.dim, A=spec.A, b=spec.b * 1e-6, G=spec.G, h=spec.h * 1e-6), inst.c
+    )
+    path = trace_path(tiny)
+    eta, _ = eta_star_formula(enumerate_vertices(tiny.polytope), inst.c, path.x_star)
+    assert eta == pytest.approx(path.eta_star, rel=1e-9)
+
+
+def test_agreement_is_relative_for_a_small_threshold(interval, monkeypatch):
+    # With the cost scaled by 1e8, eta* = 2e-8: a formula route twice off is 2e-8 away,
+    # inside an absolute 1e-7 (1 + eta*) but not within 1e-7 relative.
+    from qreglp import analysis
+
+    inst = QlpInstance(interval, np.array([-1e8]))
+    assert analyze(inst, grid=16).agreement
+    real = analysis.eta_star_formula
+    monkeypatch.setattr(
+        analysis, "eta_star_formula", lambda *a: (2.0 * real(*a)[0], real(*a)[1])
+    )
+    rep = analyze(inst, grid=16)
+    assert rep.agreement is False and rep.checks["agreement"] is False and not rep.bounds_ok

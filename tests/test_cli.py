@@ -245,6 +245,43 @@ def test_analyze_solves_phase_one_once(tmp_path, monkeypatch):
     assert len(phase_one) == 1  # validate's point serves the cold solves
 
 
+def _generic_polytope(rng, dim, cuts):
+    # The analyze-vertex benchmark's polytopes: the unit box plus ``cuts`` random halfspaces
+    # through an interior anchor, and a standard-normal cost.
+    G, h = [np.eye(dim), -np.eye(dim)], [np.ones(dim), np.zeros(dim)]
+    anchor = rng.uniform(0.3, 0.7, size=dim)
+    for _ in range(cuts):
+        g = rng.normal(size=dim)
+        g /= np.linalg.norm(g)
+        G.append(g[None, :])
+        h.append(np.array([float(g @ anchor) + rng.uniform(0.05, 0.3)]))
+    return np.vstack(G), np.concatenate(h), rng.normal(size=dim)
+
+
+def test_analyze_a_polytope_of_size_1e8(tmp_path, capsys):
+    # The cold projection's certificate is judged at the data's scale; an absolute
+    # KKT_TOL (1 + |z|) failed its stationarity residual here and exited 1.
+    G, h, c = _generic_polytope(np.random.default_rng([0, 3]), 6, 10)
+    f = tmp_path / "big.json"
+    f.write_text(json.dumps({"dim": 6, "G": G.tolist(), "h": (1e8 * h).tolist(), "c": c.tolist()}))
+    assert main(["analyze", str(f)]) == 0
+    assert capsys.readouterr().out.strip().endswith("bounds_ok=true")
+
+
+def test_ot_threshold_agreement_is_relative(tmp_path, monkeypatch, capsys):
+    # eta* = 6e-8 for the cost -1e8 I at n = 3: a formula route twice off is inside an
+    # absolute 1e-7 (1 + eta*), but the routes must agree to 1e-7 relative.
+    from qreglp import ot
+
+    f = tmp_path / "negid_big.json"
+    f.write_text(json.dumps({"cost": (-1e8 * np.eye(3)).tolist()}))
+    assert main(["ot", "threshold", str(f)]) == 0
+    real = ot.ot_eta_star
+    monkeypatch.setattr(ot, "ot_eta_star", lambda inst: 2.0 * real(inst))
+    assert main(["ot", "threshold", str(f)]) == 2
+    assert "agree=false" in capsys.readouterr().out
+
+
 def test_ot_threshold(neg_id_file, capsys):
     assert main(["ot", "threshold", neg_id_file(5)]) == 0
     out = capsys.readouterr().out

@@ -249,6 +249,9 @@ def _assert_polytope_scale_covariant(seed, k):
 @example(seed=137, k=7)
 @example(seed=165, k=7)
 @example(seed=5178361, k=2)  # a rounding rate once let a dependent row into the cone solve
+@example(seed=1, k=8)  # from 1e8 an absolute KKT floor failed the cold projection
+@example(seed=1, k=10)
+@example(seed=1, k=12)
 def test_polytope_scale_covariance(seed, k):
     _assert_polytope_scale_covariant(seed, k)
 
@@ -257,6 +260,15 @@ def test_polytope_scale_covariance_tiny():
     # At scale 1e-6 an absolute slack test of 1e-9 is 1e-3 of the polytope:
     # the tight rows must be decided at the data's scale.
     _assert_polytope_scale_covariant(165, -6)
+
+
+def test_polytope_scale_covariance_below_1e_8_raises_or_matches():
+    # At 1e-8 an absolute floor in the end certificates exceeded the polytope, and x*
+    # came back 24 % off.  Judged at the data's scale, the trace matches or raises.
+    try:
+        _assert_polytope_scale_covariant(232, -8)
+    except NumericalBreakdown as err:
+        assert "fails its certificate" in str(err)
 
 
 def _with_redundant_rows(inst, seed, rescale=False):
@@ -354,6 +366,55 @@ def test_missed_kink_raises(interval_inst, monkeypatch):
     monkeypatch.setattr(homotopy, "next_breakpoint", late_next)
     with pytest.raises(NumericalBreakdown, match="landing"):
         trace_path(interval_inst)
+
+
+def test_late_landing_off_a_row_raises(monkeypatch):
+    # On the unit square with c = -(1, 1e-6) the last row blocks at eta = 2e6, where the
+    # residual is 1e6 times the square.  Rows are judged at the scale of x and the polytope,
+    # not of the residual: a landing 1e-4 past that row must fail.
+    square = PolytopeSpec(dim=2, G=np.vstack([np.eye(2), -np.eye(2)]), h=[1.0, 1.0, 0.0, 0.0])
+    true_next = homotopy.next_breakpoint
+    moved = []
+
+    def overshoot(state):
+        eta, event = true_next(state)
+        if isinstance(event, BlockingConstraint) and eta > 1e5:
+            moved.append(eta)
+            eta = eta + 1e-4 / (square.G[event.rows] @ state.direction_vec).max()
+        return eta, event
+
+    monkeypatch.setattr(homotopy, "next_breakpoint", overshoot)
+    with pytest.raises(NumericalBreakdown, match=r"landing .*off the face by 1\.00e-04"):
+        trace_path(QlpInstance(square, np.array([-1.0, -1e-6])))
+    assert len(moved) == 1
+
+
+def test_trace_with_an_equality_row_through_the_origin():
+    # The cold projection of 0 lands on 0 up to rounding; the certificate's polytope-size
+    # term keeps that rounding from being judged against itself.
+    spec = PolytopeSpec(dim=3, A=[[1.0, 2.0, -3.0]], b=[0.0],
+                        G=np.vstack([np.eye(3), -np.eye(3)]), h=np.ones(6))
+    path = trace_path(QlpInstance(spec, np.array([-1.0, 1.0, 0.0])))
+    assert path.eta_star == pytest.approx(22 / 9, rel=1e-12)
+    np.testing.assert_allclose(path.x_star, [1.0, -1.0, -1 / 3], atol=1e-12)
+    path = trace_path(QlpInstance(spec, np.array([1.0, 0.5, -0.2])))
+    assert path.eta_star == pytest.approx(100 / 11, rel=1e-12)
+    np.testing.assert_allclose(path.x_star, [-1.0, -1.0, -1.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("case", ["interval", 4, 9])
+def test_stalled_tracer_raises(interval_inst, monkeypatch, case):
+    # Events reported at the current eta make no progress; five in a row stall the trace.
+    true_next = homotopy.next_breakpoint
+
+    def stuck(state):
+        eta, event = true_next(state)
+        return (eta, event) if isinstance(event, Stationary) else (state.eta, event)
+
+    monkeypatch.setattr(homotopy, "next_breakpoint", stuck)
+    inst = interval_inst if case == "interval" else random_polytope_instance(case)
+    with pytest.raises(NumericalBreakdown, match="stalled"):
+        trace_path(inst)
 
 
 def test_path_json_and_csv(interval_inst):

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qreglp import (
+    NumericalBreakdown,
     PolytopeSpec,
     ProjectionResult,
     QlpInstance,
@@ -11,6 +12,7 @@ from qreglp import (
     enumerate_vertices,
     project,
     solve_qlp,
+    trace_path,
 )
 from qreglp import projection
 from qreglp.oracle import random_cost_matrix, random_polytope_instance
@@ -116,6 +118,38 @@ def test_kkt_certificate_data():
     grad = z - res.x - spec.A.T @ res.eq_multipliers
     grad -= spec.G[res.active_set].T @ res.multipliers
     assert np.max(np.abs(grad)) <= 1e-8
+
+
+def test_project_raises_on_a_failed_certificate(monkeypatch):
+    # A kernel point moved by 1e-6 leaves the face and the normal cone: project must
+    # raise rather than return it.
+    real = projection.min_distance_active_set
+
+    def moved(*args, **kwargs):
+        x, *rest = real(*args, **kwargs)
+        return (x + 1e-6, *rest)
+
+    monkeypatch.setattr(projection, "min_distance_active_set", moved)
+    with pytest.raises(NumericalBreakdown, match="projection fails its certificate"):
+        project(birkhoff_polytope(3), np.random.default_rng(9).normal(size=9))
+
+
+def test_project_origin_with_an_equality_row_through_it():
+    # 0 lies in P and the projection leaves rounding of 1e-16 in x: judged at |x| alone that
+    # rounding would fail against itself; the polytope's size sets the floor.
+    spec = PolytopeSpec(dim=3, A=[[1.0, 2.0, -3.0]], b=[0.0],
+                        G=np.vstack([np.eye(3), -np.eye(3)]), h=np.ones(6))
+    for z in (np.zeros(3), np.full(3, 0.3)):
+        np.testing.assert_allclose(project(spec, z).x, z, atol=1e-15)
+
+
+@pytest.mark.parametrize("seed", [8, 82, 178])
+def test_far_target_lands_on_the_true_face(seed):
+    # At eta = 1e9 the target is 1e9 away: ties judged to TIE_TOL of the whole step would let
+    # a row enter the working set 1e-1 off the face, and x would come back up to 2e-1 wrong.
+    inst = random_polytope_instance(seed)
+    x_star = trace_path(inst).x_star
+    np.testing.assert_allclose(solve_qlp(inst, 1e9).x, x_star, rtol=0, atol=1e-9)
 
 
 def test_decay_bound_interval_equality(interval_inst):

@@ -37,3 +37,27 @@ def test_no_absolute_slack_comparison(name):
         and any(isinstance(n, ast.Name) and n.id == "FEAS_TOL" for n in ast.walk(node))
     ]
     assert found == [], f"{name}: comparisons with FEAS_TOL at lines {found}"
+
+
+def test_one_certificate_rule():
+    # Every KKT acceptance goes through projection._check_certificate and its row rule
+    # _rows_hold, at the data's scale; the tracer keeps no feasibility or KKT threshold of its own.
+    outside = []
+    for name in SOLVER_MODULES:
+        tree = ast.parse((Path(qreglp.__file__).parent / name).read_text())
+        inside = {
+            id(n)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and node.name in ("_check_certificate", "_rows_hold")
+            for n in ast.walk(node)
+        }
+        outside += [
+            (name, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "KKT_TOL" and id(node) not in inside
+        ]
+    assert outside == [], f"KKT_TOL used outside the certificate check: {outside}"
+    tree = ast.parse((Path(qreglp.__file__).parent / "homotopy.py").read_text())
+    imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert not imported & {"FEAS_TOL", "KKT_TOL"}
