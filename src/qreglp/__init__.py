@@ -32,10 +32,8 @@ from .polytope import (
     validate,
 )
 from .projection import (
-    CertReport,
     ProjectionResult,
     QlpInstance,
-    certify,
     project,
     solve_qlp,
 )
@@ -55,7 +53,6 @@ __all__ = [
     "AssumptionViolated",
     "BlockingConstraint",
     "BudgetExceeded",
-    "CertReport",
     "DegeneratePath",
     "DroppingMultiplier",
     "EmptyFeasibleSet",
@@ -75,7 +72,6 @@ __all__ = [
     "UnboundedSet",
     "ValidationReport",
     "VertexSet",
-    "certify",
     "enumerate_vertices",
     "geometry",
     "next_breakpoint",

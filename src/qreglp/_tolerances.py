@@ -1,16 +1,13 @@
 """Every threshold of the solver layers (polytope, projection, homotopy), one name per decision.
 
-Each comment states the decision and the scale the value multiplies.  The checking modules
-(analysis, oracle, ot, cli) keep their own constants, so a change here moves no check that
-judges the solver.
+Each comment states the decision and the scale the value multiplies.  Whether a point holds
+a row, or lies on it, is decided by one row rule at ``KKT_TOL`` and the data's scale, for the
+solver's points and for points from outside (listed vertices, start points) alike.  The
+checking modules (analysis, oracle, ot, cli) keep their own constants, so a change here moves
+no check that judges the solver.
 """
 
-FEAS_TOL = 1e-9  # a row holds at slack >= -this (absolute); ZERO_TOL decides which rows are tight
-START_TOL = 1e-7  # a given start point (hint, first vertex, warm start) holds every row to this
-START_INFEAS_TOL = 1e-6  # the kernel refuses a start point that breaks a row by more (absolute)
-DEDUP_TOL = 1e-9  # two vertices are one point when no coordinate differs by more (absolute)
 OPT_TOL = 1e-9  # a vertex is LP-optimal when its cost is within this |c| |ptp(V)| of the least
-EXTREME_RANK_TOL = 1e-8  # a vertex's tight rows have rank dim above this singular value (absolute)
 RECESSION_TOL = 1e-7  # unbounded if unit-row [A; G] has sigma_min <= this or the ray LP exceeds it
 RANK_TOL = 1e-10  # independent: residual > this max(1, |row|); sigma_min > this max(1, sigma_max)
 FULL_RANK_TOL = 1e-9  # working-set rows are independent when min |R_ii| > this max(1, max |R_ii|)
@@ -20,6 +17,5 @@ TIE_TOL = 1e-10  # crossings tie within this (1 + t_min), or (|x| / |step| + t_m
 SEGMENT_TOL = 1e-11  # a tight row carries the moving piece when |g . d| <= this (1 + |g| |d|)
 STALL_TOL = 1e-12  # an eta step <= this (1 + eta) is no progress; five in a row stall the trace
 MULT_TOL = 1e-10  # a working-set multiplier below -this is negative (absolute)
-KKT_TOL = 1e-8  # certificate: rows to this (|h_i| + |g_i| s), s = |x| + size; residual to s + |r|
-CERTIFY_TOL = 1e-7  # certify's default: <z - x, v - x> <= this (1 + |z|) at every vertex
+KKT_TOL = 1e-8  # row rule: to this (|h_i| + |g_i| s), s = |x| + size; KKT residual to s + |r|
 POLISH_TOL = 1e-6  # the polished endpoint is kept if no coordinate moves more than this (1 + |x|)

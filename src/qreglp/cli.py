@@ -16,12 +16,10 @@ import sys
 import numpy as np
 
 from . import analysis, oracle, ot
-from .errors import BudgetExceeded, QreglpError
+from .errors import BudgetExceeded, NumericalBreakdown, QreglpError
 from .homotopy import trace_path
 from .polytope import DEFAULT_BASIS_BUDGET, PolytopeSpec, validate
 from .projection import QlpInstance, solve_qlp
-
-_BASE_TOL = 1e-9
 
 
 def _csv_cell(v) -> str:
@@ -58,13 +56,13 @@ def _cmd_project(args) -> int:
     inst, _ = _load_instance(args.instance)
     if args.eta <= 0:
         raise ValueError("--eta must be positive")
-    res = solve_qlp(inst, args.eta)
+    try:
+        res = solve_qlp(inst, args.eta)
+    except NumericalBreakdown as exc:  # the solution fails its certificate
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(json.dumps(res.to_json_dict(), separators=(",", ": ")))
-    scale = args.tol / _BASE_TOL
-    if inst.polytope.vertices is not None:
-        tol = scale * 1e-7 * (1.0 + float(np.linalg.norm(inst.target(args.eta))))
-        return 0 if res.residual <= tol else 2
-    return 0 if res.kkt_residual <= scale * 1e-8 * (1.0 + args.eta) else 2
+    return 0
 
 
 def _cmd_path(args) -> int:
@@ -175,8 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Regularized linear programs over polytopes: projection, "
         "solution paths, thresholds, and regularized optimal transport.",
     )
-    parser.add_argument("--tol", type=float, default=_BASE_TOL,
-                        help="base tolerance; scales certificate checks")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     parser.add_argument(
         "--budget",

@@ -40,9 +40,9 @@ from scipy.optimize import linprog
 
 from ._tolerances import POLISH_TOL, ROUNDING_FLOOR, SEGMENT_TOL, STALL_TOL, ZERO_TOL
 from .errors import MaxSegmentsExceeded, NumericalBreakdown
-from .polytope import PolytopeSpec, _extend_basis
+from .polytope import PolytopeSpec, _extend_basis, _rows_hold
 from .projection import (Certificate, QlpInstance, _check_certificate, _FreeSystem, _ratio_test,
-                         _rows_hold, min_distance_active_set, project)
+                         min_distance_active_set, project)
 
 
 @dataclass

@@ -35,7 +35,6 @@ from .projection import QlpInstance, solve_qlp
 PERMUTATION_BUDGET = 8
 HOMOTOPY_BUDGET = 32
 ATTACH_VERTICES_UP_TO = 6
-_SUPPORT_TOL = 1e-9
 _LINEARITY_SOLVES = 4
 
 
@@ -105,63 +104,6 @@ class OtInstance:
     def qlp(self) -> QlpInstance:
         """The regularized linear program in doubly-stochastic coordinates."""
         return QlpInstance(self.polytope, self.scaled_cost.ravel())
-
-    def coupling_qlp(self) -> tuple[QlpInstance, float]:
-        """Equivalent program in coupling coordinates.
-
-        Returns the instance over matrices with row and column sums
-        ``1/n`` together with the factor ``f = n^2`` such that solving it
-        at ``eta / f`` yields the coupling whose ``n``-fold multiple is
-        the doubly-stochastic solution at ``eta``.
-        """
-        spec = birkhoff_polytope(self.n)
-        gamma_spec = PolytopeSpec(
-            dim=spec.dim,
-            A=spec.A,
-            b=spec.b / self.n,
-            G=spec.G,
-            h=spec.h,
-            feasible_point=np.full(spec.dim, 1.0 / self.n**2),
-        )
-        return QlpInstance(gamma_spec, self.cost.ravel()), float(self.n**2)
-
-
-@dataclass
-class CouplingView:
-    """A doubly stochastic solution with its coupling-scale twin."""
-
-    pi: np.ndarray
-    support_tol: float = _SUPPORT_TOL
-
-    def __post_init__(self):
-        self.pi = np.asarray(self.pi, dtype=float)
-        if self.pi.ndim == 1:
-            n = int(round(math.sqrt(self.pi.size)))
-            self.pi = self.pi.reshape(n, n)
-
-    @property
-    def n(self) -> int:
-        return self.pi.shape[0]
-
-    @property
-    def gamma(self) -> np.ndarray:
-        return self.pi / self.n
-
-    @property
-    def support(self) -> list[tuple[int, int]]:
-        cut = self.support_tol * self.n
-        ii, jj = np.nonzero(self.pi > cut)
-        return list(zip(ii.tolist(), jj.tolist()))
-
-    def marginal_error(self) -> float:
-        g = self.gamma
-        target = 1.0 / self.n
-        return float(
-            max(
-                np.max(np.abs(g.sum(axis=1) - target)),
-                np.max(np.abs(g.sum(axis=0) - target)),
-            )
-        )
 
 
 def build(

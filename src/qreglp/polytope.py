@@ -11,14 +11,14 @@ held plus the zero-set tests it runs, and is charged before the step runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog
 
-from ._tolerances import (DEDUP_TOL, EXTREME_RANK_TOL, FEAS_TOL, OPT_TOL, RANK_TOL,
-                          RECESSION_TOL, START_TOL, ZERO_TOL)
+from ._tolerances import KKT_TOL, OPT_TOL, RANK_TOL, RECESSION_TOL, ZERO_TOL
 from .errors import (
     AllVerticesOptimal,
     BudgetExceeded,
@@ -63,8 +63,9 @@ class PolytopeSpec:
         Inequality block, shape (k, dim) and (k,).  May be empty.
     vertices : array_like, optional
         Explicit vertex list, shape (K, dim).  When given, enumeration
-        returns them directly after validation.  An empty list counts as
-        none and is stored as ``None``.
+        returns them, one row per vertex (:func:`_distinct_vertices`);
+        :func:`validate` checks them.  An empty list counts as none and is
+        stored as ``None``.
     feasible_point : array_like, optional
         A known feasible point, used to skip the feasibility phase.
     """
@@ -118,20 +119,21 @@ class PolytopeSpec:
         return np.linalg.norm(self.G, axis=1)
 
     @cached_property
+    def eq_row_norms(self) -> np.ndarray:
+        """Euclidean norms of the rows of ``A``, computed once per spec."""
+        return np.linalg.norm(self.A, axis=1)
+
+    @cached_property
     def size(self) -> float:
         """``max |rhs| / max |row|`` over both blocks: a length that scales with the polytope."""
-        top = max(self.row_norms.max(initial=0), np.linalg.norm(self.A, axis=1).max(initial=0))
+        top = max(self.row_norms.max(initial=0), self.eq_row_norms.max(initial=0))
         rhs = max(np.abs(self.h).max(initial=0), np.abs(self.b).max(initial=0))
         return float(rhs / top) if top else 0.0
 
-    def contains(self, x, tol: float = FEAS_TOL) -> bool:
-        """Membership test up to ``tol`` on both constraint blocks."""
-        x = np.asarray(x, dtype=float).ravel()
-        if self.n_eq and np.max(np.abs(self.A @ x - self.b)) > tol:
-            return False
-        if self.n_ineq and np.max(self.G @ x - self.h) > tol:
-            return False
-        return True
+    def contains(self, x, tol: float | None = None) -> bool:
+        """Whether ``x`` holds every row by the row rule (:func:`_row_rule`), to ``tol`` in
+        place of ``KKT_TOL`` when given."""
+        return bool(_row_rule(self, np.ravel(x), tol)[0])
 
     def tight_rows(self, x, z) -> np.ndarray:
         """Inequality rows tight at ``x``, the projection of ``z`` (:func:`_tight_rows`)."""
@@ -241,22 +243,41 @@ def _lexsorted(V: np.ndarray) -> np.ndarray:
     return V[order]
 
 
-def _dedup_rows(V: np.ndarray) -> np.ndarray:
-    """Drop rows that duplicate an earlier row in the infinity norm.
+def _row_rule(spec: PolytopeSpec, X, tol: float | None = None):
+    """The one row rule for a point, at the data's scale: row ``i`` holds, or the point lies
+    on it, to ``KKT_TOL (|h_i| + |g_i| s)`` (``|b_i| + |a_i| s`` for an equality row),
+    ``s = |x| + size``.  It judges the solver's certificates and every point given from
+    outside (listed vertices, start points) alike.
 
-    Rows are visited in lexicographic order, so a row can only duplicate an
-    earlier one whose first coordinate is within ``DEDUP_TOL`` of its own;
-    only those are compared.
+    ``X`` is one point, or holds one point per row.  Returns, per point, whether it holds
+    every row, and per point and inequality row, whether it lies on the row.
     """
+    tol = KKT_TOL if tol is None else tol
+    X = np.asarray(X, dtype=float)
+    norm = np.sqrt(np.einsum("ij,ij->i", X, X))[:, None] if X.ndim == 2 else math.sqrt(X @ X)
+    off = X @ spec.G.T - spec.h  # positive on a broken row
+    bound = tol * (np.abs(spec.h) + spec.row_norms * (norm + spec.size))
+    holds = (off <= bound).all(axis=-1)
+    if spec.n_eq:
+        eq_bound = tol * (np.abs(spec.b) + spec.eq_row_norms * (norm + spec.size))
+        holds &= (np.abs(X @ spec.A.T - spec.b) <= eq_bound).all(axis=-1)
+    return holds, np.abs(off) <= bound
+
+
+def _rows_hold(spec: PolytopeSpec, x, rows) -> bool:
+    """Whether ``x`` holds every row and lies on the inequality rows ``rows``, by
+    :func:`_row_rule`."""
+    holds, on = _row_rule(spec, x)
+    return bool(holds and on[rows].all())
+
+
+def _distinct_vertices(spec: PolytopeSpec, V: np.ndarray) -> np.ndarray:
+    """``V`` in lexicographic order, one row per vertex: a vertex is fixed by the constraint rows
+    it lies on, so two points of ``V`` that lie on the same rows (:func:`_row_rule`) are one
+    vertex, and the first is kept."""
     V = _lexsorted(V)
-    first = V[:, 0]
-    lo = np.searchsorted(first, first - DEDUP_TOL)
-    keep = np.ones(V.shape[0], dtype=bool)
-    for i in np.flatnonzero(lo < np.arange(V.shape[0])):
-        near = V[lo[i]:i][keep[lo[i]:i]]
-        if near.size and np.min(np.max(np.abs(near - V[i]), axis=1)) <= DEDUP_TOL:
-            keep[i] = False
-    return V[keep]
+    first = np.unique(_row_rule(spec, V)[1], axis=0, return_index=True)[1]
+    return V[np.sort(first)]
 
 
 def _tight_rows(slack, h, row_norms, scale: float) -> np.ndarray:
@@ -302,13 +323,11 @@ def _extend_basis(base: np.ndarray, M: np.ndarray, order) -> tuple[list[int], np
 
 
 def _find_feasible_point(spec: PolytopeSpec) -> np.ndarray:
-    """A feasible point, from the spec hint, a vertex, or a phase-1 LP."""
-    if spec.feasible_point is not None and spec.contains(spec.feasible_point, START_TOL):
-        return np.asarray(spec.feasible_point, dtype=float)
-    if spec.vertices is not None:
-        v = spec.vertices[0]
-        if spec.contains(v, START_TOL):
-            return np.asarray(v, dtype=float)
+    """A feasible point: the spec hint or the first listed vertex when it holds every row by
+    the row rule (:meth:`PolytopeSpec.contains`), else the point of a phase-1 LP."""
+    for p in (spec.feasible_point, None if spec.vertices is None else spec.vertices[0]):
+        if p is not None and spec.contains(p):
+            return np.asarray(p, dtype=float)
     res = linprog(
         c=np.zeros(spec.dim),
         A_ub=spec.G if spec.n_ineq else None,
@@ -356,8 +375,11 @@ def _recession_ray(spec: PolytopeSpec) -> np.ndarray | None:
 def validate(spec: PolytopeSpec) -> ValidationReport:
     """Check nonemptiness, boundedness, and V/H consistency.
 
-    Returns the canonicalized spec (contiguous float arrays, vertices
-    deduplicated and lexicographically sorted, and the feasible point the
+    A listed vertex comes from outside the program, so it is judged by the row rule
+    (:func:`_row_rule`): the list is consistent when every vertex holds every row and is
+    extreme (:func:`_is_extreme`).  Listed points that lie on the same rows are one vertex
+    (:func:`_distinct_vertices`).  Returns the canonicalized spec (contiguous float arrays,
+    vertices deduplicated and lexicographically sorted, and the feasible point the
     check found).  Raises
     :class:`EmptyFeasibleSet` or :class:`UnboundedSet` on failure, and
     :class:`ShapeMismatch` for inconsistent blocks (at construction).
@@ -370,10 +392,9 @@ def validate(spec: PolytopeSpec) -> ValidationReport:
     vertex_consistent = True
     canon = replace(spec, feasible_point=point)
     if spec.vertices is not None:
-        V = _dedup_rows(spec.vertices)
-        ok_feas = all(spec.contains(v, 10 * FEAS_TOL) for v in V)
-        ok_extreme = all(_is_extreme(spec, v) for v in V)
-        vertex_consistent = bool(ok_feas and ok_extreme)
+        V = _distinct_vertices(spec, spec.vertices)
+        holds, on = _row_rule(spec, V)
+        vertex_consistent = bool(holds.all() and all(_is_extreme(spec, rows) for rows in on))
         canon = replace(canon, vertices=V)
     return ValidationReport(
         nonempty=True,
@@ -384,11 +405,13 @@ def validate(spec: PolytopeSpec) -> ValidationReport:
     )
 
 
-def _is_extreme(spec: PolytopeSpec, v: np.ndarray) -> bool:
-    """Extreme-point certificate: the rows tight at ``v`` have full rank.  ``v`` comes from
-    outside the program, so a row is tight at the absolute slack ``10 FEAS_TOL``."""
-    M = np.vstack([spec.A, spec.G[spec.h - spec.G @ v <= 10 * FEAS_TOL]])
-    return np.linalg.matrix_rank(M, tol=EXTREME_RANK_TOL) == spec.dim
+def _is_extreme(spec: PolytopeSpec, on: np.ndarray) -> bool:
+    """Extreme-point certificate of a point that lies on the inequality rows ``on`` (a mask,
+    :func:`_row_rule`): those rows, scaled to unit length, and the equality rows reach rank
+    ``dim`` (:func:`_extend_basis`)."""
+    unit = spec.G / np.where(spec.row_norms > 0, spec.row_norms, 1.0)[:, None]
+    _, basis = _extend_basis(spec.eq_reduction[1], unit, np.flatnonzero(on))
+    return basis.shape[0] == spec.dim
 
 
 def _check_budget(rays: int, tests: int, budget: int) -> None:
@@ -484,9 +507,10 @@ def enumerate_vertices(
 ) -> VertexSet:
     """Enumerate all extreme points of the polytope.
 
-    If the spec carries an explicit vertex list it is deduplicated,
-    sorted, and returned.  Otherwise the affine hull ``A x = b`` is
-    written as ``x0 + N y`` and the vertices are read off the extreme rays
+    If the spec carries an explicit vertex list it is deduplicated by the
+    rows each vertex lies on (:func:`_distinct_vertices`), sorted, and
+    returned.  Otherwise the affine hull ``A x = b`` is written as
+    ``x0 + N y`` and the vertices are read off the extreme rays
     of the cone ``{(y, t) : G N y - (h - G x0) t / L <= 0, t >= 0}`` with
     unit rows, found by :func:`_double_description`.  ``L``, the largest
     distance from ``x0`` to a row's hyperplane in the hull, measures ``t``
@@ -510,7 +534,7 @@ def enumerate_vertices(
         that number more than ``budget`` (:func:`_double_description`).
     """
     if spec.vertices is not None:
-        return VertexSet(_dedup_rows(spec.vertices))
+        return VertexSet(_distinct_vertices(spec, spec.vertices))
 
     d = spec.dim
     eq_idx, base_q = spec.eq_reduction
@@ -527,7 +551,7 @@ def enumerate_vertices(
     N = np.linalg.qr(base_q.T, mode="complete")[0][:, r_eq:]  # orthonormal, A N = 0
     size = np.linalg.norm(x0)
     off = np.abs(spec.b - spec.A @ x0)
-    if np.any(off > ZERO_TOL * (np.abs(spec.b) + np.linalg.norm(spec.A, axis=1) * size)):
+    if np.any(off > ZERO_TOL * (np.abs(spec.b) + spec.eq_row_norms * size)):
         raise EmptyFeasibleSet("the equality rows are inconsistent")
     GN = spec.G @ N
     slack = spec.h - spec.G @ x0

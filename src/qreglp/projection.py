@@ -28,14 +28,14 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from ._tolerances import (CERTIFY_TOL, FULL_RANK_TOL, KKT_TOL, MULT_TOL, RANK_TOL, ROUNDING_FLOOR,
-                          START_INFEAS_TOL, START_TOL, TIE_TOL, ZERO_TOL)
+from ._tolerances import (FULL_RANK_TOL, KKT_TOL, MULT_TOL, RANK_TOL, ROUNDING_FLOOR, TIE_TOL,
+                          ZERO_TOL)
 from .errors import MaxIterationsExceeded, NumericalBreakdown, ShapeMismatch
 from .polytope import (
     PolytopeSpec,
-    VertexSet,
     _extend_basis,
     _find_feasible_point,
+    _rows_hold,
     _tight_rows,
     _unit_columns,
 )
@@ -246,10 +246,11 @@ def min_distance_active_set(
 ):
     """Minimize ``|x - z|^2`` subject to ``A x = A x0`` and ``G x <= h``.
 
-    ``x0`` must be feasible.  The equality right-hand side is taken from
-    ``x0`` so the routine serves both polytopes and cones (``h = 0``,
-    ``x0 = 0``).  ``eq`` is the reduction ``(eq_idx, base_q)`` of ``A``
-    (:attr:`PolytopeSpec.eq_reduction`), ``col`` the unit columns of ``G``
+    ``x0`` must be feasible and is not checked here: :func:`project` takes a
+    start only when it holds every row by the row rule.  The equality
+    right-hand side is taken from ``x0`` so the routine serves both
+    polytopes and cones (``h = 0``, ``x0 = 0``).  ``eq`` is the reduction
+    ``(eq_idx, base_q)`` of ``A`` (:attr:`PolytopeSpec.eq_reduction`), ``col`` the unit columns of ``G``
     (:attr:`PolytopeSpec.unit_columns`) and ``row_norms`` the norms of its
     rows (:attr:`PolytopeSpec.row_norms`); each is computed when not given.
     The working set starts from the rows of ``w0`` still tight at ``x0``, then
@@ -264,10 +265,6 @@ def min_distance_active_set(
     m = A.shape[0]
     k = G.shape[0]
     x = np.asarray(x0, dtype=float).copy()
-    if k:
-        worst = float(np.max(G @ x - h))
-        if worst > START_INFEAS_TOL:
-            raise ValueError(f"start point infeasible by {worst:.2e}")
     max_iter = max(50 * (m + k), 100)
 
     # Redundant equality rows would break the null-space projection.
@@ -359,24 +356,11 @@ class Certificate(NamedTuple):
         return Certificate(rows, self.mu, full[rows])
 
 
-def _rows_hold(spec: PolytopeSpec, x, rows) -> bool:
-    """Whether ``x`` holds every row and lies on the inequality rows ``rows``, row ``i`` to
-    ``KKT_TOL (|h_i| + |g_i| s)`` (``|b_i| + |a_i| s`` for equality rows), ``s = |x| + size``."""
-    scale = math.sqrt(x @ x) + spec.size
-    off = spec.G @ x - spec.h  # positive on a broken row; the rows of ``rows`` count both ways
-    off[rows] = np.abs(off[rows])
-    ok = (off <= KKT_TOL * (np.abs(spec.h) + spec.row_norms * scale)).all()
-    if ok and spec.n_eq:
-        eq_bound = KKT_TOL * (np.abs(spec.b) + np.linalg.norm(spec.A, axis=1) * scale)
-        ok = (np.abs(spec.A @ x - spec.b) <= eq_bound).all()
-    return bool(ok)
-
-
 def _check_certificate(spec: PolytopeSpec, x, r, cert: Certificate, where: str) -> float:
     """Raise unless ``cert`` proves ``x = proj(x + r)``; return its stationarity residual.
 
-    The one KKT rule, at the data's scale: the rows hold by :func:`_rows_hold`, and the
-    stationarity residual and ``-min lam`` lie within ``KKT_TOL (|x| + size + |r|)``, where
+    The one KKT rule, at the data's scale: the rows hold by :func:`polytope._rows_hold`, and
+    the stationarity residual and ``-min lam`` lie within ``KKT_TOL (|x| + size + |r|)``, where
     ``size`` (:attr:`PolytopeSpec.size`) keeps rounding in ``x`` at the origin from failing.
     """
     resid = float(np.abs(r - spec.A.T @ cert.mu - spec.G[cert.rows].T @ cert.lam).max())
@@ -406,8 +390,10 @@ def project(
     z : array_like
         Point to project.
     start, working_set : optional
-        Warm start: a feasible point and inequality rows to seed the
-        working set.  A cold start uses a vertex or a feasibility solve.
+        Warm start: a point and inequality rows to seed the working set.
+        The start is taken when it holds every row by the row rule
+        (:meth:`PolytopeSpec.contains`); otherwise, or without one, the
+        solve starts cold from :func:`polytope._find_feasible_point`.
 
     Returns
     -------
@@ -415,12 +401,8 @@ def project(
         Minimizer with KKT certificate data, checked by :func:`_check_certificate`.
     """
     z = np.asarray(z, dtype=float).ravel()
-    x0 = None
-    if start is not None:
-        cand = np.asarray(start, dtype=float).ravel()
-        if spec.contains(cand, START_TOL):
-            x0 = cand
-    if x0 is None:
+    x0 = None if start is None else np.asarray(start, dtype=float).ravel()
+    if x0 is None or not spec.contains(x0):
         x0 = _find_feasible_point(spec)
         working_set = None
     x, W, mu, lam, iters = min_distance_active_set(
@@ -453,34 +435,3 @@ def solve_qlp(
     if eta <= 0:
         raise ValueError("eta must be positive")
     return project(inst.polytope, inst.target(eta), start=start, working_set=working_set)
-
-
-@dataclass
-class CertReport:
-    """Variational-inequality check of a projection against vertices."""
-
-    max_violation: float
-    tol: float
-    passed: bool
-    worst_vertex: int
-
-
-def certify(
-    spec: PolytopeSpec,
-    result: ProjectionResult,
-    z,
-    vertices: VertexSet | np.ndarray,
-    tol: float | None = None,
-) -> CertReport:
-    """Verify ``<z - x, v - x> <= tol`` over all vertices ``v``.
-
-    The default tolerance is ``CERTIFY_TOL * (1 + |z|)``.
-    """
-    z = np.asarray(z, dtype=float).ravel()
-    V = vertices.vertices if isinstance(vertices, VertexSet) else np.asarray(vertices)
-    if tol is None:
-        tol = CERTIFY_TOL * (1.0 + float(np.linalg.norm(z)))
-    vals = (V - result.x) @ (z - result.x)
-    worst = int(np.argmax(vals))
-    mx = float(vals[worst])
-    return CertReport(max_violation=mx, tol=tol, passed=mx <= tol, worst_vertex=worst)

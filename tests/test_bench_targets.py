@@ -1,14 +1,22 @@
-"""The functions the benchmark's tracer wraps by name still exist.
+"""The benchmark's tracer still fits the package it wraps.
 
 ``bench/tracing.py`` wraps ``qreglp.<module>.<function>`` for each entry of
 ``TARGETS`` and ``HOMOTOPY_TARGETS``; a deleted or renamed function would
-break its traced runs.  The tuples are read with ``ast``, so ``bench/`` is
-not imported.
+break its traced runs.  The tuples are read with ``ast``.  The span info of
+its wrappers calls into the package as well, which the last test runs with
+``bench/tracing.py`` loaded by its file path.
 """
 
 import ast
 import importlib
+import importlib.util
+import sys
+from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
+
+from qreglp import PolytopeSpec, QlpInstance, polytope, projection
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -38,3 +46,25 @@ def test_bench_wrapped_functions_exist():
     homotopy = importlib.import_module("qreglp.homotopy")
     for _, function in names["HOMOTOPY_TARGETS"]:
         assert callable(getattr(homotopy, function, None)), f"qreglp.homotopy.{function}"
+
+
+def test_tracer_span_info_calls_into_the_package(monkeypatch):
+    # After each ``project`` the tracer reads ``start`` by keyword and calls
+    # ``spec.contains(start, tol)`` with a positional ``tol``; after each
+    # ``enumerate_vertices`` it reads the spec's listed vertices.
+    loader = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(loader)
+    monkeypatch.setitem(sys.modules, "bench_tracing", tracing)
+    loader.loader.exec_module(tracing)
+    square = PolytopeSpec.box(np.zeros(2), np.ones(2))
+    inst = QlpInstance(square, np.array([-1.0, -0.5]))
+    listed = replace(square, vertices=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    with tracing.Tracer() as tracer:  # it wraps the functions at their modules' attributes
+        first = projection.solve_qlp(inst, 1.0)
+        projection.solve_qlp(inst, 3.0, start=first.x, working_set=first.working_set)
+        assert len(polytope.enumerate_vertices(listed)) == 4
+    cold = [s.info["cold"] for s in tracer.spans if s.name == "projection.project"]
+    assert cold == [True, False]
+    assert [s.info for s in tracer.spans if s.name == "polytope.enumerate_vertices"] == [
+        {"candidate_bases": 0, "vertices": 4}
+    ]

@@ -97,21 +97,17 @@ def test_inconsistent_vertex_list_exits_1(tmp_path, capsys, command, extra):
 
 
 def test_project_exit_2_on_wrong_point(tmp_path, monkeypatch, capsys):
-    # A solver fault: the corner (0, 0) returned for the target (0.5, 0.25) of the unit
-    # square breaks the variational inequality at its listed vertices by 0.75.
-    from dataclasses import replace
+    # A kernel fault: the corner (0, 0), with no working row, returned for the target
+    # (0.5, 0.25) inside the unit square fails project's certificate, so the command exits 2.
+    from qreglp import projection
 
-    from qreglp import cli
+    real = projection.min_distance_active_set
 
-    real = cli.solve_qlp
+    def wrong(*args, **kwargs):
+        x, W, mu, lam, it = real(*args, **kwargs)
+        return np.zeros_like(x), W, mu, lam, it
 
-    def wrong(inst, eta):
-        res = real(inst, eta)
-        x = np.zeros(2)
-        residual = float(np.max((inst.polytope.vertices - x) @ (inst.target(eta) - x)))
-        return replace(res, x=x, residual=residual)
-
-    monkeypatch.setattr(cli, "solve_qlp", wrong)
+    monkeypatch.setattr(projection, "min_distance_active_set", wrong)
     data = {
         "dim": 2,
         "G": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
@@ -122,7 +118,9 @@ def test_project_exit_2_on_wrong_point(tmp_path, monkeypatch, capsys):
     f = tmp_path / "square.json"
     f.write_text(json.dumps(data))
     assert main(["project", str(f), "--eta", "1.0"]) == 2
-    assert json.loads(capsys.readouterr().out)["residual"] == pytest.approx(0.75)
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "fails its certificate" in out.err
 
 
 def test_scaled_vertex_list_round_trips(tmp_path, capsys):
@@ -141,6 +139,30 @@ def test_scaled_vertex_list_round_trips(tmp_path, capsys):
         f = tmp_path / f"scaled{seed}.json"
         f.write_text(json.dumps({**listed.to_json_dict(), "c": inst.c.tolist()}))
         assert main(["path", str(f)]) == 0, seed
+    assert "error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e7, 1e8, 1e10, 1e12])
+def test_enumerated_vertex_list_round_trips_through_project(tmp_path, capsys, scale):
+    # The row rule judges a listed vertex at the data's scale, so every list the program
+    # enumerates validates with its vertex count, and ``project`` on it exits 0.
+    from dataclasses import replace
+
+    from qreglp.oracle import random_polytope_instance
+    from qreglp.polytope import enumerate_vertices, validate
+
+    for seed in range(40):
+        inst = random_polytope_instance(seed)
+        spec = inst.polytope
+        scaled = replace(spec, h=scale * spec.h, b=scale * spec.b,
+                         feasible_point=scale * spec.feasible_point)
+        listed = replace(scaled, vertices=enumerate_vertices(scaled).vertices)
+        rep = validate(listed)
+        assert rep.vertex_consistent, seed
+        assert rep.spec.vertices.shape == listed.vertices.shape, seed
+        f = tmp_path / f"scaled{seed}.json"
+        f.write_text(json.dumps({**listed.to_json_dict(), "c": inst.c.tolist()}))
+        assert main(["project", str(f), "--eta", "10"]) == 0, seed
     assert "error" not in capsys.readouterr().err
 
 

@@ -60,17 +60,6 @@ def test_polytope_embedding_rank():
     assert np.linalg.matrix_rank(spec.A) == 7
 
 
-def test_coupling_view():
-    n = 3
-    pi = np.full((n, n), 1.0 / n)
-    view = ot.CouplingView(pi)
-    assert view.marginal_error() <= 1e-12
-    assert np.allclose(view.pi, n * view.gamma)
-    assert len(view.support) == n * n
-    sparse = ot.CouplingView(np.eye(n))
-    assert sorted(sparse.support) == [(i, i) for i in range(n)]
-
-
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_ot_eta_star_neg_id(n):
     assert ot.ot_eta_star(ot.build(cost=-np.eye(n))) == pytest.approx(2.0 * n, rel=1e-12)
@@ -216,20 +205,6 @@ def test_slope_equality_neg_id():
     qlp = inst.qlp()
     rep = slope_report(trace_path(qlp), qlp.c)
     assert rep.slope == pytest.approx(ot.ot_slope_bound(inst), abs=1e-9)
-
-
-def test_gamma_pi_scaling_equivalence():
-    # Solving in coupling coordinates with the n^2-weighted penalty at
-    # eta must match the doubly-stochastic solve at the same eta.
-    rng = np.random.default_rng(4)
-    n = 3
-    inst = ot.build(cost=rng.uniform(size=(n, n)))
-    qlp_pi = inst.qlp()
-    qlp_gamma, factor = inst.coupling_qlp()
-    for eta in (0.7, 3.0, 20.0):
-        pi = solve_qlp(qlp_pi, eta).x
-        gamma = solve_qlp(qlp_gamma, eta / factor).x
-        assert np.max(np.abs(pi - n * gamma)) <= 1e-9
 
 
 def test_cost_shift_invariance():

@@ -339,12 +339,26 @@ def test_enumeration_tiny_matches_halfspace_intersection():
 
 
 def test_validate_merges_near_duplicate_listed_vertices():
-    # A listed vertex list is outside input: rows within 1e-9 are one vertex.
+    # A listed vertex comes from outside the program: two listed points that lie on the same
+    # constraint rows by the row rule are one vertex, and the first in lexicographic order is kept.
     square = PolytopeSpec.box(np.zeros(2), np.ones(2))
     listed = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 1e-10]]
     rep = validate(replace(square, vertices=listed))
     assert rep.vertex_consistent
     assert rep.spec.vertices.tolist() == [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e12])
+@pytest.mark.parametrize("extra", [[0.5, 0.5], [1.2, 0.0], [1.0 - 1e-6, 1.0]],
+                         ids=["interior", "outside", "near corner"])
+def test_validate_flags_a_listed_point_that_is_no_vertex(scale, extra):
+    # The row rule reads the same at any scale: a point 1e-6 relative off a corner lies on one
+    # row only, so it is no vertex, however small or large the square.
+    square = PolytopeSpec.box(np.zeros(2), scale * np.ones(2))
+    corners = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+    rep = validate(replace(square, vertices=scale * np.array(corners + [extra])))
+    assert not rep.vertex_consistent
+    assert validate(replace(square, vertices=scale * np.array(corners))).vertex_consistent
 
 
 @pytest.mark.parametrize("h0", [0.0, 2.0])

@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 from qreglp import (
     NumericalBreakdown,
     PolytopeSpec,
-    ProjectionResult,
     QlpInstance,
-    certify,
     enumerate_vertices,
     project,
     solve_qlp,
@@ -187,32 +185,25 @@ def test_suboptimality_nonincreasing(interval_inst):
     assert np.all(np.diff(vals) <= 1e-12)
 
 
-def test_certify_pass(interval):
-    vs = enumerate_vertices(interval)
-    res = project(interval, np.array([-0.5]))
-    rep = certify(interval, res, np.array([-0.5]), vs)
-    assert rep.passed and rep.max_violation <= 0.0 + 1e-12
+@pytest.mark.parametrize("seed", [1, 2, 5])
+def test_warm_start_accepted_at_scale(seed, monkeypatch):
+    # A start the solver itself returned holds every row by the row rule at any scale, so a
+    # warm solve on a polytope scaled by 1e10 never falls back to a cold start.
+    from dataclasses import replace
 
+    inst = random_polytope_instance(seed)
+    spec = inst.polytope
+    scaled = replace(spec, h=1e10 * spec.h, b=1e10 * spec.b,
+                     feasible_point=1e10 * spec.feasible_point)
+    inst = QlpInstance(scaled, inst.c)
+    prev, ref = solve_qlp(inst, 1e10), solve_qlp(inst, 2e10)
 
-def test_certify_detects_wrong_point(interval):
-    vs = enumerate_vertices(interval)
-    fake = ProjectionResult(
-        x=np.array([0.1]),
-        active_set=np.zeros(0, dtype=int),
-        multipliers=np.zeros(0),
-        residual=0.0,
-    )
-    rep = certify(interval, fake, np.array([-0.5]), vs)
-    assert not rep.passed
-    assert rep.max_violation == pytest.approx(0.06, abs=1e-12)
+    def cold(spec):
+        raise AssertionError("the warm start was refused")
 
-
-def test_certify_interior_exact(interval):
-    vs = enumerate_vertices(interval)
-    z = np.array([0.25])
-    res = project(interval, z)
-    rep = certify(interval, res, z, vs)
-    assert rep.passed and abs(rep.max_violation) <= 1e-12
+    monkeypatch.setattr(projection, "_find_feasible_point", cold)
+    warm = solve_qlp(inst, 2e10, start=prev.x, working_set=prev.working_set)
+    assert np.max(np.abs(warm.x - ref.x)) <= 1e-9 * np.linalg.norm(ref.x)
 
 
 def test_low_level_solver_on_cone():

@@ -24,10 +24,10 @@ def test_no_threshold_literal_outside_the_table(name):
     assert found == [], f"{name}: move these thresholds into _tolerances.py: {found}"
 
 
-@pytest.mark.parametrize("name", ("projection.py", "homotopy.py"))
+@pytest.mark.parametrize("name", SOLVER_MODULES)
 def test_no_absolute_slack_comparison(name):
-    # Which rows are tight is decided by polytope._tight_rows at the data's scale;
-    # a comparison with the absolute FEAS_TOL would bring a second rule back.
+    # Which rows hold, and which are tight, is decided at the data's scale (polytope._row_rule,
+    # polytope._tight_rows); a comparison with the absolute FEAS_TOL would bring a second rule back.
     path = Path(qreglp.__file__).parent / name
     tree = ast.parse(path.read_text(), filename=str(path))
     found = [
@@ -40,8 +40,9 @@ def test_no_absolute_slack_comparison(name):
 
 
 def test_one_certificate_rule():
-    # Every KKT acceptance goes through projection._check_certificate and its row rule
-    # _rows_hold, at the data's scale; the tracer keeps no feasibility or KKT threshold of its own.
+    # Every KKT acceptance goes through projection._check_certificate and the row rule
+    # polytope._row_rule, at the data's scale; the tracer keeps no feasibility or KKT threshold
+    # of its own.
     outside = []
     for name in SOLVER_MODULES:
         tree = ast.parse((Path(qreglp.__file__).parent / name).read_text())
@@ -49,7 +50,7 @@ def test_one_certificate_rule():
             id(n)
             for node in ast.walk(tree)
             if isinstance(node, ast.FunctionDef)
-            and node.name in ("_check_certificate", "_rows_hold")
+            and node.name in ("_check_certificate", "_row_rule")
             for n in ast.walk(node)
         }
         outside += [
