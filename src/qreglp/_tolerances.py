@@ -3,8 +3,10 @@
 Each comment states the decision and the scale the value multiplies.  Whether a point holds
 a row, or lies on it, is decided by one row rule at ``KKT_TOL`` and the data's scale, for the
 solver's points and for points from outside (listed vertices, start points) alike.  The
-checking modules (analysis, oracle, ot, cli) keep their own constants, so a change here moves
-no check that judges the solver.
+checking modules keep their own constants, so a change here moves no check that judges the
+solver: ``analysis`` judges every check by one rule at the size of its own terms, with
+``_CHECK_TOL`` for proven inequalities and ties and ``_ROUTE_TOL`` for two computed routes to
+one number; ``oracle``, ``ot`` and ``cli`` keep theirs.
 """
 
 OPT_TOL = 1e-9  # a vertex is LP-optimal when its cost is within this |c| |ptp(V)| of the least

@@ -3,7 +3,9 @@
 Evaluates the suboptimality curve, the closed-form threshold and its
 auxiliary-cost characterization, the slope bound of the final segment,
 the geometry-based threshold bound, and the large-regularization rates.
-All quantities come with the tolerances used by the test suite.
+Every check follows one rule (:func:`_at_most`): ``a <= b`` up to a tolerance
+times the size of the terms ``a`` and ``b`` are computed from, so no answer
+changes when the cost or the polytope is scaled.
 """
 
 from __future__ import annotations
@@ -16,12 +18,17 @@ from .errors import AllVerticesOptimal, BudgetExceeded, DegeneratePath
 from .homotopy import SolutionPath, trace_path
 from .polytope import (DEFAULT_BASIS_BUDGET, VertexSet, enumerate_vertices, geometry,
                        suboptimality_gap)
-from .projection import QlpInstance, project, solve_qlp
+from .projection import QlpInstance, solve_qlp
 
-_TIE_TOL = 1e-9
-_AUX_TOL = 1e-7
+_CHECK_TOL = 1e-9  # proven inequalities and ties
+_ROUTE_TOL = 1e-7  # two computed routes to one number
 _AUX_SAMPLES = 9
-_ORTHO_TOL = 1e-8
+
+
+def _at_most(a, b, size, tol=_CHECK_TOL):
+    """The one check rule: ``a <= b`` up to ``tol`` times ``size``, the magnitude of the
+    terms ``a`` and ``b`` are computed from (no ``1 +`` floor).  Works elementwise."""
+    return a - b <= tol * size
 
 
 def suboptimality(inst: QlpInstance, eta: float, lp_value: float) -> float:
@@ -31,8 +38,8 @@ def suboptimality(inst: QlpInstance, eta: float, lp_value: float) -> float:
 
 
 def routes_agree(a: float, b: float) -> bool:
-    """Whether two routes to ``eta*`` agree: ``|a - b| <= 1e-7 max(|a|, |b|)``, at any scale."""
-    return abs(a - b) <= 1e-7 * max(abs(a), abs(b))
+    """Whether two routes to ``eta*`` agree: ``|a - b| <= _ROUTE_TOL max(|a|, |b|)``."""
+    return _at_most(abs(a - b), 0.0, max(abs(a), abs(b)), _ROUTE_TOL)
 
 
 def eta_star_formula(vs: VertexSet, c, x_star):
@@ -40,8 +47,8 @@ def eta_star_formula(vs: VertexSet, c, x_star):
 
     The maximum runs over the vertices that ``vs.optimal_mask`` leaves
     unflagged; an unset mask is set by :meth:`VertexSet.mark_optimal`.
-    Returns ``(eta_star, argmax_indices)``; ties within ``1e-9`` relative
-    are all reported.  When every vertex is optimal the threshold is zero
+    Returns ``(eta_star, argmax_indices)``; ties within ``_CHECK_TOL``
+    relative are all reported.  When every vertex is optimal the threshold is zero
     by convention and the index list is empty.  A negative maximum (the
     origin projection already solves the LP) is clamped to zero.
     """
@@ -61,7 +68,7 @@ def eta_star_formula(vs: VertexSet, c, x_star):
         # Degenerate instance: the origin projection already solves the
         # LP, the threshold is zero, and no vertex attains it.
         return 0.0, np.zeros(0, dtype=int)
-    idx = np.flatnonzero(nonopt)[ratios >= best - _TIE_TOL * (1.0 + abs(best))]
+    idx = np.flatnonzero(nonopt)[_at_most(best, ratios, best)]
     return best, idx
 
 
@@ -82,9 +89,9 @@ class SlopeReport:
 
     @property
     def chain_holds(self) -> bool:
-        return (
-            self.slope <= self.bound_angle + 1e-9
-            and self.bound_angle <= self.bound_norm + 1e-9
+        """``slope <= bound_angle <= bound_norm``, each at the size ``|c|^2 / 2``."""
+        return _at_most(self.slope, self.bound_angle, self.bound_norm) and _at_most(
+            self.bound_angle, self.bound_norm, self.bound_norm
         )
 
 
@@ -103,7 +110,7 @@ def slope_report(path: SolutionPath, c) -> SlopeReport:
     x_star = path.x_star
     diff = x_star - x_prev
     nd = float(np.linalg.norm(diff))
-    if nd <= 1e-14 * (1.0 + np.linalg.norm(x_star)):
+    if _at_most(nd, 0.0, max(np.linalg.norm(x_star), np.linalg.norm(x_prev))):
         raise DegeneratePath("last segment has zero length")
     e_prev = float(c @ (x_prev - x_star))
     slope = e_prev / (path.breakpoints[-1] - path.breakpoints[-2])
@@ -136,15 +143,16 @@ def aux_cost_check(
     argmax vertices must attain equality, the whole last segment must be
     contained in that minimizing face, and on the open last segment the
     threshold equals ``2 <x*, x* - x(eta)> / <c, x(eta) - x*>`` (sampled at
-    ``_AUX_SAMPLES`` points; each check holds to ``_AUX_TOL`` times its scale).
+    ``_AUX_SAMPLES`` points).  Each check holds to ``_ROUTE_TOL`` times its size: the gaps at
+    ``(eta* |c| / 2 + |x*|) max |v - x*|``, the size of their terms before ``c_aux``
+    cancels, and the ratio identity at ``eta*``.
     """
     c = np.asarray(c, dtype=float).ravel()
     x_star = path.x_star
     eta_star = path.eta_star
     c_aux = 0.5 * eta_star * c + x_star
-    scale = 1.0 + float(np.linalg.norm(c_aux)) * (
-        1.0 + float(np.max(np.abs(vs.vertices), initial=0.0))
-    )
+    reach = float(np.max(np.linalg.norm(vs.vertices - x_star, axis=1), initial=0.0))
+    size = (0.5 * eta_star * float(np.linalg.norm(c)) + float(np.linalg.norm(x_star))) * reach
     gaps = (vs.vertices - x_star) @ c_aux
     min_gap = float(gaps.min())
     max_on_argmax = (
@@ -159,14 +167,13 @@ def aux_cost_check(
             x = path.interpolate(float(eta))
             max_seg = max(max_seg, abs(float((x - x_star) @ c_aux)))
             den = float(c @ (x - x_star))
-            if abs(den) > 1e-12 * (1.0 + np.linalg.norm(c)):
+            if not _at_most(abs(den), 0.0, np.linalg.norm(c) * np.linalg.norm(x - x_star)):
                 ratio = 2.0 * float(x_star @ (x_star - x)) / den
-                ratio_err = max(ratio_err, abs(ratio - eta_star) / (1.0 + eta_star))
+                ratio_err = max(ratio_err, abs(ratio - eta_star))
     passed = (
-        min_gap >= -_AUX_TOL * scale
-        and max_on_argmax <= _AUX_TOL * scale
-        and max_seg <= _AUX_TOL * scale
-        and ratio_err <= _AUX_TOL
+        _at_most(0.0, min_gap, size, _ROUTE_TOL)
+        and _at_most(max(max_on_argmax, max_seg), 0.0, size, _ROUTE_TOL)
+        and _at_most(ratio_err, 0.0, eta_star, _ROUTE_TOL)
     )
     return AuxCostCheck(
         aux_cost=c_aux,
@@ -194,51 +201,27 @@ def orthogonality_condition(x_zero, vs: VertexSet) -> bool:
 
     This is the condition under which the rate constant improves from
     ``|c|`` to ``|c|/2``; it holds automatically on the transport polytope.
+    Each value is judged at the size ``|x0| max |v - x0|``.
     """
     x_zero = np.asarray(x_zero, dtype=float).ravel()
-    vals = (vs.vertices - x_zero) @ x_zero
-    scale = (1.0 + np.linalg.norm(x_zero)) * (
-        1.0 + float(np.max(np.linalg.norm(vs.vertices, axis=1), initial=0.0))
-    )
-    return bool(np.max(np.abs(vals), initial=0.0) <= _ORTHO_TOL * scale)
+    off = vs.vertices - x_zero
+    size = np.linalg.norm(x_zero) * np.max(np.linalg.norm(off, axis=1), initial=0.0)
+    return bool(np.all(_at_most(np.abs(off @ x_zero), 0.0, size)))
 
 
-def small_eta_report(
-    inst: QlpInstance,
-    etas,
-    x_zero=None,
-    vs: VertexSet | None = None,
-    half: bool | None = None,
-) -> list[SmallEtaRow]:
-    """Rate check rows for the regime of large regularization.
+def small_eta_report(path: SolutionPath, c, etas, half: bool) -> list[SmallEtaRow]:
+    """Rate check rows for the regime of large regularization, with ``x(eta)`` read off the
+    traced path (exact between its certified ends).
 
-    ``half`` forces the improved constant; when ``None`` it is decided by
-    the orthogonality condition over ``vs`` (full constant if no vertices
-    are available).
+    ``half`` selects the improved constant ``|c| / 2`` (:func:`orthogonality_condition`);
+    each distance is judged at the size of its bound.
     """
-    if x_zero is None:
-        x_zero = project(inst.polytope, np.zeros(inst.polytope.dim)).x
-    x_zero = np.asarray(x_zero, dtype=float).ravel()
-    if half is None:
-        half = orthogonality_condition(x_zero, vs) if vs is not None else False
-    cnorm = float(np.linalg.norm(inst.c))
+    cnorm = float(np.linalg.norm(np.asarray(c, dtype=float)))
     rows = []
-    for eta in etas:
-        eta = float(eta)
-        if eta == 0.0:
-            dist = 0.0
-        else:
-            dist = float(np.linalg.norm(solve_qlp(inst, eta).x - x_zero))
+    for eta in map(float, etas):
+        dist = float(np.linalg.norm(path.interpolate(eta) - path.x_zero))
         bound = (0.5 if half else 1.0) * cnorm * eta
-        rows.append(
-            SmallEtaRow(
-                eta=eta,
-                distance=dist,
-                bound=bound,
-                half_constant=half,
-                passed=dist <= bound + 1e-9,
-            )
-        )
+        rows.append(SmallEtaRow(eta, dist, bound, half, bool(_at_most(dist, bound, bound))))
     return rows
 
 
@@ -340,7 +323,7 @@ def analyze(
         checks["agreement"] = agreement
         try:
             bound_2bd = gap_bound(marked, c)
-            checks["gap_bound"] = eta_formula <= bound_2bd + 1e-9
+            checks["gap_bound"] = _at_most(eta_formula, bound_2bd, bound_2bd)
         except AllVerticesOptimal:
             bound_2bd = None
         if path.n_segments:
@@ -357,11 +340,12 @@ def analyze(
         checks["slope_chain"] = rep.chain_holds
 
     etas = [path.eta_star / 10.0, path.eta_star / 100.0] if path.eta_star > 0 else [0.1]
-    small = small_eta_report(inst, etas, x_zero=path.x_zero, vs=vs, half=half)
+    small = small_eta_report(path, c, etas, half=bool(half))
     checks["small_eta"] = all(r.passed for r in small)
 
     curve = e_curve(path, c, grid)
-    checks["e_monotone"] = bool(np.all(np.diff(curve[:, 1]) <= 1e-9))
+    size = float(np.linalg.norm(c) * np.max(np.linalg.norm(path.endpoints, axis=1)))
+    checks["e_monotone"] = bool(np.all(_at_most(np.diff(curve[:, 1]), 0.0, size)))
     checks = {name: bool(ok) for name, ok in checks.items()}
 
     return AnalysisReport(

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -177,9 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--budget",
         type=int,
-        default=int(os.environ.get("QREG_BUDGET", DEFAULT_BASIS_BUDGET)),
-        help="vertex-enumeration budget: most rays held plus zero-set tests in one step "
-        "(env QREG_BUDGET)",
+        default=DEFAULT_BASIS_BUDGET,
+        help="vertex-enumeration budget: most rays held plus zero-set tests in one step",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

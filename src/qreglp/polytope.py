@@ -324,22 +324,27 @@ def _extend_basis(base: np.ndarray, M: np.ndarray, order) -> tuple[list[int], np
 
 def _find_feasible_point(spec: PolytopeSpec) -> np.ndarray:
     """A feasible point: the spec hint or the first listed vertex when it holds every row by
-    the row rule (:meth:`PolytopeSpec.contains`), else the point of a phase-1 LP."""
+    the row rule (:meth:`PolytopeSpec.contains`), else the point of a phase-1 LP.
+
+    HiGHS's tolerances are absolute, so the LP is solved at unit size: ``h`` and ``b`` are
+    divided by the power of two nearest :attr:`PolytopeSpec.size`, which scales exactly, and
+    the point is multiplied back."""
     for p in (spec.feasible_point, None if spec.vertices is None else spec.vertices[0]):
         if p is not None and spec.contains(p):
             return np.asarray(p, dtype=float)
+    unit = 2.0 ** round(math.log2(spec.size)) if spec.size else 1.0
     res = linprog(
         c=np.zeros(spec.dim),
         A_ub=spec.G if spec.n_ineq else None,
-        b_ub=spec.h if spec.n_ineq else None,
+        b_ub=spec.h / unit if spec.n_ineq else None,
         A_eq=spec.A if spec.n_eq else None,
-        b_eq=spec.b if spec.n_eq else None,
+        b_eq=spec.b / unit if spec.n_eq else None,
         bounds=[(None, None)] * spec.dim,
         method="highs",
     )
     if res.status == 2 or res.x is None:
         raise EmptyFeasibleSet("constraint system is infeasible")
-    return np.asarray(res.x, dtype=float)
+    return np.asarray(res.x, dtype=float) * unit
 
 
 def _recession_ray(spec: PolytopeSpec) -> np.ndarray | None:
@@ -587,19 +592,12 @@ def enumerate_vertices(
     return VertexSet(_lexsorted(X))
 
 
-def geometry(
-    spec_or_vs: PolytopeSpec | VertexSet,
-) -> tuple[float, float]:
-    """Norm bound ``B`` and diameter ``D`` of the polytope.
+def geometry(vs: VertexSet) -> tuple[float, float]:
+    """Norm bound ``B`` and diameter ``D`` of the polytope with vertices ``vs``.
 
-    Both are attained at vertices; requires vertices (supplied or
-    enumerable within budget).  The pairwise diameter scan is capped at
+    Both are attained at vertices.  The pairwise diameter scan is capped at
     ``DEFAULT_PAIRWISE_BUDGET`` vertices.
     """
-    if isinstance(spec_or_vs, PolytopeSpec):
-        vs = enumerate_vertices(spec_or_vs)
-    else:
-        vs = spec_or_vs
     V = vs.vertices
     K = V.shape[0]
     if K > DEFAULT_PAIRWISE_BUDGET:

@@ -222,16 +222,10 @@ def test_criterion_6_bound_suite():
                 assert rep.bound_angle <= rep.bound_norm + 1e-9
 
             if eta_star > 0:
-                is_transport = rec["kind"] == "transport"
-                if is_transport:
-                    assert orthogonality_condition(path.x_zero, marked)
-                rows = small_eta_report(
-                    inst,
-                    [eta_star / 10.0, eta_star / 100.0],
-                    x_zero=path.x_zero,
-                    vs=marked,
-                    half=True if is_transport else None,
-                )
+                half = orthogonality_condition(path.x_zero, marked)
+                if rec["kind"] == "transport":
+                    assert half
+                rows = small_eta_report(path, inst.c, [eta_star / 10.0, eta_star / 100.0], half)
                 for row in rows:
                     assert row.passed, (
                         f"{rec['kind']}[{rec['index']}] rate bound fails at eta={row.eta}"

@@ -8,6 +8,7 @@ from qreglp import (
     SolutionPath,
     VertexSet,
     enumerate_vertices,
+    solve_qlp,
     trace_path,
 )
 from qreglp.analysis import (
@@ -206,8 +207,9 @@ def test_gap_bound_dominates_on_random_instances():
 
 def test_small_eta_interval_sharp(interval_inst):
     vs = enumerate_vertices(interval_inst.polytope)
-    rows = small_eta_report(interval_inst, [1.0], vs=vs)
-    row = rows[0]
+    path = trace_path(interval_inst)
+    half = orthogonality_condition(path.x_zero, vs)
+    row = small_eta_report(path, interval_inst.c, [1.0], half)[0]
     # |x(1) - x0| = 1/2 with |c| = 1: the half-constant bound is tight.
     assert row.half_constant
     assert row.distance == pytest.approx(0.5, abs=1e-10)
@@ -227,7 +229,7 @@ def test_small_eta_birkhoff():
     inst = neg_id_instance(n)
     vs = enumerate_vertices(inst.polytope)
     assert orthogonality_condition(np.full(n * n, 1.0 / n), vs)
-    rows = small_eta_report(inst, [0.0, 0.3, 1.0], vs=vs)
+    rows = small_eta_report(trace_path(inst), inst.c, [0.0, 0.3, 1.0], half=True)
     for row in rows:
         assert row.half_constant and row.passed
     # closed form: |pi(eta) - pi0| = (eta / 2n) sqrt(n - 1)
@@ -349,3 +351,56 @@ def test_agreement_is_relative_for_a_small_threshold(interval, monkeypatch):
     )
     rep = analyze(inst, grid=16)
     assert rep.agreement is False and rep.checks["agreement"] is False and not rep.bounds_ok
+
+
+def _scaled(inst, kind, a):
+    """``inst`` with its cost, or its polytope and feasible point, scaled by ``a``."""
+    if kind == "cost":
+        return QlpInstance(inst.polytope, inst.c * a)
+    spec = inst.polytope
+    return QlpInstance(
+        PolytopeSpec(dim=spec.dim, G=spec.G, h=spec.h * a, feasible_point=spec.feasible_point * a),
+        inst.c,
+    )
+
+
+# Seed 4 lost `slope_chain` at cost x1e6, seed 47 `gap_bound` at cost x1e-6, and seed 30
+# `aux_cost` and `gap_bound` at polytope x1e6, while absolute margins judged the checks.
+@pytest.mark.parametrize("seed", [4, 30, 47])
+@pytest.mark.parametrize(
+    "kind, a", [("cost", 1e-9), ("cost", 1e-6), ("cost", 1e6), ("cost", 1e9),
+                ("polytope", 1e-6), ("polytope", 1e6)],
+)
+def test_analyze_checks_are_invariant_to_scale(seed, kind, a):
+    inst = random_polytope_instance(seed)
+    base = analyze(inst, grid=64)
+    rep = analyze(_scaled(inst, kind, a), grid=64)
+    assert base.bounds_ok and rep.checks == base.checks
+    assert rep.argmax_vertices.tolist() == base.argmax_vertices.tolist()
+
+
+def test_slope_chain_catches_a_wrong_slope_at_small_cost(monkeypatch):
+    # At cost x1e-6 the slope is about 1e-14, so an absolute margin of 1e-9 passed a slope
+    # 1000 times too large.
+    from dataclasses import replace
+
+    from qreglp import analysis
+
+    inst = _scaled(random_polytope_instance(4), "cost", 1e-6)
+    assert analyze(inst, grid=16).checks["slope_chain"]
+    real = analysis.slope_report
+    monkeypatch.setattr(
+        analysis, "slope_report", lambda *a: replace(real(*a), slope=1e3 * real(*a).slope)
+    )
+    rep = analyze(inst, grid=16)
+    assert rep.checks["slope_chain"] is False and not rep.bounds_ok
+
+
+def test_small_eta_rows_read_off_the_path():
+    inst = random_polytope_instance(5)
+    path = trace_path(inst)
+    etas = [path.eta_star / 10.0, path.eta_star / 100.0]
+    for row in small_eta_report(path, inst.c, etas, half=False):
+        assert row.distance == pytest.approx(
+            np.linalg.norm(solve_qlp(inst, row.eta).x - path.x_zero), abs=1e-10
+        )

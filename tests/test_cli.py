@@ -393,41 +393,23 @@ def test_oracle_check_fails_on_each_measure(monkeypatch, capsys, field):
     assert "ok=false" in capsys.readouterr().out
 
 
-def test_budget_env_override(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("QREG_BUDGET", "10")
-    from qreglp.cli import build_parser
-
-    args = build_parser().parse_args(["analyze", "x"])
-    assert args.budget == 10
-
-
-def _generic_d6(tmp_path):
-    # An ``analyze-vertex``-style instance: the unit box in d = 6 cut by ten
-    # unit halfspaces through an interior anchor, with a normal cost.
-    rng = np.random.default_rng([0, 3])
-    d = 6
-    anchor = rng.uniform(0.3, 0.7, size=d)
-    G, h = [np.eye(d), -np.eye(d)], [np.ones(d), np.zeros(d)]
-    for _ in range(10):
-        g = rng.normal(size=d)
-        g /= np.linalg.norm(g)
-        G.append(g[None, :])
-        h.append([float(g @ anchor) + rng.uniform(0.05, 0.3)])
+def _generic_d6(tmp_path, generic_d6):
+    G, h, c = generic_d6(0)
     f = tmp_path / "generic6.json"
-    f.write_text(json.dumps({"dim": d, "G": np.vstack(G).tolist(), "h": np.concatenate(h).tolist(),
-                             "c": rng.normal(size=d).tolist()}))
+    f.write_text(json.dumps({"dim": 6, "G": G.tolist(), "h": h.tolist(), "c": c.tolist()}))
     return str(f)
 
 
 @pytest.mark.parametrize("make", ["interval", "generic6", "negid4"])
-def test_json_floats_read_back_exactly(make, interval_file, neg_id_file, tmp_path, capsys):
+def test_json_floats_read_back_exactly(make, interval_file, neg_id_file, generic_d6, tmp_path,
+                                     capsys):
     # Every float the CLI prints as JSON parses back to the library's own double.
     from dataclasses import fields
 
     from qreglp import analysis, trace_path
     from qreglp.cli import _load_instance
 
-    f = {"interval": lambda: interval_file, "generic6": lambda: _generic_d6(tmp_path),
+    f = {"interval": lambda: interval_file, "generic6": lambda: _generic_d6(tmp_path, generic_d6),
          "negid4": lambda: neg_id_file(4)}[make]()
     inst, _ = _load_instance(f)
 

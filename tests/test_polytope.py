@@ -13,11 +13,13 @@ from qreglp import (
     BudgetExceeded,
     EmptyFeasibleSet,
     PolytopeSpec,
+    QlpInstance,
     ShapeMismatch,
     UnboundedSet,
     enumerate_vertices,
     geometry,
     suboptimality_gap,
+    trace_path,
     validate,
 )
 from qreglp.oracle import random_polytope_instance
@@ -85,6 +87,18 @@ def test_validate_keeps_feasible_point():
     assert rep.spec.feasible_point is not None
     assert np.array_equal(rep.spec.feasible_point, rep.feasible_point)
     assert spec.contains(rep.spec.feasible_point)
+
+
+def test_phase1_point_at_small_scale(generic_d6):
+    # HiGHS's tolerances are absolute: on this polytope scaled by 1e-6 without a feasible
+    # point, the phase-1 LP's point broke the row rule and the trace raised.
+    G, h, c = generic_d6(1)
+    path = trace_path(QlpInstance(PolytopeSpec(dim=6, G=G, h=h), c))
+    spec = PolytopeSpec(dim=6, G=G, h=h * 1e-6)
+    assert spec.contains(validate(spec).feasible_point)
+    tiny = trace_path(QlpInstance(spec, c))
+    assert tiny.eta_star == pytest.approx(1e-6 * path.eta_star, rel=1e-7)
+    assert np.allclose(tiny.x_star, 1e-6 * path.x_star, rtol=0, atol=1e-13)
 
 
 def test_validate_empty():

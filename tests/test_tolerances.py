@@ -62,3 +62,26 @@ def test_one_certificate_rule():
     tree = ast.parse((Path(qreglp.__file__).parent / "homotopy.py").read_text())
     imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
     assert not imported & {"FEAS_TOL", "KKT_TOL"}
+
+
+def test_analysis_judges_every_check_by_two_constants():
+    # Every check of ``analysis`` follows one rule at the size of its own terms
+    # (``analysis._at_most``); its tolerances are ``_CHECK_TOL`` and ``_ROUTE_TOL`` alone.
+    path = Path(qreglp.__file__).parent / "analysis.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    named = {
+        t.id: node.value.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+        for t in node.targets
+        if isinstance(t, ast.Name) and t.id.endswith("_TOL")
+    }
+    assert named == {"_CHECK_TOL": 1e-9, "_ROUTE_TOL": 1e-7}
+    found = [
+        (node.lineno, node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, float)
+        and 0.0 < abs(node.value) < 1e-3
+    ]
+    assert sorted(v for _, v in found) == [1e-9, 1e-7], f"analysis.py literals: {found}"
