@@ -1,23 +1,23 @@
 """Every threshold of the solver layers (polytope, projection, homotopy), one name per decision.
 
-Each comment states the decision and the scale the value multiplies.  Whether a point holds
-a row, or lies on it, is decided by one row rule at ``KKT_TOL`` and the data's scale, for the
-solver's points and for points from outside (listed vertices, start points) alike.  The
-checking modules keep their own constants, so a change here moves no check that judges the
-solver: ``analysis`` judges every check by one rule at the size of its own terms, with
-``_CHECK_TOL`` for proven inequalities and ties and ``_ROUTE_TOL`` for two computed routes to
-one number; ``oracle``, ``ot`` and ``cli`` keep theirs.
+Each comment states the decision and the scale the value multiplies.  The kernel's and the
+tracer's zero, sign and tie decisions scale with their own terms, with no ``1 +`` floor, so
+they read the same on a scaled polytope; the rank tests' ``max(1, .)`` floors act on row norms.
+Whether a point holds a row, or lies on it, is decided by one row rule at ``KKT_TOL`` and the
+data's scale, for the solver's points and for points from outside alike.  The checking modules
+keep their own constants, so a change here moves no check that judges the solver: ``analysis``
+judges every check by one rule at the size of its own terms, with ``_CHECK_TOL`` for proven
+inequalities and ties and ``_ROUTE_TOL`` for two computed routes to one number; ``oracle``,
+``ot`` and ``cli`` keep theirs.
 """
 
 OPT_TOL = 1e-9  # a vertex is LP-optimal when its cost is within this |c| |ptp(V)| of the least
 RECESSION_TOL = 1e-7  # unbounded if unit-row [A; G] has sigma_min <= this or the ray LP exceeds it
 RANK_TOL = 1e-10  # independent: residual > this max(1, |row|); sigma_min > this max(1, sigma_max)
 FULL_RANK_TOL = 1e-9  # working-set rows are independent when min |R_ii| > this max(1, max |R_ii|)
-ZERO_TOL = 1e-12  # zero at <= this times (1 +) the data's norms: a step, residual, direction, slack
-ROUNDING_FLOOR = 1e-13  # rates <= this times their scale never cross; exit times are raised to it
-TIE_TOL = 1e-10  # crossings tie within this (1 + t_min), or (|x| / |step| + t_min) if less (kernel)
-SEGMENT_TOL = 1e-11  # a tight row carries the moving piece when |g . d| <= this (1 + |g| |d|)
-STALL_TOL = 1e-12  # an eta step <= this (1 + eta) is no progress; five in a row stall the trace
-MULT_TOL = 1e-10  # a working-set multiplier below -this is negative (absolute)
+# A step, residual, direction, slack, rate, multiplier sign or eta step is zero at <= this
+ZERO_TOL = 1e-12  # times the size of its terms; rates at most that never cross, exit times >= it
+TIE_TOL = 1e-10  # crossings tie within this (origin + t_min), t measured from where it starts
+SEGMENT_TOL = 1e-11  # a tight row carries the moving piece when |g . d| <= this |g| |d|
 KKT_TOL = 1e-8  # row rule: to this (|h_i| + |g_i| s), s = |x| + size; KKT residual to s + |r|
-POLISH_TOL = 1e-6  # the polished endpoint is kept if no coordinate moves more than this (1 + |x|)
+POLISH_TOL = 1e-6  # the polished endpoint is kept if no coordinate moves over this (|x| + size)

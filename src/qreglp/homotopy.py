@@ -38,9 +38,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
-from ._tolerances import POLISH_TOL, ROUNDING_FLOOR, SEGMENT_TOL, STALL_TOL, ZERO_TOL
+from ._tolerances import POLISH_TOL, SEGMENT_TOL, ZERO_TOL
 from .errors import MaxSegmentsExceeded, NumericalBreakdown
-from .polytope import PolytopeSpec, _extend_basis, _rows_hold
+from .polytope import PolytopeSpec, _extend_basis, _rows_hold, _size_unit
 from .projection import (Certificate, QlpInstance, _check_certificate, _FreeSystem, _ratio_test,
                          min_distance_active_set, project)
 
@@ -160,7 +160,7 @@ def _right_derivative(inst: QlpInstance, eta: float, x: np.ndarray, tight: np.nd
     A_cone = spec.A
     eq_idx, base_q = spec.eq_reduction
     rn = float(np.linalg.norm(r))
-    if rn > ZERO_TOL * (1.0 + np.linalg.norm(x) + abs(eta) * np.linalg.norm(inst.c)):
+    if rn > ZERO_TOL * (np.linalg.norm(x) + abs(eta) * np.linalg.norm(inst.c) + spec.size):
         A_cone = np.vstack([spec.A, r / rn])
         kept, base_q = _extend_basis(base_q, A_cone, [spec.n_eq])
         eq_idx = eq_idx + kept
@@ -173,7 +173,7 @@ def _right_derivative(inst: QlpInstance, eta: float, x: np.ndarray, tight: np.nd
         A_cone, G_cone, np.zeros(G_cone.shape[0]), -0.5 * inst.c, np.zeros(spec.dim), w0=w0,
         eq=(eq_idx, base_q), col=spec.unit_columns[tight], row_norms=spec.row_norms[tight],
     )
-    if np.linalg.norm(d) <= ZERO_TOL * (1.0 + np.linalg.norm(inst.c)):
+    if np.linalg.norm(d) <= ZERO_TOL * np.linalg.norm(inst.c):
         d = np.zeros(spec.dim)
     return d, r, [int(tight[i]) for i in ws]
 
@@ -195,16 +195,13 @@ def _make_state(
     # ``tight``: the inequality rows of the face that ``x`` lies on.
     spec = inst.polytope
     d, r, cone_ws = _right_derivative(inst, eta, x, tight, warm_ws)
-    if tight.size and np.any(d):
-        gd = spec.G[tight] @ d
-        scale = SEGMENT_TOL * (1.0 + spec.row_norms[tight] * np.linalg.norm(d))
-        seg = tight[np.abs(gd) <= scale]
-    else:
-        seg = tight
+    gd = spec.G[tight] @ d  # zero on a constant piece, where every tight row carries it
+    seg = tight[np.abs(gd) <= SEGMENT_TOL * spec.row_norms[tight] * np.linalg.norm(d)]
     return PathState(inst, eta, x, tight, r, d, seg, cone_ws)
 
 
-def _dual_exit_time(spec: PolytopeSpec, seg_rows: np.ndarray, r0: np.ndarray, rdot: np.ndarray, cap):
+def _dual_exit_time(spec: PolytopeSpec, seg_rows: np.ndarray, r0: np.ndarray, rdot: np.ndarray, cap,
+                    eta: float):
     """Largest ray parameter keeping ``r0 + s rdot`` in the face's normal cone.
 
     Returns ``(s_exit, rows, y0, ydot)`` with ``s_exit = cap`` (or ``None``
@@ -225,25 +222,26 @@ def _dual_exit_time(spec: PolytopeSpec, seg_rows: np.ndarray, r0: np.ndarray, rd
     if system.full_rank:
         y0, ydot = system.multipliers(r0), system.multipliers(rdot)
         lam0, lamdot = y0[m:], ydot[m:]
-        smin, hit = _ratio_test(lam0, -lamdot, 1.0 + np.abs(lamdot).max(initial=0.0), seg_rows)
+        smin, hit = _ratio_test(lam0, -lamdot, np.abs(lamdot).max(initial=0.0), seg_rows, eta)
         if smin is None or (cap is not None and smin >= cap):
             return cap, no_rows, y0, ydot
-        scale = 1.0 + float(np.linalg.norm(r0)) + float(np.linalg.norm(rdot))
-        return max(smin, ROUNDING_FLOOR * scale), hit, y0, ydot
+        return max(smin, ZERO_TOL * (float(np.linalg.norm(r0)) + spec.size)), hit, y0, ydot
 
     GJ = spec.G[seg_rows]
     n_lam = GJ.shape[0]
     cost = np.zeros(m + n_lam + 1)
     cost[-1] = -1.0
+    unit = _size_unit(spec)  # HiGHS's tolerances are absolute: solve at unit size
+    cap_unit = None if cap is None else cap / unit
     res = linprog(
-        cost, A_eq=np.hstack([A_red.T, GJ.T, -rdot[:, None]]), b_eq=r0,
-        bounds=[(None, None)] * m + [(0.0, None)] * n_lam + [(0.0, cap)], method="highs",
+        cost, A_eq=np.hstack([A_red.T, GJ.T, -rdot[:, None]]), b_eq=r0 / unit,
+        bounds=[(None, None)] * m + [(0.0, None)] * n_lam + [(0.0, cap_unit)], method="highs",
     )
     if res.status == 3:  # unbounded: only possible when cap is None
         return None, no_rows, None, None
     if res.status != 0:
         raise NumericalBreakdown(f"normal-cone exit LP failed: {res.message}")
-    return float(res.x[-1]), no_rows, res.x[:-1], np.zeros(m + n_lam)
+    return float(res.x[-1]) * unit, no_rows, res.x[:-1] * unit, np.zeros(m + n_lam)
 
 
 def next_breakpoint(state: PathState):
@@ -262,12 +260,13 @@ def next_breakpoint(state: PathState):
     idx = np.flatnonzero(outside)
     G = spec.G[idx]
     t_block, block_rows = _ratio_test(
-        spec.h[idx] - G @ state.x, G @ d, 1.0 + spec.row_norms[idx] * np.linalg.norm(d), idx
+        spec.h[idx] - G @ state.x, G @ d, spec.row_norms[idx] * np.linalg.norm(d), idx, state.eta
     )
     if t_block is None and np.any(d):
         raise NumericalBreakdown("moving ray never blocked on a bounded polytope")
     rdot = -0.5 * inst.c - d
-    s_dual, drop_rows, *mult = _dual_exit_time(spec, state.segment_rows, state.residual, rdot, t_block)
+    s_dual, drop_rows, *mult = _dual_exit_time(
+        spec, state.segment_rows, state.residual, rdot, t_block, state.eta)
     if s_dual is None:
         return state.eta, Stationary()
     if t_block is None or s_dual < t_block:
@@ -327,7 +326,7 @@ def trace_path(inst: QlpInstance, max_segments: int | None = None) -> SolutionPa
         piece = f"point of the segment from eta={eta / cost_norm!r}"
         _check_certificate(spec, x_next, inst.target(eta_next) - x_next, right, "landing " + piece)
         _check_certificate(spec, x, state.residual, left, "start " + piece)
-        stalled = stalled + 1 if eta_next - eta <= STALL_TOL * (1.0 + eta) else 0
+        stalled = stalled + 1 if eta_next - eta <= ZERO_TOL * (eta + spec.size) else 0
         if stalled >= 5:
             raise NumericalBreakdown(f"path tracer stalled near eta={eta / cost_norm!r}")
         etas.append(float(eta_next))
@@ -356,6 +355,6 @@ def _polish_min_norm(spec: PolytopeSpec, x: np.ndarray, tight: np.ndarray) -> np
         return x
     B = np.vstack([spec.A, spec.G[tight]])
     x_pol = np.linalg.lstsq(B, np.concatenate([spec.b, spec.h[tight]]), rcond=None)[0]
-    if np.max(np.abs(x_pol - x)) > POLISH_TOL * (1.0 + np.linalg.norm(x)):
+    if np.max(np.abs(x_pol - x)) > POLISH_TOL * (np.linalg.norm(x) + spec.size):
         return x
     return x_pol if _rows_hold(spec, x_pol, tight) else x

@@ -27,15 +27,15 @@ _MAX_INEQ = 12
 def lp_solve_bruteforce(vs: VertexSet, c):
     """Exact LP optimum over an enumerated vertex set.
 
-    Returns ``(value, optimal_indices)`` where ties within ``_TIE_TOL``
-    relative are all reported.
+    Returns ``(value, optimal_indices)`` where ties within ``_TIE_TOL`` times
+    the spread of the vertex costs are all reported, at any scale of ``c``.
     """
     c = np.asarray(c, dtype=float).ravel()
     vals = []
     for v in vs.vertices:
         vals.append(float(np.dot(c, v)))
     vmin = min(vals)
-    cut = vmin + _TIE_TOL * (1.0 + abs(vmin))
+    cut = vmin + _TIE_TOL * (max(vals) - vmin)
     idx = [i for i, val in enumerate(vals) if val <= cut]
     return vmin, np.asarray(idx, dtype=int)
 

@@ -28,8 +28,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from ._tolerances import (FULL_RANK_TOL, KKT_TOL, MULT_TOL, RANK_TOL, ROUNDING_FLOOR, TIE_TOL,
-                          ZERO_TOL)
+from ._tolerances import FULL_RANK_TOL, KKT_TOL, RANK_TOL, TIE_TOL, ZERO_TOL
 from .errors import MaxIterationsExceeded, NumericalBreakdown, ShapeMismatch
 from .polytope import (
     PolytopeSpec,
@@ -98,21 +97,22 @@ class ProjectionResult:
         }
 
 
-def _ratio_test(gap: np.ndarray, rate: np.ndarray, scale, rows: np.ndarray):
+def _ratio_test(gap: np.ndarray, rate: np.ndarray, scale, rows: np.ndarray, origin: float):
     """First zero crossing of ``gap - t rate`` over the rows with ``rate > 0``.
 
     ``gap`` holds slacks or multipliers (negative values count as zero) and
     ``rate`` the speed at which each shrinks; a rate counts as positive above
-    ``ROUNDING_FLOOR * scale``.  Returns ``t_min`` and the sorted labels from
-    ``rows`` of the rows tied with it to ``TIE_TOL (1 + t_min)``, or ``None``
-    and no rows when nothing crosses.
+    ``ZERO_TOL * scale``.  ``origin`` is where ``t`` starts, in ``t``'s own unit.
+    Returns ``t_min`` and the sorted labels from ``rows`` of the rows tied with
+    it to ``TIE_TOL (origin + t_min)``, or ``None`` and no rows when nothing
+    crosses.
     """
-    pos = rate > ROUNDING_FLOOR * scale
+    pos = rate > ZERO_TOL * scale
     if not np.any(pos):
         return None, rows[:0]
     t = np.maximum(gap[pos], 0.0) / rate[pos]
     t_min = float(t.min())
-    return t_min, np.sort(rows[pos][t <= t_min + TIE_TOL * (1.0 + t_min)])
+    return t_min, np.sort(rows[pos][t <= t_min + TIE_TOL * (origin + t_min)])
 
 
 def _extend_independent(base_q: np.ndarray, G: np.ndarray, order, col: np.ndarray) -> list[int]:
@@ -274,7 +274,7 @@ def min_distance_active_set(
 
     col = _unit_columns(G) if col is None else col
     g_norm = np.linalg.norm(G, axis=1) if row_norms is None else row_norms
-    # |x0| keeps the tight-row and zero-step tests relative far from the origin.
+    # The tight-row, zero-step and multiplier-sign tests are at the size |z| + |x0| of the data.
     scale = float(np.sqrt(z @ z) + np.sqrt(x @ x))
     order = _tight_rows(h - G @ x, h, g_norm, scale)
     if w0 is not None:  # the rows of w0 still tight go first
@@ -296,9 +296,9 @@ def min_distance_active_set(
         v = z - x
         dvec = system.project(v)
         nd = np.sqrt(dvec @ dvec)
-        if nd <= ZERO_TOL * (1.0 + scale):
+        if nd <= ZERO_TOL * scale:
             y = system.multipliers(v)
-            neg = np.flatnonzero(y[m_red:] < -MULT_TOL)
+            neg = np.flatnonzero(y[m_red:] * g_norm[W] < -ZERO_TOL * scale)
             if neg.size == 0:
                 break
             # Bland: drop the smallest-index offending row (W is sorted).
@@ -308,16 +308,13 @@ def min_distance_active_set(
         mask = np.ones(k, dtype=bool)
         mask[W] = False
         gap, rate, enter = h - G @ x, G @ dvec, None
+        # t starts at |x| / nd; ties to TIE_TOL (1 + t_min) on a long step let rows off it enter.
+        origin = min(1.0, math.sqrt(x @ x) / nd)
         while enter is None:
             idx = np.flatnonzero(mask)
-            t_min, ties = _ratio_test(gap[idx], rate[idx], 1.0 + g_norm[idx] * nd, idx)
+            t_min, ties = _ratio_test(gap[idx], rate[idx], g_norm[idx] * nd, idx, origin)
             if t_min is None or t_min >= 1.0:
                 break
-            # Ties to TIE_TOL (|x| / nd + t_min) on a step longer than |x|: TIE_TOL (1 + t_min)
-            # would let a row enter with slack TIE_TOL |g| nd, 1e-1 for a target 1e9 away.
-            if (reach := math.sqrt(x @ x) / nd) < 1.0:
-                width = t_min + TIE_TOL * (reach + t_min)
-                ties = ties[np.maximum(gap[ties], 0.0) / rate[ties] <= width]
             # A row in the span of W has zero rate but for rounding, which an
             # ill-conditioned W can lift past the floor: it cannot block.
             enter = next((j for j in ties if system.extends(G[j], g_norm[j])), None)

@@ -226,24 +226,30 @@ def test_cost_scale_covariance_birkhoff():
     assert scaled.eta_star == pytest.approx(2 * 4**3 / 1e6, rel=1e-9)
 
 
+def _scaled_polytope(inst, s):
+    """``inst`` over ``s P``: ``h``, ``b``, the vertices and the feasible point scaled."""
+    spec = inst.polytope
+    scaled_spec = PolytopeSpec(
+        dim=spec.dim, A=spec.A, b=s * spec.b, G=spec.G, h=s * spec.h,
+        vertices=None if spec.vertices is None else s * spec.vertices,
+        feasible_point=s * spec.feasible_point,
+    )
+    return QlpInstance(scaled_spec, inst.c)
+
+
 def _assert_polytope_scale_covariant(seed, k):
     # proj_{sP}(z) = s proj_P(z / s), so over s P the breakpoints are
     # s eta_i and x* is s x*.
-    inst = random_polytope_instance(seed)
-    spec, s = inst.polytope, 10.0**k
-    scaled_spec = PolytopeSpec(
-        dim=spec.dim, A=spec.A, b=s * spec.b, G=spec.G, h=s * spec.h,
-        feasible_point=s * spec.feasible_point,
-    )
+    inst, s = random_polytope_instance(seed), 10.0**k
     path = trace_path(inst)
-    scaled = trace_path(QlpInstance(scaled_spec, inst.c))
+    scaled = trace_path(_scaled_polytope(inst, s))
     assert scaled.n_segments == path.n_segments
     np.testing.assert_allclose(scaled.breakpoints, s * path.breakpoints, rtol=1e-9, atol=0.0)
     x_tol = 1e-9 * s * max(1.0, np.max(np.abs(path.x_star)))
     np.testing.assert_allclose(scaled.x_star, s * path.x_star, rtol=0.0, atol=x_tol)
 
 
-@given(seed=st.integers(0, 2**31 - 1), k=st.integers(-5, 7))
+@given(seed=st.integers(0, 2**31 - 1), k=st.integers(-12, 12))
 @example(seed=4, k=6)
 @example(seed=19, k=6)
 @example(seed=137, k=7)
@@ -252,6 +258,11 @@ def _assert_polytope_scale_covariant(seed, k):
 @example(seed=1, k=8)  # from 1e8 an absolute KKT floor failed the cold projection
 @example(seed=1, k=10)
 @example(seed=1, k=12)
+@example(seed=232, k=-8)  # below 1e-8, absolute floors in the kernel failed the cold projection
+@example(seed=193, k=-9)
+@example(seed=4, k=-10)
+@example(seed=118, k=-10)
+@example(seed=144, k=-10)
 def test_polytope_scale_covariance(seed, k):
     _assert_polytope_scale_covariant(seed, k)
 
@@ -262,13 +273,32 @@ def test_polytope_scale_covariance_tiny():
     _assert_polytope_scale_covariant(165, -6)
 
 
-def test_polytope_scale_covariance_below_1e_8_raises_or_matches():
+def test_polytope_scale_covariance_below_1e_8_matches():
     # At 1e-8 an absolute floor in the end certificates exceeded the polytope, and x*
-    # came back 24 % off.  Judged at the data's scale, the trace matches or raises.
-    try:
-        _assert_polytope_scale_covariant(232, -8)
-    except NumericalBreakdown as err:
-        assert "fails its certificate" in str(err)
+    # came back 24 % off; then the kernel's absolute floors failed the cold projection.
+    _assert_polytope_scale_covariant(232, -8)
+
+
+@pytest.mark.parametrize("seed, s", [(10008, 1e-6), (10008, 1e-9), (10003, 1e6), (10003, 1e9)])
+def test_birkhoff_scale_covariance(seed, s):
+    # HiGHS's absolute tolerances in the dependent-face program failed at 1e6 and 1e9, and
+    # the kernel's absolute floors failed the landing certificates at 1e-6 and 1e-9.
+    inst = ot_build(cost=random_cost_matrix(seed, 5)).qlp()
+    path = trace_path(inst)
+    scaled = trace_path(_scaled_polytope(inst, s))
+    assert scaled.n_segments == path.n_segments
+    np.testing.assert_allclose(scaled.breakpoints, s * path.breakpoints, rtol=1e-8, atol=0.0)
+    np.testing.assert_allclose(scaled.x_star, s * path.x_star, rtol=0.0,
+                               atol=1e-12 * s * np.abs(path.x_star).max())
+
+
+def test_next_breakpoint_ties_at_the_polytope_scale():
+    # Ties to TIE_TOL (1 + t) are as wide as the whole path at scale 1e-10: row 2 tied with 5.
+    inst = random_polytope_instance(0)
+    for s in (1.0, 1e-10):
+        _, event = next_breakpoint(path_state(_scaled_polytope(inst, s), 0.0))
+        assert isinstance(event, BlockingConstraint)
+        assert [int(j) for j in event.rows] == [5]
 
 
 def _with_redundant_rows(inst, seed, rescale=False):
@@ -508,9 +538,9 @@ def test_dual_exit_time_matches_dense_reference(monkeypatch, lp_calls):
     exit_time = homotopy._dual_exit_time
     branches = {"full": 0, "dependent": 0, "dependent exit": 0}
 
-    def checked_exit_time(spec, seg_rows, r0, rdot, cap):
+    def checked_exit_time(spec, seg_rows, r0, rdot, cap, eta):
         before = lp_calls[0]
-        s_exit, rows, *mult = exit_time(spec, seg_rows, r0, rdot, cap)
+        s_exit, rows, *mult = exit_time(spec, seg_rows, r0, rdot, cap, eta)
         if seg_rows.size == 0:
             return s_exit, rows, *mult
         branch = "dependent" if lp_calls[0] > before else "full"

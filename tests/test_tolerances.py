@@ -85,3 +85,29 @@ def test_analysis_judges_every_check_by_two_constants():
         and 0.0 < abs(node.value) < 1e-3
     ]
     assert sorted(v for _, v in found) == [1e-9, 1e-7], f"analysis.py literals: {found}"
+
+
+@pytest.mark.parametrize("name", ("projection.py", "homotopy.py"))
+def test_no_unit_floor(name):
+    # Every zero, sign and tie decision of the kernel and the tracer is taken at the size of
+    # its own terms; a ``1.0 + ...`` floor would make it absolute on small or large polytopes.
+    path = Path(qreglp.__file__).parent / name
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Add)
+        and isinstance(node.left, ast.Constant)
+        and isinstance(node.left.value, float)
+        and node.left.value == 1.0
+    ]
+    assert found == [], f"{name}: 1.0 + ... floors at lines {found}"
+
+
+def test_tolerance_table_names():
+    path = Path(qreglp.__file__).parent / "_tolerances.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = {t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets}
+    assert names == {"OPT_TOL", "RECESSION_TOL", "RANK_TOL", "FULL_RANK_TOL", "ZERO_TOL",
+                     "TIE_TOL", "SEGMENT_TOL", "KKT_TOL", "POLISH_TOL"}
