@@ -1,14 +1,14 @@
 """Every threshold of the solver layers (polytope, projection, homotopy), one name per decision.
 
-Each comment states the decision and the scale the value multiplies.  The kernel's and the
-tracer's zero, sign and tie decisions scale with their own terms, with no ``1 +`` floor, so
-they read the same on a scaled polytope; the rank tests' ``max(1, .)`` floors act on row norms.
+Each comment states the decision and the scale the value multiplies.  No module of the package
+keeps a ``1 +`` floor: every zero, sign, tie and check decision scales with its own terms, so it
+reads the same on scaled data; the rank tests' ``max(1, .)`` floors act on row norms.
 Whether a point holds a row, or lies on it, is decided by one row rule at ``KKT_TOL`` and the
 data's scale, for the solver's points and for points from outside alike.  The checking modules
 keep their own constants, so a change here moves no check that judges the solver: ``analysis``
 judges every check by one rule at the size of its own terms, with ``_CHECK_TOL`` for proven
-inequalities and ties and ``_ROUTE_TOL`` for two computed routes to one number; ``oracle``,
-``ot`` and ``cli`` keep theirs.
+inequalities and ties and ``_ROUTE_TOL`` for two computed routes to one number; ``oracle``
+measures at its own sizes against ``_VERIFY_TOL``, which ``cli`` reads; ``ot`` keeps its own.
 """
 
 OPT_TOL = 1e-9  # a vertex is LP-optimal when its cost is within this |c| |ptp(V)| of the least

@@ -155,7 +155,7 @@ def _cmd_oracle_check(args) -> int:
         seed=args.seed,
         verbose=True,
     )
-    ok = worst.worst_measure() <= 1e-7
+    ok = worst.worst_measure() <= oracle._VERIFY_TOL
     print(
         "worst={} worst_rel_disagreement={:.3e} worst_path_discrepancy={:.3e} "
         "worst_x_star_gap={:.3e} worst_certificate_violation={:.3e} ok={}".format(

@@ -231,7 +231,7 @@ def _dual_exit_time(spec: PolytopeSpec, seg_rows: np.ndarray, r0: np.ndarray, rd
     n_lam = GJ.shape[0]
     cost = np.zeros(m + n_lam + 1)
     cost[-1] = -1.0
-    unit = _size_unit(spec)  # HiGHS's tolerances are absolute: solve at unit size
+    unit = _size_unit(spec.size)  # HiGHS's tolerances are absolute: solve at unit size
     cap_unit = None if cap is None else cap / unit
     res = linprog(
         cost, A_eq=np.hstack([A_red.T, GJ.T, -rdot[:, None]]), b_eq=r0 / unit,

@@ -15,7 +15,7 @@ import numpy as np
 from .analysis import eta_star_formula
 from .errors import AllVerticesOptimal, NumericalBreakdown
 from .homotopy import trace_path
-from .polytope import PolytopeSpec, VertexSet, enumerate_vertices
+from .polytope import PolytopeSpec, VertexSet, _size_unit, enumerate_vertices
 from .projection import QlpInstance, solve_qlp
 
 _TIE_TOL = 1e-9
@@ -43,16 +43,18 @@ def lp_solve_bruteforce(vs: VertexSet, c):
 def min_norm_point(V: np.ndarray):
     """Wolfe's algorithm: the smallest-norm point of ``conv(rows of V)``.
 
-    Maintains a corral of affinely independent points; alternates between
-    adding the most violating point and restoring nonnegative affine
-    weights until no point improves by ``_WOLFE_TOL (1 + max |v|^2)``, for
-    at most ``64 (K + 2)`` rounds.  Returns ``(x, weights)``, a weight per row.
+    Runs at unit size: ``V`` is divided by the power of two nearest ``max |v_ij|``, exactly.
+    Maintains a corral of affinely independent points; alternates between adding the most
+    violating point and restoring nonnegative affine weights until no point improves by
+    ``_WOLFE_TOL max |v|^2``, for at most ``64 (K + 2)`` rounds.  Returns ``(x, weights)``,
+    a weight per row, with ``x`` at the scale of ``V``.
     """
-    V = np.atleast_2d(np.asarray(V, dtype=float))
+    V_in = np.atleast_2d(np.asarray(V, dtype=float))
+    V = V_in / _size_unit(float(np.max(np.abs(V_in), initial=0.0)))
     K = V.shape[0]
     max_iter = 64 * (K + 2)
     norms2 = np.einsum("ij,ij->i", V, V)
-    scale = 1.0 + float(norms2.max(initial=0.0))
+    scale = float(norms2.max(initial=0.0))
     j0 = int(np.argmin(norms2))
     corral = [j0]
     w = np.array([1.0])
@@ -97,7 +99,7 @@ def min_norm_point(V: np.ndarray):
 
     weights = np.zeros(K)
     weights[corral] = w / w.sum()
-    return V.T @ weights, weights
+    return V_in.T @ weights, weights
 
 
 def min_norm_over_M(optimal_vertices: np.ndarray) -> np.ndarray:
@@ -136,13 +138,14 @@ class PathVerifyReport:
     """Certificate checks and spot-check solves of a traced path.
 
     ``max_discrepancy`` is the largest deviation of the path's interpolation
-    from a direct solve at ``samples`` random etas; ``worst_eta`` is where it
+    from a direct solve ``x`` at ``samples`` random etas, relative to
+    ``|x| + size`` (:attr:`PolytopeSpec.size`); ``worst_eta`` is where it
     occurs.  The solves run in increasing ``eta``, each warm-started from the
     previous sample's answer and never from anything the path holds.
 
     ``certificate_violation`` is the worst violation over the stored end
-    certificates, relative to ``1 + |x|`` (feasibility and tightness) or
-    ``1 + |x| + |target - x|`` (stationarity and multiplier signs); it is
+    certificates, relative to ``|x| + size`` (feasibility and tightness) or
+    ``|x| + size + |target - x|`` (stationarity and multiplier signs); it is
     infinite when the path holds no certificate for some segment.
     """
 
@@ -161,7 +164,7 @@ def _certificate_violation(spec: PolytopeSpec, c: np.ndarray, eta: float, x: np.
     stat = r - spec.A.T @ mu - spec.G[rows].T @ lam
     slack = spec.h - spec.G @ x
     feas = [np.abs(spec.A @ x - spec.b), -slack, np.abs(slack[rows])]
-    scale = 1.0 + float(np.linalg.norm(x))
+    scale = float(np.linalg.norm(x)) + spec.size
     worst = max(float(np.max(v, initial=0.0)) for v in feas) / scale
     opt = max(float(np.max(np.abs(stat), initial=0.0)), float(np.max(-lam, initial=0.0)))
     return max(worst, opt / (scale + float(np.linalg.norm(r))))
@@ -169,7 +172,8 @@ def _certificate_violation(spec: PolytopeSpec, c: np.ndarray, eta: float, x: np.
 
 def path_verify(inst: QlpInstance, path, samples: int = 100, seed: int = 0) -> PathVerifyReport:
     """Check the path's end certificates, then compare its interpolation
-    with direct solves at random etas; both must hold to ``_VERIFY_TOL``.
+    with direct solves at random etas; both must hold to ``_VERIFY_TOL`` at
+    the sizes :class:`PathVerifyReport` names.
 
     Each segment's two certificates (``path.certificates``) are checked with
     plain matrix-vector products at its end points: feasibility, tightness
@@ -200,6 +204,7 @@ def path_verify(inst: QlpInstance, path, samples: int = 100, seed: int = 0) -> P
         else:
             prev = solve_qlp(inst, eta, start=prev.x, working_set=prev.working_set)
         dev = float(np.max(np.abs(prev.x - path.interpolate(eta))))
+        dev /= float(np.linalg.norm(prev.x)) + spec.size
         if dev > worst:
             worst, worst_eta = dev, eta
     return PathVerifyReport(
@@ -259,8 +264,11 @@ def random_cost_matrix(seed: int, n: int) -> np.ndarray:
 class CrossCheck:
     """Agreement record between the three threshold routes and the path.
 
-    :meth:`worst_measure` is the largest of ``rel_disagreement``,
-    ``path_discrepancy``, ``x_star_gap`` and ``certificate_violation``.
+    Each measure is relative to its own size, from the data alone: ``x_star_gap`` to
+    ``s = |x*| + size`` (brute-force ``x*``); ``rel_disagreement``, the widest gap between the
+    thresholds, to their largest plus ``s / |c|`` (eta's unit, so ``eta* = 0`` reads right);
+    the path's two as in :class:`PathVerifyReport`.  :meth:`worst_measure`, the largest of the
+    four, is at most ``_VERIFY_TOL`` on a sound path at every scale.
     """
 
     eta_formula: float
@@ -295,10 +303,10 @@ def cross_check_instance(inst: QlpInstance, seed: int = 0, samples: int = 40) ->
     except AllVerticesOptimal:
         eta_b = 0.0
     vals = (eta_f, eta_b, path.eta_star)
-    scale = 1.0 + max(vals)
-    rel = max(abs(a - b) for a in vals for b in vals) / scale
+    size = float(np.linalg.norm(x_star_oracle)) + inst.polytope.size
+    rel = max(abs(a - b) for a in vals for b in vals) / (max(vals) + size / np.linalg.norm(inst.c))
     pv = path_verify(inst, path, samples=samples, seed=seed)
-    gap = float(np.max(np.abs(path.x_star - x_star_oracle)))
+    gap = float(np.max(np.abs(path.x_star - x_star_oracle))) / size
     return CrossCheck(
         eta_formula=eta_f,
         eta_bruteforce=eta_b,

@@ -225,7 +225,7 @@ def separated_bounds(inst: OtInstance, sigma_star) -> SeparatedBounds:
     relabeled so the matching is the diagonal; ``kappa`` is the smallest
     off-diagonal entry and ``kappa'`` the smallest symmetrized pair sum.
     For a symmetric (relabeled) cost the two bounds coincide and the upper
-    value is exact.
+    value is exact.  Zero and symmetry are judged to ``1e-12 max |C|``.
 
     Raises
     ------
@@ -238,7 +238,7 @@ def separated_bounds(inst: OtInstance, sigma_star) -> SeparatedBounds:
     if sigma.size != n or sorted(sigma.tolist()) != list(range(n)):
         raise AssumptionViolated("sigma_star is not a permutation")
     C = inst.cost[:, sigma]
-    scale = 1.0 + float(np.max(np.abs(C)))
+    scale = float(np.max(np.abs(C)))
     if np.max(np.abs(np.diag(C))) > 1e-12 * scale:
         raise AssumptionViolated("cost along the matching is not zero")
     off = ~np.eye(n, dtype=bool)
@@ -333,7 +333,7 @@ def figure3_experiment(
         for t in np.linspace(0.2, 0.8, _LINEARITY_SOLVES):
             eta = float((1.0 - t) * lo + t * hi)
             x = solve_qlp(qlp, eta, start=x_lo, working_set=rows_lo).x
-            if np.max(np.abs(x - path.interpolate(eta))) > 1e-6 * (1.0 + np.linalg.norm(x)):
+            if np.max(np.abs(x - path.interpolate(eta))) > 1e-6 * np.linalg.norm(x):
                 raise NumericalBreakdown(f"last segment not affine at n={n}, eta={eta}")
         rows.append(
             ExperimentRow(n=n, slope=rep.slope, bound=bound, ratio=bound / rep.slope)

@@ -322,9 +322,9 @@ def _extend_basis(base: np.ndarray, M: np.ndarray, order) -> tuple[list[int], np
     return kept, basis[:r]
 
 
-def _size_unit(spec: PolytopeSpec) -> float:
-    """The power of two nearest :attr:`PolytopeSpec.size` (1 at 0), which divides data exactly."""
-    return 2.0 ** round(math.log2(spec.size)) if spec.size else 1.0
+def _size_unit(size: float) -> float:
+    """The power of two nearest ``size`` (1 at 0), which divides data exactly."""
+    return 2.0 ** round(math.log2(size)) if size else 1.0
 
 
 def _find_feasible_point(spec: PolytopeSpec) -> np.ndarray:
@@ -332,11 +332,11 @@ def _find_feasible_point(spec: PolytopeSpec) -> np.ndarray:
     the row rule (:meth:`PolytopeSpec.contains`), else the point of a phase-1 LP.
 
     HiGHS's tolerances are absolute, so the LP is solved at unit size: ``h`` and ``b`` are
-    divided by :func:`_size_unit`, and the point is multiplied back."""
+    divided by ``_size_unit(spec.size)``, and the point is multiplied back."""
     for p in (spec.feasible_point, None if spec.vertices is None else spec.vertices[0]):
         if p is not None and spec.contains(p):
             return np.asarray(p, dtype=float)
-    unit = _size_unit(spec)
+    unit = _size_unit(spec.size)
     res = linprog(
         c=np.zeros(spec.dim),
         A_ub=spec.G if spec.n_ineq else None,

@@ -140,14 +140,17 @@ def test_path_verify_rejects_flipped_multiplier(inst):
 
 
 def _cold_spot_checks(inst, path, samples, seed):
-    """``path_verify``'s spot checks as independent cold solves, draw order."""
+    """``path_verify``'s spot checks as independent cold solves, draw order, each deviation
+    relative to ``|x| + size`` as ``path_verify`` takes it."""
     rng = np.random.default_rng(seed)
     hi = 1.2 * path.eta_star if path.eta_star > 0 else 1.0
     etas = rng.uniform(0.0, hi, size=samples)
     etas = etas[etas > 0]
     worst, worst_eta = 0.0, 0.0
     for eta in etas:
-        dev = float(np.max(np.abs(solve_qlp(inst, float(eta)).x - path.interpolate(float(eta)))))
+        x = solve_qlp(inst, float(eta)).x
+        dev = float(np.max(np.abs(x - path.interpolate(float(eta)))))
+        dev /= float(np.linalg.norm(x)) + inst.polytope.size
         if dev > worst:
             worst, worst_eta = dev, float(eta)
     return len(etas), worst, worst_eta
@@ -316,3 +319,63 @@ def test_min_norm_matches_projection_route():
         )
         x_proj = project(face, np.zeros(d)).x
         assert np.max(np.abs(x_wolfe - x_proj)) <= 1e-9
+
+
+def _over(inst, s, a=1.0):
+    """``inst`` over ``s P`` with cost ``a c``: ``h``, ``b`` and the feasible point scaled."""
+    from qreglp import PolytopeSpec
+
+    spec = inst.polytope
+    point = None if spec.feasible_point is None else s * spec.feasible_point
+    scaled = PolytopeSpec(dim=spec.dim, A=spec.A, b=s * spec.b, G=spec.G, h=s * spec.h,
+                          feasible_point=point)
+    return QlpInstance(scaled, a * inst.c)
+
+
+_SCALED = [random_polytope_instance(s) for s in (3, 12, 21)] + [
+    build(cost=random_cost_matrix(10_003, 4)).qlp()
+]
+
+
+@pytest.mark.parametrize("s, a", [(1e-9, 1.0), (1e9, 1.0), (1.0, 1e9)])
+@pytest.mark.parametrize("inst", _SCALED)
+def test_cross_check_holds_at_every_scale(inst, s, a):
+    # Each measure is relative to its own terms.  Over 1e9 P, absolute measures read path
+    # discrepancies of 6e-8 to 3.4e-5 on points of norm about 1e9 here, all sound traces.
+    r = cross_check_instance(_over(inst, s, a), samples=20)
+    assert r.worst_measure() <= 1e-7
+    assert max(r.rel_disagreement, r.path_discrepancy, r.x_star_gap,
+               r.certificate_violation) <= 1e-8
+
+
+@pytest.mark.parametrize("s, a", [(1e-9, 1.0), (1.0, 1.0), (1e9, 1.0), (1.0, 1e9)])
+@pytest.mark.parametrize("move", ["x_star", "eta_star"])
+def test_cross_check_flags_a_moved_end_at_every_scale(monkeypatch, s, a, move):
+    # A trace whose x* (eta*) is off by 1e-6 relative.  Over 1e-9 P both read as agreement
+    # when measured against 1 + |x| and 1 + max(eta).
+    from qreglp import oracle
+
+    def moved(inst):
+        path = trace_path(inst)
+        if move == "eta_star":
+            path.breakpoints[-1] *= 1.0 + 1e-6
+        else:
+            x = path.endpoints[-1]
+            path.endpoints[-1] = x + 1e-6 * np.linalg.norm(x) / np.sqrt(x.size)
+        return path
+
+    monkeypatch.setattr(oracle, "trace_path", moved)
+    inst = _over(random_polytope_instance(12), s, a)
+    assert trace_path(inst).eta_star > 0
+    assert cross_check_instance(inst, samples=5).worst_measure() > 1e-7
+
+
+@pytest.mark.parametrize("k", [1e-9, 1e-6, 1.0, 1e6])
+def test_min_norm_over_M_at_every_scale(k):
+    # Wolfe's method runs at unit size.  With its stop rule at 1 + max |v|^2 it stopped at its
+    # first vertex for k = 1e-9, was off by 1.1e-5 k for k = 1e-6, and returned
+    # k (0.5, 0.5, 0) for k = 1e6.
+    x = min_norm_over_M(k * np.array([[-1.0, -1.0], [-1.0, 1.0]]))
+    assert np.linalg.norm(x - k * np.array([-1.0, 0.0])) <= 1e-12 * k
+    x = min_norm_over_M(k * np.eye(3))
+    assert np.linalg.norm(x - k * np.ones(3) / 3) <= 1e-12 * k

@@ -166,6 +166,28 @@ def test_separated_bounds_permuted_matching():
     assert sb.exact == pytest.approx(54.0, rel=1e-12)
 
 
+def _off_matching_cost(n, k):
+    """``k ((i - j)^2 + 1)`` off the diagonal, zero on it."""
+    i = np.arange(n)
+    return k * (np.subtract.outer(i, i) ** 2 + 1.0) * (1.0 - np.eye(n))
+
+
+@pytest.mark.parametrize("k", [1e-9, 1.0, 1e9])
+def test_separated_bounds_at_the_cost_scale(k):
+    # A matching cost of 1e-4 of the smallest off-matching entry is not zero at any scale.
+    # Judged at 1e-12 (1 + max |C|) it read as zero at k = 1e-9, and the n = 9 route of
+    # ot_eta_star returned 9e9.
+    C = _off_matching_cost(9, k)
+    C[0, 0] = 1e-4 * C[0, 1]
+    with pytest.raises(BudgetExceeded):
+        ot.ot_eta_star(ot.build(cost=C))
+    # An asymmetry of 1e-4 relative is one at every scale; it read as symmetric at 1e-9.
+    C = _off_matching_cost(4, k)
+    C[0, 1] *= 1.0 + 1e-4
+    assert not ot.separated_bounds(ot.build(cost=C), np.arange(4)).symmetric
+    assert ot.separated_bounds(ot.build(cost=_off_matching_cost(4, k)), np.arange(4)).symmetric
+
+
 def test_separated_bounds_violations():
     inst = ot.build(cost=np.eye(3))  # nonzero diagonal
     with pytest.raises(AssumptionViolated):

@@ -8,6 +8,7 @@ import pytest
 import qreglp
 
 SOLVER_MODULES = ("polytope.py", "projection.py", "homotopy.py")
+PACKAGE = Path(qreglp.__file__).parent
 
 
 @pytest.mark.parametrize("name", SOLVER_MODULES)
@@ -87,11 +88,11 @@ def test_analysis_judges_every_check_by_two_constants():
     assert sorted(v for _, v in found) == [1e-9, 1e-7], f"analysis.py literals: {found}"
 
 
-@pytest.mark.parametrize("name", ("projection.py", "homotopy.py"))
+@pytest.mark.parametrize("name", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_no_unit_floor(name):
-    # Every zero, sign and tie decision of the kernel and the tracer is taken at the size of
-    # its own terms; a ``1.0 + ...`` floor would make it absolute on small or large polytopes.
-    path = Path(qreglp.__file__).parent / name
+    # Every zero, sign, tie and check decision of the package is taken at the size of its own
+    # terms; a ``1.0 + ...`` floor would make it absolute on small or large data.
+    path = PACKAGE / name
     tree = ast.parse(path.read_text(), filename=str(path))
     found = [
         node.lineno
