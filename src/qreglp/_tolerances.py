@@ -1,8 +1,8 @@
 """Every threshold of the solver layers (polytope, projection, homotopy), one name per decision.
 
 Each comment states the decision and the scale the value multiplies.  No module of the package
-keeps a ``1 +`` floor: every zero, sign, tie and check decision scales with its own terms, so it
-reads the same on scaled data; the rank tests' ``max(1, .)`` floors act on row norms.
+keeps a ``1 +`` or ``max(1, .)`` floor: every zero, sign, tie, rank and check decision scales
+with its own terms (a rank test with each row's own norm), so it reads the same on scaled data.
 Whether a point holds a row, or lies on it, is decided by one row rule at ``KKT_TOL`` and the
 data's scale, for the solver's points and for points from outside alike.  The checking modules
 keep their own constants, so a change here moves no check that judges the solver: ``analysis``
@@ -13,11 +13,9 @@ measures at its own sizes against ``_VERIFY_TOL``, which ``cli`` reads; ``ot`` k
 
 OPT_TOL = 1e-9  # a vertex is LP-optimal when its cost is within this |c| |ptp(V)| of the least
 RECESSION_TOL = 1e-7  # unbounded if unit-row [A; G] has sigma_min <= this or the ray LP exceeds it
-RANK_TOL = 1e-10  # independent: residual > this max(1, |row|); sigma_min > this max(1, sigma_max)
-FULL_RANK_TOL = 1e-9  # working-set rows are independent when min |R_ii| > this max(1, max |R_ii|)
-# A step, residual, direction, slack, rate, multiplier sign or eta step is zero at <= this
-ZERO_TOL = 1e-12  # times the size of its terms; rates at most that never cross, exit times >= it
+RANK_TOL = 1e-10  # a row is independent when its residual off the span is > this |row|
+FULL_RANK_TOL = 1e-9  # working-set rows are independent when each |R_ii| > this |row_i|
+# A step, residual, direction, slack, rate, multiplier (as lam_i |g_i|), sign or eta step is zero
+ZERO_TOL = 1e-12  # at <= this times its terms' size; rates at most that never cross, exits >= it
 TIE_TOL = 1e-10  # crossings tie within this (origin + t_min), t measured from where it starts
-SEGMENT_TOL = 1e-11  # a tight row carries the moving piece when |g . d| <= this |g| |d|
 KKT_TOL = 1e-8  # row rule: to this (|h_i| + |g_i| s), s = |x| + size; KKT residual to s + |r|
-POLISH_TOL = 1e-6  # the polished endpoint is kept if no coordinate moves over this (|x| + size)

@@ -5,8 +5,12 @@ The minimizer ``x(eta) = proj_P(-eta c / 2)`` is piecewise affine in
 affine piece at a time:
 
 * the right derivative at the current point is the projection of ``-c/2``
-  onto the critical cone (tangent cone intersected with the plane normal
-  to the projection residual), computed by the active-set solver;
+  onto the critical cone (Haraux 1977).  With the point's certificate
+  ``r = A^T mu + G_J^T lam``, ``<r, v> = sum_i lam_i <g_i, v>`` for a tangent
+  ``v`` and each term is ``<= 0``, so the cone is ``A v = 0``, ``g_i v = 0``
+  where ``lam_i > 0`` (rows the active-set solver holds as equalities) and
+  ``g_i v <= 0`` on the other tight rows (Facchinei & Pang 2003, sec. 3.3).
+  The piece's rows are the tight rows with ``|g_i d| <= ZERO_TOL |g_i| |d|``;
 * the piece ends either when an inactive inequality blocks the ray
   (closed-form smallest crossing) or when a multiplier of the carrying
   face crosses zero (closed form when the face's tight rows are linearly
@@ -38,9 +42,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
-from ._tolerances import POLISH_TOL, SEGMENT_TOL, ZERO_TOL
+from ._tolerances import ZERO_TOL
 from .errors import MaxSegmentsExceeded, NumericalBreakdown
-from .polytope import PolytopeSpec, _extend_basis, _rows_hold, _size_unit
+from .polytope import PolytopeSpec, _size_unit
 from .projection import (Certificate, QlpInstance, _check_certificate, _FreeSystem, _ratio_test,
                          min_distance_active_set, project)
 
@@ -144,60 +148,49 @@ class PathState:
     residual: np.ndarray
     direction_vec: np.ndarray
     segment_rows: np.ndarray
-    cone_ws: list = field(default_factory=list)
 
 
-def _right_derivative(inst: QlpInstance, eta: float, x: np.ndarray, tight: np.ndarray, warm_rows):
-    """Projection of ``-c/2`` onto the critical cone at ``x``.
-
-    ``warm_rows`` holds global inequality-row indices from the previous
-    call's cone working set; they seed the new working set where still
-    tight.  Returns the derivative, the residual, and the new working set
-    in global row indices.
-    """
+def _right_derivative(inst: QlpInstance, x: np.ndarray, r: np.ndarray, tight: np.ndarray,
+                      cert: Certificate) -> np.ndarray:
+    """Projection of ``-c/2`` onto the critical cone at ``x``, from the certificate ``cert`` of
+    the residual ``r``.  A row of ``tight`` is held when ``lam_i |g_i| > ZERO_TOL (|x| + |r| +
+    size)``, the scale of :func:`projection._check_certificate`."""
     spec = inst.polytope
-    r = inst.target(eta) - x
-    A_cone = spec.A
-    eq_idx, base_q = spec.eq_reduction
-    rn = float(np.linalg.norm(r))
-    if rn > ZERO_TOL * (np.linalg.norm(x) + abs(eta) * np.linalg.norm(inst.c) + spec.size):
-        A_cone = np.vstack([spec.A, r / rn])
-        kept, base_q = _extend_basis(base_q, A_cone, [spec.n_eq])
-        eq_idx = eq_idx + kept
-    G_cone = spec.G[tight]
-    w0 = None
-    if warm_rows is not None and tight.size:
-        pos = {int(row): i for i, row in enumerate(tight)}
-        w0 = [pos[int(rr)] for rr in warm_rows if int(rr) in pos]
-    d, ws, _, _, _ = min_distance_active_set(
-        A_cone, G_cone, np.zeros(G_cone.shape[0]), -0.5 * inst.c, np.zeros(spec.dim), w0=w0,
-        eq=(eq_idx, base_q), col=spec.unit_columns[tight], row_norms=spec.row_norms[tight],
-    )
+    weight = cert.restrict(tight).lam * spec.row_norms[tight]
+    scale = np.linalg.norm(x) + np.linalg.norm(r) + spec.size
+    d = min_distance_active_set(
+        spec.A, spec.G[tight], np.zeros(tight.size), -0.5 * inst.c, np.zeros(spec.dim),
+        eq=spec.eq_reduction, col=spec.unit_columns[tight], row_norms=spec.row_norms[tight],
+        held=np.flatnonzero(weight > ZERO_TOL * scale),
+    )[0]
     if np.linalg.norm(d) <= ZERO_TOL * np.linalg.norm(inst.c):
         d = np.zeros(spec.dim)
-    return d, r, [int(tight[i]) for i in ws]
+    return d
 
 
 def path_state(inst: QlpInstance, eta: float) -> PathState:
     """State of the tracer at ``eta``: point, tight rows, velocity.
 
     The point is a fresh solve at ``eta`` (projection of the origin when
-    ``eta`` is zero) and the face is that solve's active set.  Feed the
-    result to :func:`next_breakpoint`.
+    ``eta`` is zero), the face is that solve's active set, and its
+    certificate gives the critical cone.  Feed the result to
+    :func:`next_breakpoint`.
     """
     res = project(inst.polytope, inst.target(eta))
-    return _make_state(inst, float(eta), res.x, res.active_set)
+    cert = Certificate(res.active_set, res.eq_multipliers, res.multipliers)
+    return _make_state(inst, float(eta), res.x, res.active_set, cert)
 
 
 def _make_state(
-    inst: QlpInstance, eta: float, x: np.ndarray, tight: np.ndarray, warm_ws=None
+    inst: QlpInstance, eta: float, x: np.ndarray, tight: np.ndarray, cert: Certificate
 ) -> PathState:
-    # ``tight``: the inequality rows of the face that ``x`` lies on.
+    # ``tight``: the inequality rows of the face that ``x`` lies on; ``cert``: its certificate.
     spec = inst.polytope
-    d, r, cone_ws = _right_derivative(inst, eta, x, tight, warm_ws)
+    r = inst.target(eta) - x
+    d = _right_derivative(inst, x, r, tight, cert)
     gd = spec.G[tight] @ d  # zero on a constant piece, where every tight row carries it
-    seg = tight[np.abs(gd) <= SEGMENT_TOL * spec.row_norms[tight] * np.linalg.norm(d)]
-    return PathState(inst, eta, x, tight, r, d, seg, cone_ws)
+    seg = tight[np.abs(gd) <= ZERO_TOL * spec.row_norms[tight] * np.linalg.norm(d)]
+    return PathState(inst, eta, x, tight, r, d, seg)
 
 
 def _dual_exit_time(spec: PolytopeSpec, seg_rows: np.ndarray, r0: np.ndarray, rdot: np.ndarray, cap,
@@ -213,35 +206,40 @@ def _dual_exit_time(spec: PolytopeSpec, seg_rows: np.ndarray, r0: np.ndarray, rd
     the optimum of one linear program, maximize ``s <= cap`` subject to
     ``A_red^T mu + G_J^T lam - s rdot = r0`` with ``lam >= 0``; no rows are
     reported, ``y0`` is the program's ``(mu, lam)`` and ``ydot`` is zero, so
-    ``y0`` holds at ``s_exit`` only.
+    ``y0`` holds at ``s_exit`` only.  Both weigh each multiplier as
+    ``lam_i |g_i|``, so scaling a row moves no decision.
     """
     A_red = spec.A[spec.eq_reduction[0]]
     m = A_red.shape[0]
     no_rows = np.zeros(0, dtype=int)
+    norms = spec.row_norms[seg_rows]
     system = _FreeSystem(A_red, spec.G, seg_rows, spec.unit_columns)
     if system.full_rank:
         y0, ydot = system.multipliers(r0), system.multipliers(rdot)
-        lam0, lamdot = y0[m:], ydot[m:]
+        lam0, lamdot = y0[m:] * norms, ydot[m:] * norms
         smin, hit = _ratio_test(lam0, -lamdot, np.abs(lamdot).max(initial=0.0), seg_rows, eta)
         if smin is None or (cap is not None and smin >= cap):
             return cap, no_rows, y0, ydot
         return max(smin, ZERO_TOL * (float(np.linalg.norm(r0)) + spec.size)), hit, y0, ydot
 
-    GJ = spec.G[seg_rows]
-    n_lam = GJ.shape[0]
+    weight = np.where(norms > 0, norms, 1.0)  # a zero row's multiplier stays as it is
+    n_lam = seg_rows.size
     cost = np.zeros(m + n_lam + 1)
     cost[-1] = -1.0
     unit = _size_unit(spec.size)  # HiGHS's tolerances are absolute: solve at unit size
     cap_unit = None if cap is None else cap / unit
     res = linprog(
-        cost, A_eq=np.hstack([A_red.T, GJ.T, -rdot[:, None]]), b_eq=r0 / unit,
+        cost, A_eq=np.hstack([A_red.T, (spec.G[seg_rows] / weight[:, None]).T, -rdot[:, None]]),
+        b_eq=r0 / unit,
         bounds=[(None, None)] * m + [(0.0, None)] * n_lam + [(0.0, cap_unit)], method="highs",
     )
     if res.status == 3:  # unbounded: only possible when cap is None
         return None, no_rows, None, None
     if res.status != 0:
         raise NumericalBreakdown(f"normal-cone exit LP failed: {res.message}")
-    return float(res.x[-1]) * unit, no_rows, res.x[:-1] * unit, np.zeros(m + n_lam)
+    y0 = res.x[:-1] * unit
+    y0[m:] /= weight
+    return float(res.x[-1]) * unit, no_rows, y0, np.zeros(m + n_lam)
 
 
 def next_breakpoint(state: PathState):
@@ -312,10 +310,10 @@ def trace_path(inst: QlpInstance, max_segments: int | None = None) -> SolutionPa
     eta, x, tight = 0.0, res0.x, res0.active_set
     right = Certificate(tight, res0.eq_multipliers, res0.multipliers)
     etas, points, seg_sets, certs = [0.0], [x], [], []
-    warm, stalled = None, 0
+    stalled = 0
 
     for _ in range(max_segments):
-        state = _make_state(inst, eta, x, tight, warm)
+        state = _make_state(inst, eta, x, tight, right)
         eta_next, event = next_breakpoint(state)
         if isinstance(event, Stationary):
             break
@@ -333,28 +331,9 @@ def trace_path(inst: QlpInstance, max_segments: int | None = None) -> SolutionPa
         points.append(x_next)
         seg_sets.append(J)
         certs.append((left, right))
-        eta, x, warm = float(eta_next), x_next, state.cone_ws
+        eta, x = float(eta_next), x_next
         tight = spec.tight_rows(x, inst.target(eta))
     else:
         raise MaxSegmentsExceeded(f"more than {max_segments} path segments")
 
-    points[-1] = _polish_min_norm(spec, points[-1], tight)
     return SolutionPath(np.asarray(etas) / cost_norm, np.asarray(points), seg_sets, certs)
-
-
-def _polish_min_norm(spec: PolytopeSpec, x: np.ndarray, tight: np.ndarray) -> np.ndarray:
-    """Re-solve the stationary endpoint at unit scale.
-
-    The stationary point is the origin's projection onto the affine hull
-    of its own face ``tight`` (the rows the tracer landed on), i.e. the
-    minimum-norm solution of the face's tight constraints.  Solving that
-    system directly removes the error inherited from projecting the large
-    target ``-eta c / 2``.
-    """
-    if not spec.n_eq and not tight.size:
-        return x
-    B = np.vstack([spec.A, spec.G[tight]])
-    x_pol = np.linalg.lstsq(B, np.concatenate([spec.b, spec.h[tight]]), rcond=None)[0]
-    if np.max(np.abs(x_pol - x)) > POLISH_TOL * (np.linalg.norm(x) + spec.size):
-        return x
-    return x_pol if _rows_hold(spec, x_pol, tight) else x

@@ -298,7 +298,7 @@ def _extend_basis(base: np.ndarray, M: np.ndarray, order) -> tuple[list[int], np
 
     ``base`` holds orthonormal rows.  A row is kept when its component
     orthogonal to ``base`` and to the rows kept so far (two Gram-Schmidt
-    passes) exceeds ``RANK_TOL * max(1, |row|)``, so of two dependent rows
+    passes) exceeds ``RANK_TOL |row|``, so of two dependent rows
     the earlier wins.  Returns the kept indices, as ints in visiting order,
     and ``base`` extended by one orthonormal row per kept row.
     """
@@ -315,7 +315,7 @@ def _extend_basis(base: np.ndarray, M: np.ndarray, order) -> tuple[list[int], np
         res = g - Qb.T @ (Qb @ g)
         res -= Qb.T @ (Qb @ res)  # second pass keeps the basis orthonormal
         nr = float(np.linalg.norm(res))
-        if nr > RANK_TOL * max(1.0, float(np.linalg.norm(g))):
+        if nr > RANK_TOL * float(np.linalg.norm(g)):
             basis[r] = res / nr
             r += 1
             kept.append(int(j))
@@ -530,7 +530,7 @@ def enumerate_vertices(
     tight inequality rows in ascending order, or on the independent ones
     :func:`_extend_basis` keeps when more than ``dim - rank(A)`` are
     tight.  A row of ``G`` that is constant on the affine hull (zero
-    there to ``RANK_TOL``) bounds nothing: it is dropped, or the set is
+    there to ``RANK_TOL`` times its norm) bounds nothing: it is dropped, or the set is
     empty when ``x0`` breaks it.  Each extreme ray gives one vertex, so
     the rows need no deduplication (a merge at an absolute distance would
     fuse true vertices of a small polytope).  Deterministic lexicographic
@@ -564,7 +564,7 @@ def enumerate_vertices(
         raise EmptyFeasibleSet("the equality rows are inconsistent")
     GN = spec.G @ N
     slack = spec.h - spec.G @ x0
-    flat = np.linalg.norm(GN, axis=1) <= RANK_TOL * np.maximum(spec.row_norms, 1.0)
+    flat = np.linalg.norm(GN, axis=1) <= RANK_TOL * spec.row_norms
     if np.any(flat & (slack < -ZERO_TOL * (np.abs(spec.h) + spec.row_norms * size))):
         raise EmptyFeasibleSet("an inequality row constant on the affine hull is violated")
     rows = np.flatnonzero(~flat)

@@ -144,15 +144,15 @@ def _extend_unit_rows(base_q, G, order, col) -> list[int]:
     """
     first = np.sort(np.unique(col, return_index=True)[1])  # a repeat is dependent
     rows = [order[i] for i in first]
-    T, coef = col[first], np.abs(G[rows, col[first]])
+    T = col[first]
     if base_q.shape[0] == 0:
-        return [j for j, a in zip(rows, coef) if a > RANK_TOL * max(1.0, a)]
+        return rows
     free = np.ones(base_q.shape[1], dtype=bool)
     free[T] = False
     P = base_q[:, T]
-    if free.any():  # contract: project out the span of the other columns
+    if free.any():  # contract: project out the span of the other columns (base_q is orthonormal)
         U, sv, _ = np.linalg.svd(base_q[:, free], full_matrices=False)
-        U = U[:, sv > RANK_TOL * max(1.0, sv[0])]
+        U = U[:, sv > RANK_TOL]
         P = P - U @ (U.T @ P)
     dropped = np.zeros(T.size, dtype=bool)
     while True:
@@ -192,14 +192,14 @@ class _FreeSystem:
 
         It has exactly when the unit rows fix distinct coordinates and the
         other rows are independent on the rest: no more of them than free
-        coordinates, and every diagonal entry of ``R`` above ``FULL_RANK_TOL``
-        times the largest (or one).
+        coordinates, and each diagonal entry of ``R`` above ``FULL_RANK_TOL``
+        times the norm of its own row.
         """
         diag = np.abs(np.diag(self.R))
         return bool(
             np.unique(self.fixed).size == self.fixed.size
             and self.B.shape[0] <= self.free.size
-            and (diag.size == 0 or diag.min() > FULL_RANK_TOL * max(diag.max(), 1.0))
+            and np.all(diag > FULL_RANK_TOL * np.linalg.norm(self.B, axis=1))
         )
 
     def project(self, v: np.ndarray) -> np.ndarray:
@@ -215,7 +215,7 @@ class _FreeSystem:
     def extends(self, g: np.ndarray, g_norm: float) -> bool:
         """Whether the row ``g`` (of norm ``g_norm``) is independent of the
         working-set rows, to the tolerance of :func:`polytope._extend_basis`."""
-        return float(np.linalg.norm(self.project(g))) > RANK_TOL * max(1.0, g_norm)
+        return float(np.linalg.norm(self.project(g))) > RANK_TOL * g_norm
 
     def multipliers(self, v: np.ndarray) -> np.ndarray:
         """Least-squares ``y`` with ``[A_red; G[W]]^T y = v``, in that row order.
@@ -243,8 +243,9 @@ def min_distance_active_set(
     eq=None,
     col=None,
     row_norms=None,
+    held=(),
 ):
-    """Minimize ``|x - z|^2`` subject to ``A x = A x0`` and ``G x <= h``.
+    """Minimize ``|x - z|^2`` over ``A x = A x0``, ``G x <= h`` and ``G[held] x = h[held]``.
 
     ``x0`` must be feasible and is not checked here: :func:`project` takes a
     start only when it holds every row by the row rule.  The equality
@@ -253,10 +254,12 @@ def min_distance_active_set(
     ``(eq_idx, base_q)`` of ``A`` (:attr:`PolytopeSpec.eq_reduction`), ``col`` the unit columns of ``G``
     (:attr:`PolytopeSpec.unit_columns`) and ``row_norms`` the norms of its
     rows (:attr:`PolytopeSpec.row_norms`); each is computed when not given.
-    The working set starts from the rows of ``w0`` still tight at ``x0``, then
-    the other tight rows, as :func:`_extend_independent` keeps them; should
-    its batch keep a dependent row, :attr:`_FreeSystem.full_rank` says so
-    and the row loop of :func:`polytope._extend_basis` seeds it again.
+    The working set starts from the rows of ``held``, then those of ``w0``
+    still tight at ``x0``, then the other tight rows, as
+    :func:`_extend_independent` keeps them; should its batch keep a dependent
+    row, :attr:`_FreeSystem.full_rank` says so and the row loop of
+    :func:`polytope._extend_basis` seeds it again.  The ``held`` rows must be
+    tight at ``x0``; no drop removes them, so their multipliers may be negative.
     Returns ``(x, working_set, eq_mult, ineq_mult, iters)`` where ``eq_mult``
     has one entry per row of ``A`` (zero on redundant rows, which are removed
     internally).
@@ -277,9 +280,11 @@ def min_distance_active_set(
     # The tight-row, zero-step and multiplier-sign tests are at the size |z| + |x0| of the data.
     scale = float(np.sqrt(z @ z) + np.sqrt(x @ x))
     order = _tight_rows(h - G @ x, h, g_norm, scale)
-    if w0 is not None:  # the rows of w0 still tight go first
-        held = set(order.tolist())
-        order = list(dict.fromkeys([int(j) for j in w0 if int(j) in held] + order.tolist()))
+    keep = np.zeros(k, dtype=bool)  # the held rows, which no drop removes
+    keep[np.asarray(held, dtype=int)] = True
+    tight = set(order.tolist())  # the held rows go first, then the rows of w0 still tight
+    first = [int(j) for j in [*held, *(() if w0 is None else w0)] if int(j) in tight]
+    order = list(dict.fromkeys(first + order.tolist()))
     W = sorted(_extend_independent(base_q, G, order, col))
     system = _FreeSystem(A_red, G, W, col)
     if not system.full_rank:  # the batch seed kept a dependent row
@@ -298,7 +303,7 @@ def min_distance_active_set(
         nd = np.sqrt(dvec @ dvec)
         if nd <= ZERO_TOL * scale:
             y = system.multipliers(v)
-            neg = np.flatnonzero(y[m_red:] * g_norm[W] < -ZERO_TOL * scale)
+            neg = np.flatnonzero((y[m_red:] * g_norm[W] < -ZERO_TOL * scale) & ~keep[W])
             if neg.size == 0:
                 break
             # Bland: drop the smallest-index offending row (W is sorted).
@@ -357,11 +362,11 @@ def _check_certificate(spec: PolytopeSpec, x, r, cert: Certificate, where: str) 
     """Raise unless ``cert`` proves ``x = proj(x + r)``; return its stationarity residual.
 
     The one KKT rule, at the data's scale: the rows hold by :func:`polytope._rows_hold`, and
-    the stationarity residual and ``-min lam`` lie within ``KKT_TOL (|x| + size + |r|)``, where
-    ``size`` (:attr:`PolytopeSpec.size`) keeps rounding in ``x`` at the origin from failing.
+    the stationarity residual and ``-min lam_i |g_i|`` lie within ``KKT_TOL (|x| + size + |r|)``,
+    where ``size`` (:attr:`PolytopeSpec.size`) keeps rounding in ``x`` at the origin from failing.
     """
     resid = float(np.abs(r - spec.A.T @ cert.mu - spec.G[cert.rows].T @ cert.lam).max())
-    low = float(cert.lam.min(initial=0))
+    low = float((cert.lam * spec.row_norms[cert.rows]).min(initial=0))
     bound = KKT_TOL * (math.sqrt(x @ x) + math.sqrt(r @ r) + spec.size)
     if not (_rows_hold(spec, x, cert.rows) and resid <= bound and -low <= bound):
         off = np.concatenate([np.abs(spec.A @ x - spec.b), spec.G @ x - spec.h,

@@ -1,3 +1,7 @@
+import itertools
+from dataclasses import replace
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -21,6 +25,7 @@ from qreglp import homotopy
 from qreglp.oracle import random_cost_matrix, random_polytope_instance
 from qreglp.ot import birkhoff_polytope, quad_cost_instance
 from qreglp.ot import build as ot_build
+from qreglp.projection import Certificate
 
 
 def neg_id_instance(n):
@@ -51,14 +56,42 @@ def test_neg_id_single_segment(n):
         assert np.max(np.abs(path.interpolate(float(eta)) - closed_form_neg_id(n, eta))) <= 1e-8
 
 
-@pytest.mark.parametrize("n", [3, 28, 32])
+@pytest.mark.parametrize("n", [3, 28, 31, 32])
 def test_quad_cost_threshold(n):
     # eta* = 2 n^3 up to the advertised budget n = 32, with no rounding-sized piece.
     path = trace_path(quad_cost_instance(n).qlp())
-    assert path.eta_star == pytest.approx(2.0 * n**3, rel=1e-9)
-    np.testing.assert_allclose(path.x_star.reshape(n, n), np.eye(n), rtol=0.0, atol=1e-12)
-    assert path.n_segments == {3: 2, 28: 181, 32: 239}[n]
+    assert path.eta_star == pytest.approx(2.0 * n**3, rel=1e-13)
+    np.testing.assert_allclose(path.x_star.reshape(n, n), np.eye(n), rtol=0.0, atol=1e-13)
+    assert path.n_segments == {3: 2, 28: 181, 31: 224, 32: 239}[n]
     assert np.all(np.diff(path.breakpoints) >= 1e-9 * path.breakpoints[1:])
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_quad_cost_permuted(n):
+    # Coordinates, equality rows and inequality rows permuted: the same path, permuted.
+    inst = quad_cost_instance(n).qlp()
+    spec, rng = inst.polytope, np.random.default_rng(n)
+    col, eq, ineq = (rng.permutation(m) for m in (spec.dim, spec.n_eq, spec.n_ineq))
+    permuted = PolytopeSpec(dim=spec.dim, A=spec.A[eq][:, col], b=spec.b[eq],
+                            G=spec.G[ineq][:, col], h=spec.h[ineq])
+    path = trace_path(QlpInstance(permuted, inst.c[col]))
+    assert path.n_segments == {16: 56, 24: 131}[n]
+    assert path.eta_star == pytest.approx(2.0 * n**3, rel=1e-13)
+    np.testing.assert_allclose(path.x_star, np.eye(n).ravel()[col], rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("seed, n", [(1045, 5), (10003, 3), (10003, 5)])
+def test_transport_eta_star_exact(seed, n):
+    # Each ends on a slowly moving piece.  With one optimal permutation P*, eta* is the vertex
+    # formula max 2 <P*, P* - P> / <c, P - P*> over the permutations, here in exact arithmetic.
+    inst = ot_build(cost=random_cost_matrix(seed, n)).qlp()
+    C = [[Fraction(float(v)) for v in row] for row in inst.c.reshape(n, n)]
+    cost = {p: sum(C[i][p[i]] for i in range(n)) for p in itertools.permutations(range(n))}
+    best = min(cost.values())
+    (opt,) = [p for p, v in cost.items() if v == best]
+    exact = max(Fraction(2 * sum(a != b for a, b in zip(p, opt))) / (v - best)
+                for p, v in cost.items() if p != opt)
+    assert abs(Fraction(trace_path(inst).eta_star) - exact) <= Fraction(1e-11) * exact
 
 
 def test_direction_interval_interior(interval_inst):
@@ -287,9 +320,52 @@ def test_birkhoff_scale_covariance(seed, s):
     path = trace_path(inst)
     scaled = trace_path(_scaled_polytope(inst, s))
     assert scaled.n_segments == path.n_segments
-    np.testing.assert_allclose(scaled.breakpoints, s * path.breakpoints, rtol=1e-8, atol=0.0)
+    np.testing.assert_allclose(scaled.breakpoints, s * path.breakpoints, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(scaled.x_star, s * path.x_star, rtol=0.0,
                                atol=1e-12 * s * np.abs(path.x_star).max())
+
+
+def _scaled_row(inst, row, s):
+    """``inst`` with inequality row ``row`` and its ``h`` times ``s``: the same polytope."""
+    G, h = inst.polytope.G.copy(), inst.polytope.h.copy()
+    G[row], h[row] = s * G[row], s * h[row]
+    return QlpInstance(replace(inst.polytope, G=G, h=h), inst.c)
+
+
+def _assert_same_path(path, ref):
+    assert path.n_segments == ref.n_segments
+    np.testing.assert_allclose(path.breakpoints, ref.breakpoints, rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(path.x_star, ref.x_star, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("k", [-13, -11, -9, 8])
+def test_row_scale_invariance_square(k):
+    # The unit square cut by s (x1 + x2) <= 1.5 s: rank tests that floored a row's norm at one
+    # made the dependent-face program infeasible at s = 1e-9 and stalled the tracer below.
+    square = PolytopeSpec(dim=2, G=np.vstack([np.eye(2), -np.eye(2), [[1.0, 1.0]]]),
+                          h=[1.0, 1.0, 0.0, 0.0, 1.5])
+    inst = QlpInstance(square, np.array([-1.0, -0.9]))
+    _assert_same_path(trace_path(_scaled_row(inst, 4, 10.0**k)), trace_path(inst))
+
+
+def test_zero_row_changes_nothing(lp_calls):
+    # A zero row 0 x <= 0 is tight everywhere and makes every face dependent; the exit
+    # program leaves its multiplier unweighed.
+    square = PolytopeSpec(dim=2, G=np.vstack([np.eye(2), -np.eye(2), [[1.0, 1.0]]]),
+                          h=[1.0, 1.0, 0.0, 0.0, 1.5])
+    with_zero = replace(square, G=np.vstack([square.G, np.zeros((1, 2))]), h=[*square.h, 0.0])
+    c = np.array([-1.0, -0.9])
+    _assert_same_path(trace_path(QlpInstance(with_zero, c)), trace_path(QlpInstance(square, c)))
+    assert lp_calls[0] > 0
+
+
+@pytest.mark.parametrize("k", [-13, -10, -8])
+def test_row_scale_invariance(k):
+    # Each rank test weighs a row at its own norm and each multiplier as lam_i |g_i|, so
+    # scaling the last row moves no decision.
+    for seed in range(30):
+        inst = random_polytope_instance(seed)
+        _assert_same_path(trace_path(_scaled_row(inst, -1, 10.0**k)), trace_path(inst))
 
 
 def test_next_breakpoint_ties_at_the_polytope_scale():
@@ -595,10 +671,10 @@ def test_perturbed_direction_raises(monkeypatch, case):
     right_derivative = homotopy._right_derivative
 
     def perturbed(*args):
-        d, r, ws = right_derivative(*args)
+        d = right_derivative(*args)
         if np.any(d):
             d = d + 1e-6 * np.random.default_rng(0).normal(size=d.size) / np.sqrt(d.size)
-        return d, r, ws
+        return d
 
     monkeypatch.setattr(homotopy, "_right_derivative", perturbed)
     with pytest.raises(NumericalBreakdown, match="certificate"):
@@ -627,15 +703,18 @@ def test_late_dropping_multiplier_raises(monkeypatch, seed):
 
 def _reference_trace(inst):
     """Breakpoints of the tracer that re-solves each piece at its landing and
-    midpoint, from the predicted point, instead of certifying its two ends."""
+    midpoint, from the predicted point, instead of certifying its two ends;
+    each piece starts from the landing solve's point and certificate."""
     spec = inst.polytope
     cost_norm = float(np.linalg.norm(inst.c)) or 1.0
     unit = QlpInstance(spec, inst.c / cost_norm)
-    eta, x, warm = 0.0, project(spec, np.zeros(spec.dim)).x, None
+    eta, res = 0.0, project(spec, np.zeros(spec.dim))
     etas = [0.0]
     while True:
+        x = res.x
         tight = np.flatnonzero(spec.h - spec.G @ x <= 1e-9)
-        state = homotopy._make_state(unit, eta, x, tight, warm)
+        cert = Certificate(res.active_set, res.eq_multipliers, res.multipliers)
+        state = homotopy._make_state(unit, eta, x, tight, cert)
         eta_next, event = homotopy.next_breakpoint(state)
         if isinstance(event, Stationary):
             return np.asarray(etas) / cost_norm
@@ -643,10 +722,10 @@ def _reference_trace(inst):
         for t in (0.5, 1.0):
             pred = x + t * (eta_next - eta) * state.direction_vec
             z = unit.target(eta + t * (eta_next - eta))
-            solved = project(spec, z, start=pred, working_set=rows).x
-            assert np.max(np.abs(solved - pred)) <= 1e-8 * (1.0 + np.linalg.norm(pred))
+            res = project(spec, z, start=pred, working_set=rows)
+            assert np.max(np.abs(res.x - pred)) <= 1e-8 * (1.0 + np.linalg.norm(pred))
         etas.append(eta_next)
-        eta, x, warm = eta_next, solved, state.cone_ws
+        eta = eta_next
 
 
 def _reference_cases():

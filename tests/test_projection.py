@@ -216,6 +216,19 @@ def test_low_level_solver_on_cone():
     assert list(W) == [1] and lam[0] == pytest.approx(2.0, abs=1e-12)
 
 
+def test_held_row_stays_an_equality():
+    # A held row is never dropped: x stays on it, and its multiplier may be negative.
+    G = np.vstack([np.eye(2), -np.eye(2)])
+    h = np.array([1.0, 1.0, 0.0, 0.0])
+    z, x0 = np.array([0.2, 0.5]), np.array([1.0, 0.5])
+    free = min_distance_active_set(np.zeros((0, 2)), G, h, z, x0)[0]
+    np.testing.assert_allclose(free, z, rtol=0.0, atol=1e-15)
+    x, W, _, lam, _ = min_distance_active_set(np.zeros((0, 2)), G, h, z, x0, held=[0])
+    np.testing.assert_allclose(x, [1.0, 0.5], rtol=0.0, atol=1e-15)
+    assert list(W) == [0] and lam[0] == pytest.approx(-0.8, abs=1e-15)
+    np.testing.assert_allclose(z - x, G[W].T @ lam, rtol=0.0, atol=1e-15)
+
+
 def test_result_json_keys(interval):
     res = project(interval, np.array([0.3]))
     data = res.to_json_dict()

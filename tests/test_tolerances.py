@@ -88,22 +88,32 @@ def test_analysis_judges_every_check_by_two_constants():
     assert sorted(v for _, v in found) == [1e-9, 1e-7], f"analysis.py literals: {found}"
 
 
+def _is_one(node):
+    return isinstance(node, ast.Constant) and isinstance(node.value, float) and node.value == 1.0
+
+
 @pytest.mark.parametrize("name", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_no_unit_floor(name):
-    # Every zero, sign, tie and check decision of the package is taken at the size of its own
-    # terms; a ``1.0 + ...`` floor would make it absolute on small or large data.
+    # Every zero, sign, tie, rank and check decision of the package is taken at the size of its
+    # own terms; a ``1.0 + ...`` or ``max(1.0, ...)`` floor would make it absolute on small or
+    # large data, and a rank floor would judge a scaled row by another row's size.
     path = PACKAGE / name
     tree = ast.parse(path.read_text(), filename=str(path))
     found = [
         node.lineno
         for node in ast.walk(tree)
-        if isinstance(node, ast.BinOp)
-        and isinstance(node.op, ast.Add)
-        and isinstance(node.left, ast.Constant)
-        and isinstance(node.left.value, float)
-        and node.left.value == 1.0
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add) and _is_one(node.left)
     ]
     assert found == [], f"{name}: 1.0 + ... floors at lines {found}"
+    floors = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+        in ("max", "maximum", "fmax")
+        and any(_is_one(arg) for arg in node.args)
+    ]
+    assert floors == [], f"{name}: max(1.0, ...) floors at lines {floors}"
 
 
 def test_tolerance_table_names():
@@ -111,4 +121,4 @@ def test_tolerance_table_names():
     tree = ast.parse(path.read_text(), filename=str(path))
     names = {t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets}
     assert names == {"OPT_TOL", "RECESSION_TOL", "RANK_TOL", "FULL_RANK_TOL", "ZERO_TOL",
-                     "TIE_TOL", "SEGMENT_TOL", "KKT_TOL", "POLISH_TOL"}
+                     "TIE_TOL", "KKT_TOL"}
