@@ -14,7 +14,9 @@ affine piece at a time:
 * the piece ends either when an inactive inequality blocks the ray
   (closed-form smallest crossing) or when a multiplier of the carrying
   face crosses zero (closed form when the face's tight rows are linearly
-  independent, otherwise one linear program over the face's multipliers);
+  independent; otherwise the multipliers the start point's certificate and
+  the cone solve already hold settle it when they do not cross before the
+  cap, and one linear program over the face's multipliers when they do);
 * each piece is certified at its two ends by :func:`projection._check_certificate`: ``x`` is
   feasible, the piece's rows ``J`` are tight and ``target - x = A^T mu + G_J^T lam``, ``lam >= 0``.
   All of it is affine in ``eta``, so the ends certify the whole piece.  The
@@ -148,24 +150,29 @@ class PathState:
     residual: np.ndarray
     direction_vec: np.ndarray
     segment_rows: np.ndarray
+    # ``residual = A^T mu + G^T lam`` and ``-c/2 - direction_vec``, each as a Certificate.
+    certificate: Certificate
+    direction_certificate: Certificate
 
 
 def _right_derivative(inst: QlpInstance, x: np.ndarray, r: np.ndarray, tight: np.ndarray,
-                      cert: Certificate) -> np.ndarray:
-    """Projection of ``-c/2`` onto the critical cone at ``x``, from the certificate ``cert`` of
-    the residual ``r``.  A row of ``tight`` is held when ``lam_i |g_i| > ZERO_TOL (|x| + |r| +
-    size)``, the scale of :func:`projection._check_certificate`."""
+                      cert: Certificate) -> tuple[np.ndarray, Certificate]:
+    """Projection ``d`` of ``-c/2`` onto the critical cone at ``x``, from the certificate
+    ``cert`` of the residual ``r``.  A row of ``tight`` is held when ``lam_i |g_i| > ZERO_TOL
+    (|x| + |r| + size)``, the scale of :func:`projection._check_certificate`.  Also returns
+    the cone solve's multipliers, ``-c/2 - d = A^T mu + G[rows]^T lam`` as a
+    :class:`Certificate`; a held row's ``lam`` may be negative."""
     spec = inst.polytope
     weight = cert.restrict(tight).lam * spec.row_norms[tight]
     scale = np.linalg.norm(x) + np.linalg.norm(r) + spec.size
-    d = min_distance_active_set(
+    d, W, mu, lam, _ = min_distance_active_set(
         spec.A, spec.G[tight], np.zeros(tight.size), -0.5 * inst.c, np.zeros(spec.dim),
         eq=spec.eq_reduction, col=spec.unit_columns[tight], row_norms=spec.row_norms[tight],
         held=np.flatnonzero(weight > ZERO_TOL * scale),
-    )[0]
+    )
     if np.linalg.norm(d) <= ZERO_TOL * np.linalg.norm(inst.c):
         d = np.zeros(spec.dim)
-    return d
+    return d, Certificate(tight[W], mu, lam)
 
 
 def path_state(inst: QlpInstance, eta: float) -> PathState:
@@ -187,14 +194,26 @@ def _make_state(
     # ``tight``: the inequality rows of the face that ``x`` lies on; ``cert``: its certificate.
     spec = inst.polytope
     r = inst.target(eta) - x
-    d = _right_derivative(inst, x, r, tight, cert)
+    d, cone = _right_derivative(inst, x, r, tight, cert)
     gd = spec.G[tight] @ d  # zero on a constant piece, where every tight row carries it
     seg = tight[np.abs(gd) <= ZERO_TOL * spec.row_norms[tight] * np.linalg.norm(d)]
-    return PathState(inst, eta, x, tight, r, d, seg)
+    return PathState(inst, eta, x, tight, r, d, seg, cert, cone)
+
+
+def _pair_ray(spec: PolytopeSpec, rows: np.ndarray, pair):
+    """The certificates ``pair`` of ``r0`` and ``rdot`` as multipliers ``(y0, ydot)`` on
+    ``[A_red; G[rows]]``, or ``None`` when either holds a nonzero multiplier off ``rows``."""
+    eq_idx = spec.eq_reduction[0]
+    ray = []
+    for cert in pair:
+        if np.any(cert.lam[~np.isin(cert.rows, rows)]):
+            return None
+        ray.append(np.concatenate([cert.mu[eq_idx], cert.restrict(rows).lam]))
+    return tuple(ray)
 
 
 def _dual_exit_time(spec: PolytopeSpec, seg_rows: np.ndarray, r0: np.ndarray, rdot: np.ndarray, cap,
-                    eta: float):
+                    eta: float, pair=None):
     """Largest ray parameter keeping ``r0 + s rdot`` in the face's normal cone.
 
     Returns ``(s_exit, rows, y0, ydot)`` with ``s_exit = cap`` (or ``None``
@@ -202,11 +221,16 @@ def _dual_exit_time(spec: PolytopeSpec, seg_rows: np.ndarray, r0: np.ndarray, rd
     the face's rows are independent of each other and of ``A_red``
     (:attr:`_FreeSystem.full_rank`; an empty face is ``A_red`` alone) the
     multipliers on ``[A_red; G_J]`` are ``y0 + s ydot`` for every ``s`` and a
-    ratio test gives the exit and the falling rows.  Otherwise the exit is
-    the optimum of one linear program, maximize ``s <= cap`` subject to
+    ratio test gives the exit and the falling rows.  Otherwise the multipliers
+    are not unique.  ``pair`` holds the :class:`Certificate` of ``r0`` and of
+    ``rdot`` (:class:`PathState`); when neither has a multiplier off ``J``,
+    ``y0 + s ydot`` from them is one multiplier of ``r0 + s rdot`` for every
+    ``s``, and if the same ratio test finds no crossing before the cap, the
+    cap (or stationarity) is the exit.  In every other case the exit is the
+    optimum of one linear program, maximize ``s <= cap`` subject to
     ``A_red^T mu + G_J^T lam - s rdot = r0`` with ``lam >= 0``; no rows are
     reported, ``y0`` is the program's ``(mu, lam)`` and ``ydot`` is zero, so
-    ``y0`` holds at ``s_exit`` only.  Both weigh each multiplier as
+    ``y0`` holds at ``s_exit`` only.  All weigh each multiplier as
     ``lam_i |g_i|``, so scaling a row moves no decision.
     """
     A_red = spec.A[spec.eq_reduction[0]]
@@ -215,12 +239,17 @@ def _dual_exit_time(spec: PolytopeSpec, seg_rows: np.ndarray, r0: np.ndarray, rd
     norms = spec.row_norms[seg_rows]
     system = _FreeSystem(A_red, spec.G, seg_rows, spec.unit_columns)
     if system.full_rank:
-        y0, ydot = system.multipliers(r0), system.multipliers(rdot)
+        ray = system.multipliers(r0), system.multipliers(rdot)
+    else:
+        ray = None if pair is None else _pair_ray(spec, seg_rows, pair)
+    if ray is not None:
+        y0, ydot = ray
         lam0, lamdot = y0[m:] * norms, ydot[m:] * norms
         smin, hit = _ratio_test(lam0, -lamdot, np.abs(lamdot).max(initial=0.0), seg_rows, eta)
         if smin is None or (cap is not None and smin >= cap):
             return cap, no_rows, y0, ydot
-        return max(smin, ZERO_TOL * (float(np.linalg.norm(r0)) + spec.size)), hit, y0, ydot
+        if system.full_rank:
+            return max(smin, ZERO_TOL * (float(np.linalg.norm(r0)) + spec.size)), hit, y0, ydot
 
     weight = np.where(norms > 0, norms, 1.0)  # a zero row's multiplier stays as it is
     n_lam = seg_rows.size
@@ -264,7 +293,8 @@ def next_breakpoint(state: PathState):
         raise NumericalBreakdown("moving ray never blocked on a bounded polytope")
     rdot = -0.5 * inst.c - d
     s_dual, drop_rows, *mult = _dual_exit_time(
-        spec, state.segment_rows, state.residual, rdot, t_block, state.eta)
+        spec, state.segment_rows, state.residual, rdot, t_block, state.eta,
+        (state.certificate, state.direction_certificate))
     if s_dual is None:
         return state.eta, Stationary()
     if t_block is None or s_dual < t_block:

@@ -124,6 +124,15 @@ class PolytopeSpec:
         return np.linalg.norm(self.A, axis=1)
 
     @cached_property
+    def kernel_memo(self) -> tuple[dict, dict]:
+        """Two one-entry memos for the projection kernel's calls on this spec's rows: the
+        working-set seed by its visiting order, and the working set's factorization by the
+        set (:func:`projection.min_distance_active_set`).  A warm solve whose start lies on
+        the face the last solve ended on reuses both.  Each holds one entry, and a new spec
+        (``dataclasses.replace`` included) starts with both empty."""
+        return {}, {}
+
+    @cached_property
     def size(self) -> float:
         """``max |rhs| / max |row|`` over both blocks: a length that scales with the polytope."""
         top = max(self.row_norms.max(initial=0), self.eq_row_norms.max(initial=0))
@@ -243,19 +252,20 @@ def _lexsorted(V: np.ndarray) -> np.ndarray:
     return V[order]
 
 
-def _row_rule(spec: PolytopeSpec, X, tol: float | None = None):
+def _row_rule(spec: PolytopeSpec, X, tol: float | None = None, slack=None):
     """The one row rule for a point, at the data's scale: row ``i`` holds, or the point lies
     on it, to ``KKT_TOL (|h_i| + |g_i| s)`` (``|b_i| + |a_i| s`` for an equality row),
     ``s = |x| + size``.  It judges the solver's certificates and every point given from
     outside (listed vertices, start points) alike.
 
-    ``X`` is one point, or holds one point per row.  Returns, per point, whether it holds
-    every row, and per point and inequality row, whether it lies on the row.
+    ``X`` is one point, or holds one point per row; ``slack`` is ``h - G X`` when the caller
+    has it.  Returns, per point, whether it holds every row, and per point and inequality
+    row, whether it lies on the row.
     """
     tol = KKT_TOL if tol is None else tol
     X = np.asarray(X, dtype=float)
     norm = np.sqrt(np.einsum("ij,ij->i", X, X))[:, None] if X.ndim == 2 else math.sqrt(X @ X)
-    off = X @ spec.G.T - spec.h  # positive on a broken row
+    off = X @ spec.G.T - spec.h if slack is None else -slack  # positive on a broken row
     bound = tol * (np.abs(spec.h) + spec.row_norms * (norm + spec.size))
     holds = (off <= bound).all(axis=-1)
     if spec.n_eq:
@@ -264,10 +274,10 @@ def _row_rule(spec: PolytopeSpec, X, tol: float | None = None):
     return holds, np.abs(off) <= bound
 
 
-def _rows_hold(spec: PolytopeSpec, x, rows) -> bool:
+def _rows_hold(spec: PolytopeSpec, x, rows, slack=None) -> bool:
     """Whether ``x`` holds every row and lies on the inequality rows ``rows``, by
-    :func:`_row_rule`."""
-    holds, on = _row_rule(spec, x)
+    :func:`_row_rule` (``slack`` is ``h - G x`` when the caller has it)."""
+    holds, on = _row_rule(spec, x, slack=slack)
     return bool(holds and on[rows].all())
 
 

@@ -223,7 +223,8 @@ class _FreeSystem:
         The rows must be independent (:attr:`full_rank`).
         """
         m_red = self.A_red.shape[0]
-        y_gen = solve_triangular(self.R, self.Q.T @ v[self.free]) if self.R.size else np.zeros(0)
+        y_gen = (solve_triangular(self.R, self.Q.T @ v[self.free], check_finite=False)
+                 if self.R.size else np.zeros(0))
         resid = v - self.B.T @ y_gen
         y = np.empty(m_red + self.W.size)
         y[:m_red] = y_gen[:m_red]
@@ -231,6 +232,14 @@ class _FreeSystem:
         coef = self.G[self.W[self.unit], self.fixed]
         y[m_red + np.flatnonzero(self.unit)] = resid[self.fixed] / coef
         return y
+
+
+def _remembered(memo: dict, key, build):
+    """``build()``, or the value ``memo`` holds for ``key``; ``memo`` keeps one entry."""
+    if key not in memo:
+        memo.clear()
+        memo[key] = build()
+    return memo[key]
 
 
 def min_distance_active_set(
@@ -244,6 +253,7 @@ def min_distance_active_set(
     col=None,
     row_norms=None,
     held=(),
+    memo=None,
 ):
     """Minimize ``|x - z|^2`` over ``A x = A x0``, ``G x <= h`` and ``G[held] x = h[held]``.
 
@@ -260,9 +270,12 @@ def min_distance_active_set(
     row, :attr:`_FreeSystem.full_rank` says so and the row loop of
     :func:`polytope._extend_basis` seeds it again.  The ``held`` rows must be
     tight at ``x0``; no drop removes them, so their multipliers may be negative.
-    Returns ``(x, working_set, eq_mult, ineq_mult, iters)`` where ``eq_mult``
-    has one entry per row of ``A`` (zero on redundant rows, which are removed
-    internally).
+    ``memo`` is a pair of one-entry dicts (:attr:`PolytopeSpec.kernel_memo`) that keep
+    the seed by its visiting order and the last factorization by its working set across
+    calls on the same ``A``, ``G``, ``eq`` and ``col``; both are pure functions of their
+    keys, so a hit returns what the miss would build.  Returns
+    ``(x, working_set, eq_mult, ineq_mult, iters)`` where ``eq_mult`` has one entry per
+    row of ``A`` (zero on redundant rows, which are removed internally).
     """
     d = z.size
     m = A.shape[0]
@@ -285,11 +298,20 @@ def min_distance_active_set(
     tight = set(order.tolist())  # the held rows go first, then the rows of w0 still tight
     first = [int(j) for j in [*held, *(() if w0 is None else w0)] if int(j) in tight]
     order = list(dict.fromkeys(first + order.tolist()))
-    W = sorted(_extend_independent(base_q, G, order, col))
-    system = _FreeSystem(A_red, G, W, col)
-    if not system.full_rank:  # the batch seed kept a dependent row
-        W = sorted(_extend_basis(base_q, G, order)[0])
-        system = None
+    # Without a memo, local ones still hand the seed's factorization to the first iteration.
+    seeds, systems = ({}, {}) if memo is None else memo
+
+    def factor(W):
+        return _remembered(systems, tuple(W), lambda: _FreeSystem(A_red, G, W, col))
+
+    def seed():
+        W = sorted(_extend_independent(base_q, G, order, col))
+        if not factor(W).full_rank:  # the batch seed kept a dependent row
+            W = sorted(_extend_basis(base_q, G, order)[0])
+        return tuple(W)
+
+    W = list(_remembered(seeds, tuple(order), seed))
+    system = None
     # Later working sets stay independent: a drop removes a row, and a row
     # enters only when the step moves against it and it extends the span.
 
@@ -297,7 +319,7 @@ def min_distance_active_set(
     while it < max_iter:
         it += 1
         if system is None:
-            system = _FreeSystem(A_red, G, W, col)
+            system = factor(W)
         v = z - x
         dvec = system.project(v)
         nd = np.sqrt(dvec @ dvec)
@@ -358,17 +380,19 @@ class Certificate(NamedTuple):
         return Certificate(rows, self.mu, full[rows])
 
 
-def _check_certificate(spec: PolytopeSpec, x, r, cert: Certificate, where: str) -> float:
+def _check_certificate(spec: PolytopeSpec, x, r, cert: Certificate, where: str,
+                       slack=None) -> float:
     """Raise unless ``cert`` proves ``x = proj(x + r)``; return its stationarity residual.
 
     The one KKT rule, at the data's scale: the rows hold by :func:`polytope._rows_hold`, and
     the stationarity residual and ``-min lam_i |g_i|`` lie within ``KKT_TOL (|x| + size + |r|)``,
     where ``size`` (:attr:`PolytopeSpec.size`) keeps rounding in ``x`` at the origin from failing.
+    ``slack`` is ``h - G x`` when the caller has it.
     """
     resid = float(np.abs(r - spec.A.T @ cert.mu - spec.G[cert.rows].T @ cert.lam).max())
     low = float((cert.lam * spec.row_norms[cert.rows]).min(initial=0))
     bound = KKT_TOL * (math.sqrt(x @ x) + math.sqrt(r @ r) + spec.size)
-    if not (_rows_hold(spec, x, cert.rows) and resid <= bound and -low <= bound):
+    if not (_rows_hold(spec, x, cert.rows, slack) and resid <= bound and -low <= bound):
         off = np.concatenate([np.abs(spec.A @ x - spec.b), spec.G @ x - spec.h,
                               np.abs(spec.G[cert.rows] @ x - spec.h[cert.rows])])
         raise NumericalBreakdown(
@@ -409,11 +433,12 @@ def project(
         working_set = None
     x, W, mu, lam, iters = min_distance_active_set(
         spec.A, spec.G, spec.h, z, x0, w0=working_set, eq=spec.eq_reduction,
-        col=spec.unit_columns, row_norms=spec.row_norms,
+        col=spec.unit_columns, row_norms=spec.row_norms, memo=spec.kernel_memo,
     )
     cert = Certificate(W, mu, lam)
-    kkt = _check_certificate(spec, x, z - x, cert, "projection")
-    active = spec.tight_rows(x, z)
+    slack = spec.h - spec.G @ x  # one slack for the certificate's rows and the tight rows
+    kkt = _check_certificate(spec, x, z - x, cert, "projection", slack)
+    active = _tight_rows(slack, spec.h, spec.row_norms, float(np.sqrt(x @ x) + np.sqrt(z @ z)))
     residual = kkt if spec.vertices is None else float(np.max((spec.vertices - x) @ (z - x)))
     return ProjectionResult(
         x=x,

@@ -25,7 +25,7 @@ from qreglp import homotopy
 from qreglp.oracle import random_cost_matrix, random_polytope_instance
 from qreglp.ot import birkhoff_polytope, quad_cost_instance
 from qreglp.ot import build as ot_build
-from qreglp.projection import Certificate
+from qreglp.projection import Certificate, _FreeSystem
 
 
 def neg_id_instance(n):
@@ -348,7 +348,7 @@ def test_row_scale_invariance_square(k):
     _assert_same_path(trace_path(_scaled_row(inst, 4, 10.0**k)), trace_path(inst))
 
 
-def test_zero_row_changes_nothing(lp_calls):
+def test_zero_row_changes_nothing(dependent_faces, lp_calls):
     # A zero row 0 x <= 0 is tight everywhere and makes every face dependent; the exit
     # program leaves its multiplier unweighed.
     square = PolytopeSpec(dim=2, G=np.vstack([np.eye(2), -np.eye(2), [[1.0, 1.0]]]),
@@ -356,7 +356,32 @@ def test_zero_row_changes_nothing(lp_calls):
     with_zero = replace(square, G=np.vstack([square.G, np.zeros((1, 2))]), h=[*square.h, 0.0])
     c = np.array([-1.0, -0.9])
     _assert_same_path(trace_path(QlpInstance(with_zero, c)), trace_path(QlpInstance(square, c)))
-    assert lp_calls[0] > 0
+    assert dependent_faces[0] > 0
+    # On the face {cut, zero row}, the pair's multiplier 1 - s on the cut crosses at s = 1,
+    # before the cap 3: the program decides, with the zero row's multiplier left as it is.
+    lp_calls[0] = 0
+    rows, ray = np.array([4, 5]), np.array([1.0, 1.0])
+    pair = (Certificate(rows[:1], np.zeros(0), np.ones(1)),
+            Certificate(rows[:1], np.zeros(0), -np.ones(1)))
+    s_exit, drop, y0, ydot = homotopy._dual_exit_time(with_zero, rows, ray, -ray, 3.0, 0.0, pair)
+    assert lp_calls[0] == 1
+    assert s_exit == pytest.approx(1.0, rel=1e-12) and drop.size == 0
+    assert np.all(np.isfinite(y0)) and not np.any(ydot)
+
+
+def test_pair_refuses_a_multiplier_off_the_face():
+    # The pair is a multiplier of the face's rows only when neither certificate holds weight
+    # elsewhere; a zero multiplier off the face is dropped, any other sends the exit to the
+    # linear program.
+    square = PolytopeSpec.box(np.zeros(2), np.ones(2))
+    rows, cone = np.array([0, 1]), Certificate(np.array([0]), np.zeros(0), np.ones(1))
+    for lam2, settled in ((0.0, True), (1e-300, False)):
+        start = Certificate(np.array([0, 2]), np.zeros(0), np.array([1.0, lam2]))
+        ray = homotopy._pair_ray(square, rows, (start, cone))
+        assert (ray is not None) == settled
+        if settled:
+            np.testing.assert_array_equal(ray[0], [1.0, 0.0])
+            np.testing.assert_array_equal(ray[1], [1.0, 0.0])
 
 
 @pytest.mark.parametrize("k", [-13, -10, -8])
@@ -424,16 +449,35 @@ def lp_calls(monkeypatch):
     return calls
 
 
-def test_duplicated_bound_row_quad_cost(lp_calls):
-    # The bound on entry (0, 1) twice: every face holding it has dependent
-    # rows, and the exit from such a face comes from the linear program.
+def _full_rank(spec, seg_rows):
+    A_red = spec.A[spec.eq_reduction[0]]
+    return _FreeSystem(A_red, spec.G, seg_rows, spec.unit_columns).full_rank
+
+
+@pytest.fixture
+def dependent_faces(monkeypatch):
+    """Counter of the exits from a face with dependent rows, which the certificate pair
+    settles or, when the pair crosses before the cap, the linear program."""
+    calls = [0]
+    exit_time = homotopy._dual_exit_time
+
+    def counted_exit_time(spec, seg_rows, *args):
+        calls[0] += not _full_rank(spec, seg_rows)
+        return exit_time(spec, seg_rows, *args)
+
+    monkeypatch.setattr(homotopy, "_dual_exit_time", counted_exit_time)
+    return calls
+
+
+def test_duplicated_bound_row_quad_cost(dependent_faces):
+    # The bound on entry (0, 1) twice: every face holding it has dependent rows.
     n = 5
     inst = quad_cost_instance(n).qlp()
     spec = inst.polytope
     G, h = np.vstack([spec.G, 2.0 * spec.G[1]]), np.append(spec.h, 2.0 * spec.h[1])
     doubled = PolytopeSpec(dim=spec.dim, A=spec.A, b=spec.b, G=G, h=h)
     path = trace_path(QlpInstance(doubled, inst.c))
-    assert lp_calls[0] > 0
+    assert dependent_faces[0] > 0
     assert path.eta_star == pytest.approx(2 * n**3, rel=1e-9)
 
 
@@ -610,16 +654,17 @@ def _check_dependent_exit(spec, seg_rows, r0, rdot, cap, s_exit):
 def test_dual_exit_time_matches_dense_reference(monkeypatch, lp_calls):
     # Every _dual_exit_time call made while tracing with a nonempty face,
     # against the reference; the linear program runs only on the dependent
-    # branch, and its exit is checked against cone membership.
+    # branch, and the dependent exit is checked against cone membership.
     exit_time = homotopy._dual_exit_time
     branches = {"full": 0, "dependent": 0, "dependent exit": 0}
 
-    def checked_exit_time(spec, seg_rows, r0, rdot, cap, eta):
+    def checked_exit_time(spec, seg_rows, r0, rdot, cap, eta, pair):
         before = lp_calls[0]
-        s_exit, rows, *mult = exit_time(spec, seg_rows, r0, rdot, cap, eta)
+        s_exit, rows, *mult = exit_time(spec, seg_rows, r0, rdot, cap, eta, pair)
         if seg_rows.size == 0:
             return s_exit, rows, *mult
-        branch = "dependent" if lp_calls[0] > before else "full"
+        branch = "full" if _full_rank(spec, seg_rows) else "dependent"
+        assert branch == "dependent" or lp_calls[0] == before
         ref_branch, s_ref, rows_ref = _dense_exit_time(spec, seg_rows, r0, rdot, cap)
         assert branch == ref_branch
         if branch == "full":
@@ -637,7 +682,39 @@ def test_dual_exit_time_matches_dense_reference(monkeypatch, lp_calls):
     assert branches["full"] > 50 and branches["dependent"] > 0 and branches["dependent exit"] > 0
 
 
-def test_trace_projects_once(monkeypatch, lp_calls):
+def test_certificate_pair_agrees_with_the_program(monkeypatch, lp_calls):
+    # Every dependent exit the certificate pair settles, without the linear program, is
+    # the program's exit on the same inputs: the cap, or no exit at all.
+    exit_time = homotopy._dual_exit_time
+    settled = [0]
+
+    def compared_exit_time(spec, seg_rows, r0, rdot, cap, eta, pair):
+        before = lp_calls[0]
+        out = exit_time(spec, seg_rows, r0, rdot, cap, eta, pair)
+        if lp_calls[0] == before and not _full_rank(spec, seg_rows):
+            settled[0] += 1
+            s_lp = exit_time(spec, seg_rows, r0, rdot, cap, eta)[0]
+            assert lp_calls[0] == before + 1
+            assert (out[0] is None and s_lp is None) or (
+                out[0] == pytest.approx(s_lp, rel=1e-12, abs=0.0))
+        return out
+
+    monkeypatch.setattr(homotopy, "_dual_exit_time", compared_exit_time)
+    for inst in _exit_time_cases():
+        trace_path(inst)
+    assert settled[0] > 20
+
+
+def test_oracle_check_transport_set_needs_few_programs(lp_calls):
+    # Guard for the certificate pair: on the transport instances `oracle-check` runs, the
+    # dependent faces exit by the pair, and the program runs only where it crosses first.
+    for i in range(25):
+        n = int(np.random.default_rng(10000 + i).integers(2, 6))
+        trace_path(ot_build(cost=random_cost_matrix(10000 + i, n)).qlp())
+    assert lp_calls[0] <= 5
+
+
+def test_trace_projects_once(monkeypatch, lp_calls, dependent_faces):
     # The cold start is the only projection: every piece is certified from
     # the event analysis's multipliers, and a dependent face runs no linear
     # program beyond its exit.
@@ -649,17 +726,17 @@ def test_trace_projects_once(monkeypatch, lp_calls):
         return project_(*args, **kwargs)
 
     monkeypatch.setattr(homotopy, "project", counted_project)
-    # The transport instance has faces with dependent rows, left by the LP.
+    # The transport instance has faces with dependent rows.
     cases = [quad_cost_instance(8).qlp(), ot_build(cost=random_cost_matrix(10003, 3)).qlp()]
     cases += [random_polytope_instance(seed) for seed in range(20)]
     for i, inst in enumerate(cases):
-        calls[0], lp_calls[0] = 0, 0
+        calls[0], lp_calls[0], dependent_faces[0] = 0, 0, 0
         path = trace_path(inst)
         assert calls[0] == 1
         assert len(path.certificates) == path.n_segments
         assert lp_calls[0] <= path.n_segments + 1
         if i == 1:
-            assert lp_calls[0] > 0
+            assert dependent_faces[0] > 0
 
 
 @pytest.mark.parametrize("case", ["quad6", 1, 4, 5])
@@ -671,10 +748,10 @@ def test_perturbed_direction_raises(monkeypatch, case):
     right_derivative = homotopy._right_derivative
 
     def perturbed(*args):
-        d = right_derivative(*args)
+        d, cone = right_derivative(*args)
         if np.any(d):
             d = d + 1e-6 * np.random.default_rng(0).normal(size=d.size) / np.sqrt(d.size)
-        return d
+        return d, cone
 
     monkeypatch.setattr(homotopy, "_right_derivative", perturbed)
     with pytest.raises(NumericalBreakdown, match="certificate"):

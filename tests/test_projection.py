@@ -1,3 +1,5 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,6 +17,7 @@ from qreglp import (
 from qreglp import projection
 from qreglp.oracle import random_cost_matrix, random_polytope_instance
 from qreglp.ot import birkhoff_polytope
+from qreglp.ot import build as ot_build
 from qreglp.polytope import _extend_basis
 from qreglp.projection import (
     KKT_TOL,
@@ -189,8 +192,6 @@ def test_suboptimality_nonincreasing(interval_inst):
 def test_warm_start_accepted_at_scale(seed, monkeypatch):
     # A start the solver itself returned holds every row by the row rule at any scale, so a
     # warm solve on a polytope scaled by 1e10 never falls back to a cold start.
-    from dataclasses import replace
-
     inst = random_polytope_instance(seed)
     spec = inst.polytope
     scaled = replace(spec, h=1e10 * spec.h, b=1e10 * spec.b,
@@ -477,3 +478,56 @@ def test_active_set_tolerance_grows_with_target():
     np.testing.assert_array_equal(far.active_set, [0, 1, 4])
     assert far.multipliers[2] == 0.0
     np.testing.assert_array_equal(far.working_set, [0, 1])
+
+
+def _assert_same_result(res, ref):
+    for f in fields(res):
+        np.testing.assert_array_equal(getattr(res, f.name), getattr(ref, f.name), err_msg=f.name)
+
+
+def test_kernel_memo_never_changes_an_answer(monkeypatch):
+    # path_verify's sweep: increasing etas, each solve warm from the last.  Every answer equals,
+    # bit for bit, the same call on a copy of the spec whose memo is empty; the chain itself
+    # factors fewer working sets than the fresh solves do.
+    built = [0]
+
+    class Counted(_FreeSystem):
+        def __init__(self, *args):
+            built[0] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(projection, "_FreeSystem", Counted)
+    cases = [random_polytope_instance(seed) for seed in range(20)]
+    for i in range(5):
+        n = int(np.random.default_rng(10000 + i).integers(2, 6))
+        cases.append(ot_build(cost=random_cost_matrix(10000 + i, n)).qlp())
+    chain_built = fresh_built = 0
+    for k, inst in enumerate(cases):
+        hi = 1.2 * trace_path(inst).eta_star or 1.0
+        prev = None
+        for eta in np.sort(np.random.default_rng(k).uniform(0.0, hi, 30)):
+            warm = {} if prev is None else {"start": prev.x, "working_set": prev.working_set}
+            built[0] = 0
+            res = solve_qlp(inst, eta, **warm)
+            chain_built, built[0] = chain_built + built[0], 0
+            fresh = solve_qlp(QlpInstance(replace(inst.polytope), inst.c), eta, **warm)
+            fresh_built += built[0]
+            _assert_same_result(res, fresh)
+            prev = res
+    assert chain_built < 0.5 * fresh_built
+
+
+def test_kernel_memo_is_per_spec():
+    # The unit square and a parallelogram share the rows' indices: the corner of each nearest
+    # (2, 2) has working set (0, 1).  Each spec keeps its own seed and factorization.
+    square = PolytopeSpec.box(np.zeros(2), np.ones(2))
+    slanted = replace(square, G=np.array([[1.0, 0.5], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]))
+    z = np.array([2.0, 2.0])
+    for spec, corner in ((square, [1.0, 1.0]), (slanted, [0.5, 1.0])):
+        first = project(spec, z)
+        warm = {"start": first.x, "working_set": first.working_set}
+        res = project(spec, z, **warm)
+        seeds, systems = spec.kernel_memo
+        assert list(seeds.values()) == [(0, 1)] and systems[0, 1].G is spec.G
+        _assert_same_result(res, project(replace(spec), z, **warm))
+        np.testing.assert_allclose(res.x, corner, rtol=0.0, atol=1e-15)
