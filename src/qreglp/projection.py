@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from ._tolerances import FULL_RANK_TOL, KKT_TOL, RANK_TOL, TIE_TOL, ZERO_TOL
+from ._tolerances import KKT_TOL, RANK_TOL, TIE_TOL, ZERO_TOL
 from .errors import MaxIterationsExceeded, NumericalBreakdown, ShapeMismatch
 from .polytope import (
     PolytopeSpec,
@@ -115,57 +115,6 @@ def _ratio_test(gap: np.ndarray, rate: np.ndarray, scale, rows: np.ndarray, orig
     return t_min, np.sort(rows[pos][t <= t_min + TIE_TOL * (origin + t_min)])
 
 
-def _extend_independent(base_q: np.ndarray, G: np.ndarray, order, col: np.ndarray) -> list[int]:
-    """Rows of ``G``, visited in ``order``, that extend the span of the
-    orthonormal rows ``base_q``, as :func:`polytope._extend_basis` keeps them.
-    ``col`` holds the unit columns of ``G`` (:func:`polytope._unit_columns`).
-
-    An order made only of unit rows is chosen in one batch instead
-    (:func:`_extend_unit_rows`), whatever its length; near the rank tolerance
-    the batch may keep other rows than the loop, or a dependent one, and
-    :func:`min_distance_active_set` certifies its choice.
-    """
-    order = [int(j) for j in order]
-    unit = col[order]
-    if order and np.all(unit >= 0):
-        return _extend_unit_rows(base_q, G, order, unit)
-    return _extend_basis(base_q, G, order)[0]
-
-
-def _extend_unit_rows(base_q, G, order, col) -> list[int]:
-    """:func:`_extend_independent` for unit rows ``G[order_i] ~ e_{col_i}``.
-
-    ``[base_q; e_S]`` is independent exactly when the columns of ``base_q``
-    outside ``S`` have full row rank: ``S`` is independent in the dual of its
-    column matroid.  On the visited coordinates ``T`` that dual is the dual of
-    the contraction by the other columns, so the greedy choice keeps all of
-    ``T`` but the contraction's greedy column basis in reverse order.  Rank
-    decisions are made to ``RANK_TOL`` on the contraction, not row by row.
-    """
-    first = np.sort(np.unique(col, return_index=True)[1])  # a repeat is dependent
-    rows = [order[i] for i in first]
-    T = col[first]
-    if base_q.shape[0] == 0:
-        return rows
-    free = np.ones(base_q.shape[1], dtype=bool)
-    free[T] = False
-    P = base_q[:, T]
-    if free.any():  # contract: project out the span of the other columns (base_q is orthonormal)
-        U, sv, _ = np.linalg.svd(base_q[:, free], full_matrices=False)
-        U = U[:, sv > RANK_TOL]
-        P = P - U @ (U.T @ P)
-    dropped = np.zeros(T.size, dtype=bool)
-    while True:
-        big = np.flatnonzero(np.linalg.norm(P, axis=0) > RANK_TOL)
-        if big.size == 0:
-            break
-        t = big[-1]
-        u = P[:, t] / np.linalg.norm(P[:, t])
-        P = P - np.outer(u, u @ P)
-        dropped[t] = True
-    return [j for j, drop in zip(rows, dropped) if not drop]
-
-
 class _FreeSystem:
     """The working-set rows ``[A_red; G[W]]`` on the coordinates no row fixes.
 
@@ -192,14 +141,14 @@ class _FreeSystem:
 
         It has exactly when the unit rows fix distinct coordinates and the
         other rows are independent on the rest: no more of them than free
-        coordinates, and each diagonal entry of ``R`` above ``FULL_RANK_TOL``
+        coordinates, and each diagonal entry of ``R`` above ``RANK_TOL``
         times the norm of its own row.
         """
         diag = np.abs(np.diag(self.R))
         return bool(
             np.unique(self.fixed).size == self.fixed.size
             and self.B.shape[0] <= self.free.size
-            and np.all(diag > FULL_RANK_TOL * np.linalg.norm(self.B, axis=1))
+            and np.all(diag > RANK_TOL * np.linalg.norm(self.B, axis=1))
         )
 
     def project(self, v: np.ndarray) -> np.ndarray:
@@ -264,12 +213,12 @@ def min_distance_active_set(
     ``(eq_idx, base_q)`` of ``A`` (:attr:`PolytopeSpec.eq_reduction`), ``col`` the unit columns of ``G``
     (:attr:`PolytopeSpec.unit_columns`) and ``row_norms`` the norms of its
     rows (:attr:`PolytopeSpec.row_norms`); each is computed when not given.
-    The working set starts from the rows of ``held``, then those of ``w0``
-    still tight at ``x0``, then the other tight rows, as
-    :func:`_extend_independent` keeps them; should its batch keep a dependent
-    row, :attr:`_FreeSystem.full_rank` says so and the row loop of
-    :func:`polytope._extend_basis` seeds it again.  The ``held`` rows must be
-    tight at ``x0``; no drop removes them, so their multipliers may be negative.
+    The working set starts as every row tight at ``x0`` when
+    :attr:`_FreeSystem.full_rank` says they are independent (the factorization the first
+    iteration reuses); otherwise :func:`polytope._extend_basis` keeps the first independent
+    ones, visiting the rows of ``held``, then those of ``w0`` still tight at ``x0``, then the
+    other tight rows.  The ``held`` rows must be tight at ``x0``; no drop removes them, so
+    their multipliers may be negative.
     ``memo`` is a pair of one-entry dicts (:attr:`PolytopeSpec.kernel_memo`) that keep
     the seed by its visiting order and the last factorization by its working set across
     calls on the same ``A``, ``G``, ``eq`` and ``col``; both are pure functions of their
@@ -305,8 +254,8 @@ def min_distance_active_set(
         return _remembered(systems, tuple(W), lambda: _FreeSystem(A_red, G, W, col))
 
     def seed():
-        W = sorted(_extend_independent(base_q, G, order, col))
-        if not factor(W).full_rank:  # the batch seed kept a dependent row
+        W = sorted(order)
+        if not factor(W).full_rank:  # the tight rows are dependent: keep the first independent ones
             W = sorted(_extend_basis(base_q, G, order)[0])
         return tuple(W)
 

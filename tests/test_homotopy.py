@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from scipy.optimize import nnls
+from scipy.optimize import OptimizeResult, nnls
 
 from qreglp import (
     BlockingConstraint,
@@ -382,6 +382,28 @@ def test_pair_refuses_a_multiplier_off_the_face():
         if settled:
             np.testing.assert_array_equal(ray[0], [1.0, 0.0])
             np.testing.assert_array_equal(ray[1], [1.0, 0.0])
+
+
+def test_failed_exit_program_raises(monkeypatch):
+    # A dependent face without a certificate pair goes to the exit program; any status but
+    # optimal (0) or unbounded (3) is a typed error, never an exit time.
+    square = PolytopeSpec(dim=2, G=np.vstack([np.eye(2), -np.eye(2), [[1.0, 1.0]], [[0.0, 0.0]]]),
+                          h=[1.0, 1.0, 0.0, 0.0, 1.5, 0.0])
+    monkeypatch.setattr(homotopy, "linprog",
+                        lambda *args, **kwargs: OptimizeResult(status=2, message="infeasible"))
+    ray = np.array([1.0, 1.0])
+    with pytest.raises(NumericalBreakdown, match="normal-cone exit LP failed: infeasible"):
+        homotopy._dual_exit_time(square, np.array([4, 5]), ray, -ray, 3.0, 0.0)
+
+
+def test_unblocked_moving_ray_raises(interval_inst):
+    # A piece that moves (d != 0) on a bounded polytope must meet a row off its face; with
+    # every row on the face none is left to block it.
+    state = path_state(interval_inst, 0.0)
+    assert np.any(state.direction_vec)
+    every_row = replace(state, segment_rows=np.arange(interval_inst.polytope.n_ineq))
+    with pytest.raises(NumericalBreakdown, match="moving ray never blocked"):
+        next_breakpoint(every_row)
 
 
 @pytest.mark.parametrize("k", [-13, -10, -8])

@@ -21,8 +21,6 @@ from qreglp.ot import build as ot_build
 from qreglp.polytope import _extend_basis
 from qreglp.projection import (
     KKT_TOL,
-    _extend_independent,
-    _extend_unit_rows,
     _FreeSystem,
     _unit_columns,
     min_distance_active_set,
@@ -236,38 +234,44 @@ def test_result_json_keys(interval):
     assert set(data) == {"x", "active_set", "residual"}
 
 
-def test_extend_independent_contract():
+def _seed(A, G, order, eq=None):
+    """The kernel's working-set seed when it visits the rows ``order`` of ``G``: every row
+    of ``G[order]`` is tight at ``x0 = 0`` with ``h = 0``, so the kernel visits them in
+    that order.  Read from a fresh memo, whose first dict holds the seed."""
+    order = [int(j) for j in order]
+    memo = ({}, {})
+    d = G.shape[1]
+    min_distance_active_set(A, G[order], np.zeros(len(order)), np.zeros(d), np.zeros(d),
+                            eq=eq, memo=memo)
+    (seed,) = memo[0].values()
+    return [order[i] for i in seed]
+
+
+def test_kernel_seed_contract():
     G = np.array([
         [1.0, 0.0, 0.0],  # 0
         [2.0, 0.0, 0.0],  # 1: parallel to 0
         [0.0, 1.0, 0.0],  # 2
         [0.0, 1.0, 0.0],  # 3: duplicate of 2
-        [0.0, 0.0, 1.0],  # 4: in the span of base_q below
+        [0.0, 0.0, 1.0],  # 4: in the span of A below
         [1.0, 1.0, 1.0],  # 5
     ])
-    base_q = np.array([[0.0, 0.0, 1.0]])  # orthonormal basis of the row (0, 0, 3)
-    assert _extend_independent(base_q, G, [], _unit_columns(G)) == []
-    kept = _extend_independent(base_q, G, np.array([3, 1, 0, 2, 4, 5]), _unit_columns(G))
-    assert kept == [3, 1]
-    assert isinstance(kept, list) and all(type(j) is int for j in kept)
+    A = np.array([[0.0, 0.0, 3.0]])
+    assert _seed(A, G, []) == []
+    assert _seed(A, G, [3, 1, 0, 2, 4, 5]) == [3, 1]
     # Without equality rows: the earlier of two dependent rows wins.
     none = np.zeros((0, 3))
-    assert _extend_independent(none, G, [0, 1, 2, 3, 4, 5], _unit_columns(G)) == [0, 2, 4]
-    assert _extend_independent(none, G, [1, 0], _unit_columns(G)) == [1]
-    assert _extend_independent(none, G, [5, 0, 2, 4], _unit_columns(G)) == [5, 0, 2]
-    assert _extend_independent(base_q, G, [5, 4], _unit_columns(G)) == [5]
-    # An order of unit rows alone is kept in one batch, whatever its length,
-    # which agrees with the row-by-row test away from the rank tolerance.
+    assert _seed(none, G, [0, 1, 2, 3, 4, 5]) == [0, 2, 4]
+    assert _seed(none, G, [1, 0]) == [1]
+    assert _seed(none, G, [5, 0, 2, 4]) == [5, 0, 2]
+    assert _seed(A, G, [5, 4]) == [5]
     # On Birkhoff(3), once coordinates 1, 2 and 3 are fixed, edge 6 (row 2,
     # column 0) is a bridge of the free support graph, so fixing it too
     # depends on the equality rows alone.
     spec = birkhoff_polytope(3)
-    _, base_q = spec.eq_reduction
-    G = spec.G
-    assert _extend_independent(base_q, G, [1, 2, 3, 6], _unit_columns(G)) == [1, 2, 3]
-    assert _extend_independent(base_q, G, [6, 1, 2, 3], _unit_columns(G)) == [6, 1, 2]
-    assert _batch(base_q, G, [1, 2, 3, 6]) == [1, 2, 3]
-    assert _batch(base_q, G, [6, 1, 2, 3]) == [6, 1, 2]
+    assert _seed(spec.A, spec.G, [1, 2, 3, 6], spec.eq_reduction) == [1, 2, 3]
+    assert _seed(spec.A, spec.G, [6, 1, 2, 3], spec.eq_reduction) == [6, 1, 2]
+    # Orders of unit rows with repeats: the seed is the row loop's choice.
     rng = np.random.default_rng(11)
     for n in (2, 3, 4, 5, 6):
         spec = birkhoff_polytope(n)
@@ -276,12 +280,12 @@ def test_extend_independent_contract():
         for _ in range(20):
             order = rng.permutation(G2.shape[0])[: rng.integers(1, G2.shape[0] + 1)]
             ref = _extend_basis(base_q, G2, list(order))[0]
-            assert _extend_independent(base_q, G2, order, _unit_columns(G2)) == ref
-            assert _batch(base_q, G2, order) == ref
+            assert _seed(spec.A, G2, order, spec.eq_reduction) == ref
     # Near the rank tolerance: a column of A scaled towards zero, or nearly
-    # a copy of another.  The batch may then differ from the loop, but a
-    # choice the kernel's full-rank test certifies is independent.
-    certified_other = rejected = 0
+    # a copy of another.  Every row is kept only when the full-rank test
+    # accepts them, and those rows are independent; otherwise the row loop
+    # seeds the working set.
+    accepted = looped = 0
     for _ in range(400):
         d = int(rng.integers(2, 6))
         A = rng.normal(size=(int(rng.integers(1, d)), d))
@@ -290,28 +294,22 @@ def test_extend_independent_contract():
             A[:, rng.integers(d)] *= eps
         else:
             A[:, -1] = A[:, 0] + eps * rng.normal(size=A.shape[0])
-        eq_idx, base_q = _extend_basis(np.zeros((0, d)), A, range(A.shape[0]))
-        A_red = A[eq_idx]
+        eq = _extend_basis(np.zeros((0, d)), A, range(A.shape[0]))
+        A_red = A[eq[0]]
         G3 = -np.eye(d) * rng.choice([1.0, 2.0, 1e-3], size=d)[:, None]
-        order = list(rng.permutation(d))
-        batch = _batch(base_q, G3, order)
-        assert _extend_independent(base_q, G3, order, _unit_columns(G3)) == batch
-        kept = sorted(batch)
-        if _FreeSystem(A_red, G3, kept, _unit_columns(G3)).full_rank:
+        order = list(rng.permutation(d)[: rng.integers(1, d - len(eq[0]) + 1)])
+        kept = _seed(A, G3, order, eq)
+        if _FreeSystem(A_red, G3, sorted(order), _unit_columns(G3)).full_rank:
+            assert kept == order
             rows = np.vstack([A_red, G3[kept]])
             rows /= np.linalg.norm(rows, axis=1)[:, None]
             sv = np.linalg.svd(rows, compute_uv=False)
             assert sv.min() > 1e-11 * sv.max()
-            certified_other += kept != sorted(_extend_basis(base_q, G3, order)[0])
+            accepted += 1
         else:
-            rejected += 1
-    assert certified_other > 0 and rejected > 0
-
-
-def _batch(base_q, G, order):
-    """The batch seed on an order of unit rows, called directly."""
-    order = [int(j) for j in order]
-    return _extend_unit_rows(base_q, G, order, _unit_columns(G[order]))
+            assert kept == _extend_basis(eq[1], G3, order)[0]
+            looped += 1
+    assert accepted > 0 and looped > 0
 
 
 def _dense_active_set(A, G, h, z, x0, w0=None):
@@ -401,15 +399,15 @@ def test_free_system_full_rank():
     assert _FreeSystem(np.zeros((0, 4)), G, [4], _unit_columns(G)).full_rank
 
 
-def test_kernel_reseeds_rejected_batch(monkeypatch):
+def test_kernel_seeds_dependent_tight_rows_by_the_loop(monkeypatch):
     # The cone {x >= 0, A x = 0} at x0 = 0 with one column of A scaled
-    # towards zero: all 36 bound rows are tight, so the batch seeds the
-    # working set, and near the rank tolerance the kernel's full-rank test
-    # rejects it in 3 of these 70 draws and seeds row by row instead.
-    reseeds = [0]
+    # towards zero: all 36 bound rows are tight, and with the 5 rows of A
+    # they are 41 rows in 36 dimensions, so the kernel's full-rank test
+    # rejects them in every draw and the row loop seeds the working set.
+    loops = [0]
 
     def counted_extend_basis(*args):
-        reseeds[0] += 1
+        loops[0] += 1
         return _extend_basis(*args)
 
     monkeypatch.setattr(projection, "_extend_basis", counted_extend_basis)
@@ -426,7 +424,7 @@ def test_kernel_reseeds_rejected_batch(monkeypatch):
         assert np.max(np.abs(x - x_ref)) <= 1e-10
         grad = z - x - A.T @ mu - G[W].T @ lam
         assert np.max(np.abs(grad)) <= KKT_TOL * (1.0 + np.linalg.norm(z))
-    assert reseeds[0] > 0
+    assert loops[0] == 70
 
 
 def test_warm_start_redundant_row():

@@ -65,6 +65,37 @@ def test_one_certificate_rule():
     assert not imported & {"FEAS_TOL", "KKT_TOL"}
 
 
+def test_one_rank_rule():
+    # Every independence decision of the solver is taken at RANK_TOL times a row's own norm, in
+    # the row loop polytope._extend_basis, the flat-row test of enumerate_vertices and the
+    # working-set factorization projection._FreeSystem; the kernel and the tracer make no SVD.
+    outside = []
+    for name in SOLVER_MODULES:
+        tree = ast.parse((PACKAGE / name).read_text())
+        inside = {
+            id(n)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name in ("_extend_basis", "enumerate_vertices", "_FreeSystem")
+            for n in ast.walk(node)
+        }
+        outside += [
+            (name, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "RANK_TOL" and id(node) not in inside
+        ]
+    assert outside == [], f"RANK_TOL used outside the three rank tests: {outside}"
+    for name in ("projection.py", "homotopy.py"):
+        tree = ast.parse((PACKAGE / name).read_text())
+        svd = [
+            node.lineno
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute) and node.attr == "svd")
+            or (isinstance(node, ast.Name) and node.id == "svd")
+        ]
+        assert svd == [], f"{name}: SVD calls at lines {svd}"
+
+
 def test_analysis_judges_every_check_by_two_constants():
     # Every check of ``analysis`` follows one rule at the size of its own terms
     # (``analysis._at_most``); its tolerances are ``_CHECK_TOL`` and ``_ROUTE_TOL`` alone.
@@ -120,5 +151,4 @@ def test_tolerance_table_names():
     path = Path(qreglp.__file__).parent / "_tolerances.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     names = {t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets}
-    assert names == {"OPT_TOL", "RECESSION_TOL", "RANK_TOL", "FULL_RANK_TOL", "ZERO_TOL",
-                     "TIE_TOL", "KKT_TOL"}
+    assert names == {"OPT_TOL", "RECESSION_TOL", "RANK_TOL", "ZERO_TOL", "TIE_TOL", "KKT_TOL"}
