@@ -107,14 +107,19 @@ class SolutionPath:
 
     def interpolate(self, eta: float) -> np.ndarray:
         """The path point at any ``eta >= 0`` (constant past the end)."""
-        bp = self.breakpoints
-        if eta >= bp[-1]:
-            return self.endpoints[-1].copy()
-        if eta <= bp[0]:
-            return self.endpoints[0].copy()
-        i = int(np.searchsorted(bp, eta, side="right")) - 1
-        t = (eta - bp[i]) / (bp[i + 1] - bp[i])
-        return (1.0 - t) * self.endpoints[i] + t * self.endpoints[i + 1]
+        return self._points(np.array([eta], dtype=float))[0]
+
+    def _points(self, etas: np.ndarray) -> np.ndarray:
+        """:meth:`interpolate` at each of ``etas``, one row per value."""
+        bp, ends = self.breakpoints, self.endpoints
+        i = np.clip(np.searchsorted(bp, etas, side="right") - 1, 0, max(bp.size - 2, 0))
+        j = np.minimum(i + 1, bp.size - 1)
+        with np.errstate(divide="ignore", invalid="ignore"):  # rows past either end are replaced
+            t = ((etas - bp[i]) / (bp[j] - bp[i]))[:, None]
+            out = (1.0 - t) * ends[i] + t * ends[j]
+        out[etas <= bp[0]] = ends[0]
+        out[etas >= bp[-1]] = ends[-1]
+        return out
 
     def segment_index(self, eta: float) -> int:
         """Index of the segment containing ``eta``.
@@ -141,7 +146,13 @@ class SolutionPath:
 
 @dataclass
 class PathState:
-    """Snapshot of the tracer between breakpoints."""
+    """Snapshot of the tracer between breakpoints.
+
+    ``certificate`` and ``direction_certificate`` hold ``residual = A^T mu + G^T lam`` and
+    ``-c/2 - direction_vec`` as :class:`Certificate`.  The second's rows are the cone solve's
+    final working set, and it carries that solve's last factorization (``system``), which
+    :func:`_dual_exit_time` reuses when those rows are the segment's.
+    """
 
     inst: QlpInstance
     eta: float
@@ -150,7 +161,6 @@ class PathState:
     residual: np.ndarray
     direction_vec: np.ndarray
     segment_rows: np.ndarray
-    # ``residual = A^T mu + G^T lam`` and ``-c/2 - direction_vec``, each as a Certificate.
     certificate: Certificate
     direction_certificate: Certificate
 
@@ -161,18 +171,20 @@ def _right_derivative(inst: QlpInstance, x: np.ndarray, r: np.ndarray, tight: np
     ``cert`` of the residual ``r``.  A row of ``tight`` is held when ``lam_i |g_i| > ZERO_TOL
     (|x| + |r| + size)``, the scale of :func:`projection._check_certificate`.  Also returns
     the cone solve's multipliers, ``-c/2 - d = A^T mu + G[rows]^T lam`` as a
-    :class:`Certificate`; a held row's ``lam`` may be negative."""
+    :class:`Certificate` (a held row's ``lam`` may be negative) that keeps the solve's last
+    factorization, of ``[A_red; G[rows]]``: the one entry of the kernel's ``systems`` memo."""
     spec = inst.polytope
     weight = cert.restrict(tight).lam * spec.row_norms[tight]
     scale = np.linalg.norm(x) + np.linalg.norm(r) + spec.size
+    systems = {}
     d, W, mu, lam, _ = min_distance_active_set(
         spec.A, spec.G[tight], np.zeros(tight.size), -0.5 * inst.c, np.zeros(spec.dim),
         eq=spec.eq_reduction, col=spec.unit_columns[tight], row_norms=spec.row_norms[tight],
-        held=np.flatnonzero(weight > ZERO_TOL * scale),
+        held=np.flatnonzero(weight > ZERO_TOL * scale), memo=({}, systems),
     )
     if np.linalg.norm(d) <= ZERO_TOL * np.linalg.norm(inst.c):
         d = np.zeros(spec.dim)
-    return d, Certificate(tight[W], mu, lam)
+    return d, Certificate(tight[W], mu, lam, systems[tuple(W)])
 
 
 def path_state(inst: QlpInstance, eta: float) -> PathState:
@@ -231,13 +243,19 @@ def _dual_exit_time(spec: PolytopeSpec, seg_rows: np.ndarray, r0: np.ndarray, rd
     ``A_red^T mu + G_J^T lam - s rdot = r0`` with ``lam >= 0``; no rows are
     reported, ``y0`` is the program's ``(mu, lam)`` and ``ydot`` is zero, so
     ``y0`` holds at ``s_exit`` only.  All weigh each multiplier as
-    ``lam_i |g_i|``, so scaling a row moves no decision.
+    ``lam_i |g_i|``, so scaling a row moves no decision.  The factorization of
+    ``[A_red; G_J]`` is the one ``rdot``'s certificate keeps when its rows are ``J``, which
+    holds on most pieces; otherwise one is built.
     """
     A_red = spec.A[spec.eq_reduction[0]]
     m = A_red.shape[0]
     no_rows = np.zeros(0, dtype=int)
     norms = spec.row_norms[seg_rows]
-    system = _FreeSystem(A_red, spec.G, seg_rows, spec.unit_columns)
+    cone = None if pair is None else pair[1]
+    if cone is not None and cone.system is not None and np.array_equal(cone.rows, seg_rows):
+        system = cone.system
+    else:
+        system = _FreeSystem(A_red, spec.G, seg_rows, spec.unit_columns)
     if system.full_rank:
         ray = system.multipliers(r0), system.multipliers(rdot)
     else:

@@ -158,8 +158,9 @@ class PathVerifyReport:
 
 def _certificate_violation(spec: PolytopeSpec, c: np.ndarray, eta: float, x: np.ndarray,
                            cert) -> float:
-    """How far ``cert = (rows, mu, lam)`` is from proving ``x`` optimal at ``eta``."""
-    rows, mu, lam = cert
+    """How far the certificate ``cert`` (``rows``, ``mu``, ``lam``) is from proving ``x``
+    optimal at ``eta``."""
+    rows, mu, lam = cert.rows, cert.mu, cert.lam
     r = -0.5 * eta * c - x
     stat = r - spec.A.T @ mu - spec.G[rows].T @ lam
     slack = spec.h - spec.G @ x
@@ -196,17 +197,20 @@ def path_verify(inst: QlpInstance, path, samples: int = 100, seed: int = 0) -> P
     rng = np.random.default_rng(seed)
     hi = 1.2 * path.eta_star if path.eta_star > 0 else 1.0
     etas = rng.uniform(0.0, hi, size=samples)
-    etas = etas[etas > 0]
-    worst, worst_eta, prev = 0.0, 0.0, None
-    for eta in np.sort(etas).tolist():
+    etas = np.sort(etas[etas > 0])
+    X, norms, prev = np.empty((etas.size, spec.dim)), np.empty(etas.size), None
+    for k, eta in enumerate(etas.tolist()):
         if prev is None:
             prev = solve_qlp(inst, eta)
         else:
             prev = solve_qlp(inst, eta, start=prev.x, working_set=prev.working_set)
-        dev = float(np.max(np.abs(prev.x - path.interpolate(eta))))
-        dev /= float(np.linalg.norm(prev.x)) + spec.size
-        if dev > worst:
-            worst, worst_eta = dev, eta
+        X[k], norms[k] = prev.x, np.linalg.norm(prev.x)
+    # The deviations of all samples in one pass; the first maximum names ``worst_eta``.
+    dev = np.abs(X - path._points(etas)).max(axis=1) / (norms + spec.size)
+    worst, worst_eta = 0.0, 0.0
+    if dev.size and dev.max() > 0:
+        k = int(np.argmax(dev))
+        worst, worst_eta = float(dev[k]), float(etas[k])
     return PathVerifyReport(
         samples=len(etas),
         max_discrepancy=worst,

@@ -124,13 +124,16 @@ class PolytopeSpec:
         return np.linalg.norm(self.A, axis=1)
 
     @cached_property
-    def kernel_memo(self) -> tuple[dict, dict]:
-        """Two one-entry memos for the projection kernel's calls on this spec's rows: the
+    def kernel_memo(self) -> tuple[dict, dict, dict]:
+        """Three one-entry memos for the projection's calls on this spec: the kernel's
         working-set seed by its visiting order, and the working set's factorization by the
-        set (:func:`projection.min_distance_active_set`).  A warm solve whose start lies on
-        the face the last solve ended on reuses both.  Each holds one entry, and a new spec
-        (``dataclasses.replace`` included) starts with both empty."""
-        return {}, {}
+        set (:func:`projection.min_distance_active_set`), and the last point whose certificate
+        :func:`projection.project` accepted, by the point's bytes.  That certificate ran the
+        row rule of :meth:`contains` on the same slack, so a warm start from the last answer
+        is not judged again, and its solve reuses the seed and the factorization when it lies
+        on the face the last solve ended on.  Each holds one entry, and a new spec
+        (``dataclasses.replace`` included) starts with all three empty."""
+        return {}, {}, {}
 
     @cached_property
     def size(self) -> float:
@@ -265,7 +268,9 @@ def _row_rule(spec: PolytopeSpec, X, tol: float | None = None, slack=None):
     tol = KKT_TOL if tol is None else tol
     X = np.asarray(X, dtype=float)
     norm = np.sqrt(np.einsum("ij,ij->i", X, X))[:, None] if X.ndim == 2 else math.sqrt(X @ X)
-    off = X @ spec.G.T - spec.h if slack is None else -slack  # positive on a broken row
+    if slack is None:  # for one point, the expression of :func:`projection.project`'s slack
+        slack = spec.h - (spec.G @ X if X.ndim == 1 else X @ spec.G.T)
+    off = -slack  # positive on a broken row
     bound = tol * (np.abs(spec.h) + spec.row_norms * (norm + spec.size))
     holds = (off <= bound).all(axis=-1)
     if spec.n_eq:

@@ -9,13 +9,19 @@ via the identity
 
 Each iteration projects the residual onto the null space of the working-set
 rows and either steps to the first blocking constraint or drops a
-negative-multiplier row.  A working-set row with one nonzero entry (a bound
+negative-multiplier row.  An unblocked full step lands on the minimizer over
+the working set's face, so the next iteration takes the multipliers without
+projecting again.  A working-set row with one nonzero entry (a bound
 such as ``x_j >= 0``) fixes its coordinate, so the step is zero there; only
 the equality rows and the other working-set rows, restricted to the free
-coordinates, are factored.  On a transport polytope, where the solution is
+coordinates, are factored, in :class:`_FreeSystem`, the one place that
+factors or solves.  On a transport polytope, where the solution is
 sparse, that block is ``|free| x (2n - 1)`` instead of ``n^2 x (2n - 1 + |W|)``.
-Ties are broken by smallest row index throughout, which makes the method
-deterministic and finitely terminating under degeneracy.
+Warm solves reuse the last factorization and seed on the same spec, and take
+the last accepted answer as a start without judging it again
+(:attr:`PolytopeSpec.kernel_memo`).  Ties are broken by smallest row index
+throughout, which makes the method deterministic and finitely terminating
+under degeneracy.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from ._tolerances import KKT_TOL, RANK_TOL, TIE_TOL, ZERO_TOL
 from .errors import MaxIterationsExceeded, NumericalBreakdown, ShapeMismatch
@@ -134,6 +140,12 @@ class _FreeSystem:
         self.free = np.flatnonzero(free)
         self.B = np.vstack([A_red, G[self.W[~self.unit]]])
         self.Q, self.R = np.linalg.qr(self.B[:, self.free].T)
+        # Where :meth:`multipliers` puts the general and the unit rows' entries, and the unit
+        # rows' coefficients, built once per factorization.
+        m_red = A_red.shape[0]
+        self.general_at = m_red + np.flatnonzero(~self.unit)
+        self.unit_at = m_red + np.flatnonzero(self.unit)
+        self.coef = G[self.W[self.unit], self.fixed]
 
     @cached_property
     def full_rank(self) -> bool:
@@ -169,17 +181,21 @@ class _FreeSystem:
     def multipliers(self, v: np.ndarray) -> np.ndarray:
         """Least-squares ``y`` with ``[A_red; G[W]]^T y = v``, in that row order.
 
-        The rows must be independent (:attr:`full_rank`).
+        The rows must be independent (:attr:`full_rank`); a singular ``R`` raises
+        ``LinAlgError``.  ``R`` is C-ordered, so ``R y = b`` is LAPACK's ``dtrtrs`` on the
+        Fortran-ordered ``R.T`` with ``trans=1``, the call ``solve_triangular`` makes.
         """
         m_red = self.A_red.shape[0]
-        y_gen = (solve_triangular(self.R, self.Q.T @ v[self.free], check_finite=False)
-                 if self.R.size else np.zeros(0))
+        y_gen = np.zeros(0)
+        if self.R.size:
+            y_gen, info = dtrtrs(self.R.T, self.Q.T @ v[self.free], lower=1, trans=1)
+            if info > 0:
+                raise np.linalg.LinAlgError(f"singular matrix: zero diagonal entry {info - 1}")
         resid = v - self.B.T @ y_gen
         y = np.empty(m_red + self.W.size)
         y[:m_red] = y_gen[:m_red]
-        y[m_red + np.flatnonzero(~self.unit)] = y_gen[m_red:]
-        coef = self.G[self.W[self.unit], self.fixed]
-        y[m_red + np.flatnonzero(self.unit)] = resid[self.fixed] / coef
+        y[self.general_at] = y_gen[m_red:]
+        y[self.unit_at] = resid[self.fixed] / self.coef
         return y
 
 
@@ -218,11 +234,13 @@ def min_distance_active_set(
     iteration reuses); otherwise :func:`polytope._extend_basis` keeps the first independent
     ones, visiting the rows of ``held``, then those of ``w0`` still tight at ``x0``, then the
     other tight rows.  The ``held`` rows must be tight at ``x0``; no drop removes them, so
-    their multipliers may be negative.
-    ``memo`` is a pair of one-entry dicts (:attr:`PolytopeSpec.kernel_memo`) that keep
-    the seed by its visiting order and the last factorization by its working set across
-    calls on the same ``A``, ``G``, ``eq`` and ``col``; both are pure functions of their
-    keys, so a hit returns what the miss would build.  Returns
+    their multipliers may be negative.  After an unblocked full step the next pass goes
+    straight to the multiplier test, with no projection; it still counts as an iteration,
+    so ``iters`` counts the passes a re-projection would have made.
+    ``memo`` is a pair of one-entry dicts (the first two of :attr:`PolytopeSpec.kernel_memo`)
+    that keep the seed by its visiting order and the last factorization by its working set
+    across calls on the same ``A``, ``G``, ``eq`` and ``col``; both are pure functions of
+    their keys, so a hit returns what the miss would build.  Returns
     ``(x, working_set, eq_mult, ineq_mult, iters)`` where ``eq_mult`` has one entry per
     row of ``A`` (zero on redundant rows, which are removed internally).
     """
@@ -265,14 +283,19 @@ def min_distance_active_set(
     # enters only when the step moves against it and it extends the span.
 
     it = 0
+    full = False  # the last step was unblocked: x minimizes |x - z| on the working set's face
     while it < max_iter:
         it += 1
         if system is None:
             system = factor(W)
         v = z - x
-        dvec = system.project(v)
-        nd = np.sqrt(dvec @ dvec)
-        if nd <= ZERO_TOL * scale:
+        if not full:
+            dvec = system.project(v)
+            nd = np.sqrt(dvec @ dvec)
+        if full or nd <= ZERO_TOL * scale:
+            # After a full step the projection of ``v`` is zero but for rounding: the pass
+            # goes straight to the multipliers, and still counts as an iteration.
+            full = False
             y = system.multipliers(v)
             neg = np.flatnonzero((y[m_red:] * g_norm[W] < -ZERO_TOL * scale) & ~keep[W])
             if neg.size == 0:
@@ -303,6 +326,7 @@ def min_distance_active_set(
             system = None
         else:
             x = x + dvec
+            full = True
     else:
         raise MaxIterationsExceeded(
             f"no convergence in {max_iter} active-set iterations", best_x=x
@@ -316,14 +340,18 @@ def min_distance_active_set(
 
 class Certificate(NamedTuple):
     """Optimality of ``x`` for the residual ``r = z - x``: ``r = A^T mu + G[rows]^T lam``,
-    ``lam >= 0`` and ``rows`` tight; ``mu`` has one entry per row of ``A``."""
+    ``lam >= 0`` and ``rows`` tight; ``mu`` has one entry per row of ``A``.  ``system`` is
+    the :class:`_FreeSystem` of ``[A_red; G[rows]]`` that solved the multipliers, when the
+    solver kept it."""
 
     rows: np.ndarray
     mu: np.ndarray
     lam: np.ndarray
+    system: _FreeSystem | None = None
 
     def restrict(self, rows: np.ndarray) -> "Certificate":
-        """This certificate on ``rows``: a row it does not hold gets a zero multiplier."""
+        """This certificate on ``rows``: a row it does not hold gets a zero multiplier (and
+        no factorization)."""
         full = np.zeros(1 + max(rows.max(initial=-1), self.rows.max(initial=-1)))
         full[self.rows] = self.lam
         return Certificate(rows, self.mu, full[rows])
@@ -368,7 +396,9 @@ def project(
         Warm start: a point and inequality rows to seed the working set.
         The start is taken when it holds every row by the row rule
         (:meth:`PolytopeSpec.contains`); otherwise, or without one, the
-        solve starts cold from :func:`polytope._find_feasible_point`.
+        solve starts cold from :func:`polytope._find_feasible_point`.  The
+        last answer whose certificate this function accepted on ``spec`` is
+        taken without a second judgement (:attr:`PolytopeSpec.kernel_memo`).
 
     Returns
     -------
@@ -377,16 +407,19 @@ def project(
     """
     z = np.asarray(z, dtype=float).ravel()
     x0 = None if start is None else np.asarray(start, dtype=float).ravel()
-    if x0 is None or not spec.contains(x0):
+    seeds, systems, accepted = spec.kernel_memo
+    if x0 is None or not (x0.tobytes() in accepted or spec.contains(x0)):
         x0 = _find_feasible_point(spec)
         working_set = None
     x, W, mu, lam, iters = min_distance_active_set(
         spec.A, spec.G, spec.h, z, x0, w0=working_set, eq=spec.eq_reduction,
-        col=spec.unit_columns, row_norms=spec.row_norms, memo=spec.kernel_memo,
+        col=spec.unit_columns, row_norms=spec.row_norms, memo=(seeds, systems),
     )
     cert = Certificate(W, mu, lam)
     slack = spec.h - spec.G @ x  # one slack for the certificate's rows and the tight rows
     kkt = _check_certificate(spec, x, z - x, cert, "projection", slack)
+    # The certificate held ``x`` to the row rule of ``spec.contains(x)``, on the same slack.
+    _remembered(accepted, x.tobytes(), lambda: True)
     active = _tight_rows(slack, spec.h, spec.row_norms, float(np.sqrt(x @ x) + np.sqrt(z @ z)))
     residual = kkt if spec.vertices is None else float(np.max((spec.vertices - x) @ (z - x)))
     return ProjectionResult(

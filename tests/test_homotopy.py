@@ -727,6 +727,39 @@ def test_certificate_pair_agrees_with_the_program(monkeypatch, lp_calls):
     assert settled[0] > 20
 
 
+def test_exit_reuses_the_cone_factorization(monkeypatch):
+    # When the cone solve ends on the segment's rows, rdot's certificate keeps the factorization
+    # of [A_red; G_J] and _dual_exit_time builds none; its answer is, bit for bit, the one a
+    # new factorization gives.
+    built = [0]
+
+    class Counted(_FreeSystem):
+        def __init__(self, *args):
+            built[0] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(homotopy, "_FreeSystem", Counted)
+    exit_time = homotopy._dual_exit_time
+    seen = {"same rows": 0, "other rows": 0}
+
+    def checked_exit_time(spec, seg_rows, r0, rdot, cap, eta, pair):
+        built[0] = 0
+        out = exit_time(spec, seg_rows, r0, rdot, cap, eta, pair)
+        same = np.array_equal(pair[1].rows, seg_rows)
+        assert built[0] == (0 if same else 1)
+        seen["same rows" if same else "other rows"] += 1
+        unkept = (pair[0], pair[1]._replace(system=None))
+        fresh = exit_time(spec, seg_rows, r0, rdot, cap, eta, unkept)
+        for a, b in zip(out, fresh):
+            assert (a is None and b is None) or np.array_equal(a, b)
+        return out
+
+    monkeypatch.setattr(homotopy, "_dual_exit_time", checked_exit_time)
+    for inst in _exit_time_cases():
+        trace_path(inst)
+    assert seen["same rows"] > 80 and seen["other rows"] > 10
+
+
 def test_oracle_check_transport_set_needs_few_programs(lp_calls):
     # Guard for the certificate pair: on the transport instances `oracle-check` runs, the
     # dependent faces exit by the pair, and the program runs only where it crosses first.

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from qreglp import QlpInstance, enumerate_vertices, projection, solve_qlp, trace_path
+from qreglp import (
+    PolytopeSpec,
+    QlpInstance,
+    enumerate_vertices,
+    projection,
+    solve_qlp,
+    trace_path,
+)
 from qreglp.oracle import (
     cross_check_instance,
     eta_star_bruteforce,
@@ -184,6 +191,53 @@ def test_path_verify_sweep_matches_cold_solves(inst):
         assert abs(rep.max_discrepancy - worst) <= 1e-10
         if moved:
             assert rep.worst_eta == worst_eta
+
+
+def _interpolate_one(path, eta):
+    """The path point at ``eta``, one value at a time (the loop ``path_verify`` replaced)."""
+    bp = path.breakpoints
+    if eta >= bp[-1]:
+        return path.endpoints[-1].copy()
+    if eta <= bp[0]:
+        return path.endpoints[0].copy()
+    i = int(np.searchsorted(bp, eta, side="right")) - 1
+    t = (eta - bp[i]) / (bp[i + 1] - bp[i])
+    return (1.0 - t) * path.endpoints[i] + t * path.endpoints[i + 1]
+
+
+def _warm_spot_checks(inst, path, samples, seed):
+    """``path_verify``'s warm sweep, each sample's deviation measured as it is solved."""
+    rng = np.random.default_rng(seed)
+    hi = 1.2 * path.eta_star if path.eta_star > 0 else 1.0
+    etas = rng.uniform(0.0, hi, size=samples)
+    worst, worst_eta, prev = 0.0, 0.0, None
+    for eta in np.sort(etas[etas > 0]).tolist():
+        warm = {} if prev is None else {"start": prev.x, "working_set": prev.working_set}
+        prev = solve_qlp(inst, eta, **warm)
+        dev = float(np.max(np.abs(prev.x - _interpolate_one(path, eta))))
+        dev /= float(np.linalg.norm(prev.x)) + inst.polytope.size
+        if dev > worst:
+            worst, worst_eta = dev, eta
+    return worst, worst_eta
+
+
+def test_path_verify_measures_samples_as_the_loop_did():
+    # All deviations in one pass after the sweep: the same bits and the same first arg max as
+    # measuring each sample when it is solved, on traced paths, moved ones and a path with no
+    # segment; and SolutionPath.interpolate keeps the loop's arithmetic.
+    square = PolytopeSpec.box(np.zeros(2), np.ones(2))
+    cases = [random_polytope_instance(s) for s in range(10)] + [
+        quad_cost_instance(4).qlp(), build(cost=random_cost_matrix(10_003, 4)).qlp(),
+        QlpInstance(square, np.zeros(2))]
+    for inst in cases:
+        path = trace_path(inst)
+        for moved in (False, True):
+            if moved and path.n_segments >= 2:
+                _move_interior_endpoint(path)
+            rep = path_verify(inst, path, samples=40, seed=3)
+            assert (rep.max_discrepancy, rep.worst_eta) == _warm_spot_checks(inst, path, 40, 3)
+            for eta in np.linspace(0.0, 1.3 * path.eta_star, 17):
+                np.testing.assert_array_equal(path.interpolate(eta), _interpolate_one(path, eta))
 
 
 def test_path_verify_catches_moved_endpoint():

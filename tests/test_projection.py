@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from qreglp import (
     NumericalBreakdown,
@@ -14,13 +15,14 @@ from qreglp import (
     solve_qlp,
     trace_path,
 )
-from qreglp import projection
+from qreglp import polytope, projection
 from qreglp.oracle import random_cost_matrix, random_polytope_instance
 from qreglp.ot import birkhoff_polytope
 from qreglp.ot import build as ot_build
 from qreglp.polytope import _extend_basis
 from qreglp.projection import (
     KKT_TOL,
+    ZERO_TOL,
     _FreeSystem,
     _unit_columns,
     min_distance_active_set,
@@ -525,7 +527,183 @@ def test_kernel_memo_is_per_spec():
         first = project(spec, z)
         warm = {"start": first.x, "working_set": first.working_set}
         res = project(spec, z, **warm)
-        seeds, systems = spec.kernel_memo
+        seeds, systems, _ = spec.kernel_memo
         assert list(seeds.values()) == [(0, 1)] and systems[0, 1].G is spec.G
         _assert_same_result(res, project(replace(spec), z, **warm))
         np.testing.assert_allclose(res.x, corner, rtol=0.0, atol=1e-15)
+
+
+def _warm_chains():
+    """``path_verify``'s sweeps over random polytopes and transport instances: per case, a
+    fresh copy of the instance and its increasing etas, solved in order, the first cold and
+    each later one warm from the last answer."""
+    cases = [random_polytope_instance(seed) for seed in range(20)]
+    for i in range(5):
+        n = int(np.random.default_rng(10000 + i).integers(2, 6))
+        cases.append(ot_build(cost=random_cost_matrix(10000 + i, n)).qlp())
+    chains = []
+    for k, inst in enumerate(cases):
+        hi = 1.2 * trace_path(inst).eta_star or 1.0
+        etas = np.sort(np.random.default_rng(k).uniform(0.0, hi, 30))
+        chains.append((QlpInstance(replace(inst.polytope), inst.c), etas.tolist()))
+    return chains
+
+
+def test_unblocked_full_step_goes_straight_to_the_exit(monkeypatch):
+    # After an unblocked full step, x minimizes |x - z| on the working set's face: the kernel
+    # takes the multipliers without projecting again.  Each exit pass finds the zero step a
+    # projection would find (the kernel's own test), so it is the pass that ended the loop
+    # when the kernel projected there, and ``iterations`` counts the passes it counted.
+    chains = _warm_chains()
+    scale, calls, last = [0.0], {"project": 0, "full": 0}, ["zero"]
+
+    class Counted(_FreeSystem):
+        def project(self, v):
+            step = super().project(v)
+            if last[0] != "extends":
+                calls["project"] += 1
+                last[0] = "zero" if np.linalg.norm(step) <= ZERO_TOL * scale[0] else "step"
+            return step
+
+        def extends(self, g, g_norm):
+            before, last[0] = last[0], "extends"
+            try:
+                return super().extends(g, g_norm)
+            finally:
+                last[0] = before
+
+        def multipliers(self, v):
+            assert np.linalg.norm(_FreeSystem.project(self, v)) <= ZERO_TOL * scale[0]
+            calls["full"] += last[0] == "step"
+            last[0] = "zero"
+            return super().multipliers(v)
+
+    kernel = projection.min_distance_active_set
+
+    def scaled_kernel(A, G, h, z, x0, **kwargs):
+        scale[0] = float(np.sqrt(z @ z) + np.sqrt(x0 @ x0))
+        return kernel(A, G, h, z, x0, **kwargs)
+
+    monkeypatch.setattr(projection, "_FreeSystem", Counted)
+    monkeypatch.setattr(projection, "min_distance_active_set", scaled_kernel)
+    one_step = 0
+    for inst, etas in chains:
+        prev = None
+        for eta in etas:
+            warm = {} if prev is None else {"start": prev.x, "working_set": prev.working_set}
+            calls["project"] = calls["full"] = 0
+            prev = solve_qlp(inst, eta, **warm)
+            assert prev.iterations == calls["project"] + calls["full"]
+            if calls["full"] and prev.iterations == 2:  # one full step, then the exit pass
+                assert calls["project"] == 1
+                one_step += 1
+    assert one_step > 300
+
+
+def _reference_multipliers(system, v):
+    """The multipliers by ``scipy.linalg.solve_triangular``, entry by entry as before."""
+    m_red = system.A_red.shape[0]
+    y_gen = (solve_triangular(system.R, system.Q.T @ v[system.free], check_finite=False)
+             if system.R.size else np.zeros(0))
+    resid = v - system.B.T @ y_gen
+    y = np.empty(m_red + system.W.size)
+    y[:m_red] = y_gen[:m_red]
+    y[m_red + np.flatnonzero(~system.unit)] = y_gen[m_red:]
+    coef = system.G[system.W[system.unit], system.fixed]
+    y[m_red + np.flatnonzero(system.unit)] = resid[system.fixed] / coef
+    return y
+
+
+def test_multipliers_match_solve_triangular():
+    # Random independent working sets of unit and general rows, of unit rows alone, and empty,
+    # with and without equality rows: LAPACK's dtrtrs gives the bits solve_triangular gives.
+    rng = np.random.default_rng(5)
+    kinds = {"mixed": 0, "unit": 0, "empty": 0}
+    for _ in range(600):
+        d = int(rng.integers(2, 9))
+        A = rng.normal(size=(int(rng.integers(0, d)), d))
+        G = np.vstack([np.eye(d) * rng.choice([1.0, -2.0, 0.5], size=d)[:, None],
+                       rng.normal(size=(d, d))])
+        col = _unit_columns(G)
+        A_red = A[_extend_basis(np.zeros((0, d)), A, range(A.shape[0]))[0]]
+        kind = rng.choice(list(kinds))
+        pool = {"mixed": 2 * d, "unit": d, "empty": 0}[kind]
+        size = int(rng.integers(0, d - A_red.shape[0] + 1)) if pool else 0
+        W = sorted(rng.permutation(pool)[:size].tolist())
+        system = _FreeSystem(A_red, G, W, col)
+        if not system.full_rank:
+            continue
+        kinds[kind] += 1
+        for scale in (1.0, 1e-9, 1e9):
+            v = scale * rng.normal(size=d)
+            np.testing.assert_array_equal(system.multipliers(v), _reference_multipliers(system, v))
+    assert min(kinds.values()) > 50
+
+
+def test_singular_multipliers_raise():
+    # Two parallel rows, both factored (no unit column): R has an exact zero on its diagonal.
+    G = np.array([[1.0, 0.0], [2.0, 0.0]])
+    system = _FreeSystem(np.zeros((0, 2)), G, [0, 1], np.full(2, -1))
+    assert system.R[1, 1] == 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        system.multipliers(np.ones(2))
+
+
+@pytest.fixture
+def row_rules(monkeypatch):
+    """Counter of the row rule's runs (``PolytopeSpec.contains`` and every certificate)."""
+    calls = [0]
+    row_rule = polytope._row_rule
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return row_rule(*args, **kwargs)
+
+    monkeypatch.setattr(polytope, "_row_rule", counted)
+    return calls
+
+
+def test_warm_chain_judges_each_start_once(row_rules):
+    # Each warm start of the sweep is the last answer, whose certificate has just held it to the
+    # row rule: the solve runs the rule once, for its own certificate.
+    warm_solves = 0
+    for inst, etas in _warm_chains():
+        prev = None
+        for eta in etas:
+            warm = {} if prev is None else {"start": prev.x, "working_set": prev.working_set}
+            row_rules[0] = 0
+            prev = solve_qlp(inst, eta, **warm)
+            if warm:
+                assert row_rules[0] == 1
+                warm_solves += 1
+    assert warm_solves == 25 * 29
+
+
+def test_start_off_the_remembered_point_is_judged(row_rules, monkeypatch):
+    # Only the last accepted answer, bit for bit and on its own spec, skips the row rule; a
+    # start one ulp away, or on a copy of the spec, is judged, and the answers are the same.
+    inst = random_polytope_instance(3)
+    spec, z = inst.polytope, inst.target(2.0)
+    for move, copy, runs in ((False, False, 1), (True, False, 2), (False, True, 2)):
+        start = project(spec, inst.target(1.0)).x.copy()
+        if move:
+            start[0] = np.nextafter(start[0], np.inf)
+        row_rules[0] = 0
+        res = project(replace(spec) if copy else spec, z, start=start)
+        assert row_rules[0] == runs
+        _assert_same_result(res, project(replace(spec), z, start=start))
+    # A start that breaks a row starts cold, whatever the memo holds.
+    cold = [0]
+    find = projection._find_feasible_point
+
+    def counted_find(spec):
+        cold[0] += 1
+        return find(spec)
+
+    monkeypatch.setattr(projection, "_find_feasible_point", counted_find)
+    outside = project(spec, z).x + 10.0
+    assert not spec.contains(outside)
+    cold[0] = 0
+    res = project(spec, z, start=outside)
+    assert cold[0] == 1
+    _assert_same_result(res, project(replace(spec), z))

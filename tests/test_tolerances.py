@@ -96,6 +96,31 @@ def test_one_rank_rule():
         assert svd == [], f"{name}: SVD calls at lines {svd}"
 
 
+def test_one_factorization_site():
+    # The kernel and the tracer factor and solve only inside projection._FreeSystem: every
+    # other place reuses one of its factorizations, so no QR, triangular or least-squares
+    # solve appears elsewhere in those two modules.
+    banned = {"qr", "solve_triangular", "dtrtrs", "lstsq"}
+    for name in ("projection.py", "homotopy.py"):
+        tree = ast.parse((PACKAGE / name).read_text())
+        inside = {
+            id(n)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and node.name == "_FreeSystem"
+            for n in ast.walk(node)
+        }
+        found = [
+            (node.lineno, ast.unparse(node))
+            for node in ast.walk(tree)
+            if id(node) not in inside
+            and ((isinstance(node, ast.Name) and node.id in banned)
+                 or (isinstance(node, ast.Attribute) and node.attr in banned)
+                 or (isinstance(node, ast.Attribute) and node.attr == "solve"
+                     and ast.unparse(node.value).endswith("linalg")))
+        ]
+        assert found == [], f"{name}: factorizations or solves outside _FreeSystem: {found}"
+
+
 def test_analysis_judges_every_check_by_two_constants():
     # Every check of ``analysis`` follows one rule at the size of its own terms
     # (``analysis._at_most``); its tolerances are ``_CHECK_TOL`` and ``_ROUTE_TOL`` alone.
