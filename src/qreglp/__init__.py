@@ -16,6 +16,7 @@ from .errors import (
     MaxIterationsExceeded,
     MaxSegmentsExceeded,
     NaNInCost,
+    NonFiniteData,
     NonSquareCost,
     NumericalBreakdown,
     QreglpError,
@@ -59,6 +60,7 @@ __all__ = [
     "MaxIterationsExceeded",
     "MaxSegmentsExceeded",
     "NaNInCost",
+    "NonFiniteData",
     "NonSquareCost",
     "NumericalBreakdown",
     "PathState",

@@ -54,8 +54,11 @@ class NonSquareCost(QreglpError):
     """Transport cost matrix is not square."""
 
 
-class NaNInCost(QreglpError):
-    """Transport cost matrix contains non-finite entries."""
+class NonFiniteData(QreglpError):
+    """Instance data (a polytope's blocks, a cost vector or matrix) hold a NaN or an infinity."""
+
+
+NaNInCost = NonFiniteData  # the transport cost's error by its public name
 
 
 class AssumptionViolated(QreglpError):

@@ -39,6 +39,7 @@ vertex's normal cone and exit on the far side).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +54,8 @@ from .projection import (Certificate, QlpInstance, _check_certificate, _FreeSyst
 
 @dataclass
 class BlockingConstraint:
-    """An inactive inequality becomes tight at the event."""
+    """An inactive inequality becomes tight at the event.  ``rows`` (the rows that block) is
+    diagnostic: :func:`trace_path` takes the next face from :meth:`PolytopeSpec.tight_rows`."""
 
     rows: np.ndarray
     multipliers: tuple = ()
@@ -61,7 +63,9 @@ class BlockingConstraint:
 
 @dataclass
 class DroppingMultiplier:
-    """A multiplier of the carrying face crosses zero at the event."""
+    """A multiplier of the carrying face crosses zero at the event.  ``rows`` (the rows whose
+    multipliers cross; none after the linear program) is diagnostic, as for
+    :class:`BlockingConstraint`."""
 
     rows: np.ndarray
     multipliers: tuple = ()
@@ -150,8 +154,10 @@ class PathState:
 
     ``certificate`` and ``direction_certificate`` hold ``residual = A^T mu + G^T lam`` and
     ``-c/2 - direction_vec`` as :class:`Certificate`.  The second's rows are the cone solve's
-    final working set, and it carries that solve's last factorization (``system``), which
-    :func:`_dual_exit_time` reuses when those rows are the segment's.
+    final working set, and it carries that solve's last factorization (``system``, read from
+    the kernel's :class:`projection.KernelState`), which :func:`_dual_exit_time` reuses when
+    those rows are the segment's.  :func:`trace_path` drops each state before it builds the
+    next, so one factorization of this kind is alive at a time.
     """
 
     inst: QlpInstance
@@ -172,19 +178,18 @@ def _right_derivative(inst: QlpInstance, x: np.ndarray, r: np.ndarray, tight: np
     (|x| + |r| + size)``, the scale of :func:`projection._check_certificate`.  Also returns
     the cone solve's multipliers, ``-c/2 - d = A^T mu + G[rows]^T lam`` as a
     :class:`Certificate` (a held row's ``lam`` may be negative) that keeps the solve's last
-    factorization, of ``[A_red; G[rows]]``: the one entry of the kernel's ``systems`` memo."""
+    factorization, of ``[A_red; G[rows]]``, from the state the kernel returns."""
     spec = inst.polytope
     weight = cert.restrict(tight).lam * spec.row_norms[tight]
     scale = np.linalg.norm(x) + np.linalg.norm(r) + spec.size
-    systems = {}
-    d, W, mu, lam, _ = min_distance_active_set(
+    d, W, mu, lam, _, kernel = min_distance_active_set(
         spec.A, spec.G[tight], np.zeros(tight.size), -0.5 * inst.c, np.zeros(spec.dim),
         eq=spec.eq_reduction, col=spec.unit_columns[tight], row_norms=spec.row_norms[tight],
-        held=np.flatnonzero(weight > ZERO_TOL * scale), memo=({}, systems),
+        held=np.flatnonzero(weight > ZERO_TOL * scale),
     )
     if np.linalg.norm(d) <= ZERO_TOL * np.linalg.norm(inst.c):
         d = np.zeros(spec.dim)
-    return d, Certificate(tight[W], mu, lam, systems[tuple(W)])
+    return d, Certificate(tight[W], mu, lam, kernel.system)
 
 
 def path_state(inst: QlpInstance, eta: float) -> PathState:
@@ -347,10 +352,18 @@ def trace_path(inst: QlpInstance, max_segments: int | None = None) -> SolutionPa
         cycling bug rather than a legitimate path.
     NumericalBreakdown
         If either end of a piece fails its certificate
-        (:func:`projection._check_certificate`), or the tracer stops advancing.
+        (:func:`projection._check_certificate`), the tracer stops advancing, or ``|c|``
+        overflows a double.
     """
     spec = inst.polytope
-    cost_norm = float(np.linalg.norm(inst.c)) or 1.0
+    with np.errstate(over="ignore"):  # |c|^2 overflows past 1e154: then m |c / m|, m = max |c_i|
+        cost_norm = float(np.linalg.norm(inst.c))
+    if math.isinf(cost_norm):
+        big = float(np.abs(inst.c).max())
+        cost_norm = big * float(np.linalg.norm(inst.c / big))
+    if math.isinf(cost_norm):
+        raise NumericalBreakdown("the cost's norm overflows a double")
+    cost_norm = cost_norm or 1.0
     inst = QlpInstance(spec, inst.c / cost_norm)
     if max_segments is None:
         max_segments = max(10 * (spec.n_eq + spec.n_ineq), 8)
@@ -381,6 +394,7 @@ def trace_path(inst: QlpInstance, max_segments: int | None = None) -> SolutionPa
         certs.append((left, right))
         eta, x = float(eta_next), x_next
         tight = spec.tight_rows(x, inst.target(eta))
+        del state  # its cone factorization goes before the next cone solve builds another
     else:
         raise MaxSegmentsExceeded(f"more than {max_segments} path segments")
 

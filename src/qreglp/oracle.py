@@ -180,7 +180,7 @@ def path_verify(inst: QlpInstance, path, samples: int = 100, seed: int = 0) -> P
     plain matrix-vector products at its end points: feasibility, tightness
     of the certificate's rows, the stationarity residual and ``lam >= 0``.
     The sampled etas are solved in increasing order: the first cold, each
-    later one warm-started from the previous sample's point and working set.
+    later one warm-started from the previous sample's answer (``warm=``).
     No solve starts from the path's end points, sets or certificates, and
     every answer passes :func:`project`'s KKT check; the minimizer is unique,
     so the solves stay an independent cross-check of the tracer's events.
@@ -200,10 +200,7 @@ def path_verify(inst: QlpInstance, path, samples: int = 100, seed: int = 0) -> P
     etas = np.sort(etas[etas > 0])
     X, norms, prev = np.empty((etas.size, spec.dim)), np.empty(etas.size), None
     for k, eta in enumerate(etas.tolist()):
-        if prev is None:
-            prev = solve_qlp(inst, eta)
-        else:
-            prev = solve_qlp(inst, eta, start=prev.x, working_set=prev.working_set)
+        prev = solve_qlp(inst, eta, warm=prev)
         X[k], norms[k] = prev.x, np.linalg.norm(prev.x)
     # The deviations of all samples in one pass; the first maximum names ``worst_eta``.
     dev = np.abs(X - path._points(etas)).max(axis=1) / (norms + spec.size)

@@ -20,16 +20,10 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .analysis import eta_star_formula, slope_report
-from .errors import (
-    AssumptionViolated,
-    BudgetExceeded,
-    NaNInCost,
-    NonSquareCost,
-    NumericalBreakdown,
-)
+from .errors import AssumptionViolated, BudgetExceeded, NonSquareCost, NumericalBreakdown
 from .homotopy import SolutionPath, trace_path
 from .oracle import min_norm_over_M
-from .polytope import PolytopeSpec, VertexSet
+from .polytope import PolytopeSpec, VertexSet, _finite
 from .projection import QlpInstance, solve_qlp
 
 PERMUTATION_BUDGET = 8
@@ -143,11 +137,10 @@ def build(
         raise ValueError("need either cost or points")
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise NonSquareCost(f"cost has shape {C.shape}")
-    if not np.all(np.isfinite(C)):
-        raise NaNInCost("cost contains NaN or infinity")
+    C = _finite(C, "cost")
     n = C.shape[0]
     spec = birkhoff_polytope(n, attach_vertices=(n <= ATTACH_VERTICES_UP_TO))
-    return OtInstance(n=n, cost=np.ascontiguousarray(C), polytope=spec, points=pts, kind=kind)
+    return OtInstance(n=n, cost=C, polytope=spec, points=pts, kind=kind)
 
 
 def from_json_dict(data: dict) -> OtInstance:

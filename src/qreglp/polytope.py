@@ -23,6 +23,7 @@ from .errors import (
     AllVerticesOptimal,
     BudgetExceeded,
     EmptyFeasibleSet,
+    NonFiniteData,
     ShapeMismatch,
     UnboundedSet,
 )
@@ -37,7 +38,7 @@ def _as_matrix(M, dim, name):
         return np.zeros((0, dim))
     if M.shape[1] != dim:
         raise ShapeMismatch(f"{name} has {M.shape[1]} columns, expected {dim}")
-    return np.ascontiguousarray(M)
+    return _finite(M, name)
 
 
 def _as_vector(v, rows, name):
@@ -46,7 +47,13 @@ def _as_vector(v, rows, name):
         return np.zeros(0)
     if v.shape[0] != rows:
         raise ShapeMismatch(f"{name} has {v.shape[0]} entries, expected {rows}")
-    return np.ascontiguousarray(v)
+    return _finite(v, name)
+
+
+def _finite(M, name):
+    if not np.isfinite(M).all():
+        raise NonFiniteData(f"{name} holds a NaN or an infinite entry")
+    return np.ascontiguousarray(M)
 
 
 @dataclass(frozen=True)
@@ -122,18 +129,6 @@ class PolytopeSpec:
     def eq_row_norms(self) -> np.ndarray:
         """Euclidean norms of the rows of ``A``, computed once per spec."""
         return np.linalg.norm(self.A, axis=1)
-
-    @cached_property
-    def kernel_memo(self) -> tuple[dict, dict, dict]:
-        """Three one-entry memos for the projection's calls on this spec: the kernel's
-        working-set seed by its visiting order, and the working set's factorization by the
-        set (:func:`projection.min_distance_active_set`), and the last point whose certificate
-        :func:`projection.project` accepted, by the point's bytes.  That certificate ran the
-        row rule of :meth:`contains` on the same slack, so a warm start from the last answer
-        is not judged again, and its solve reuses the seed and the factorization when it lies
-        on the face the last solve ended on.  Each holds one entry, and a new spec
-        (``dataclasses.replace`` included) starts with all three empty."""
-        return {}, {}, {}
 
     @cached_property
     def size(self) -> float:

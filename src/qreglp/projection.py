@@ -17,11 +17,11 @@ the equality rows and the other working-set rows, restricted to the free
 coordinates, are factored, in :class:`_FreeSystem`, the one place that
 factors or solves.  On a transport polytope, where the solution is
 sparse, that block is ``|free| x (2n - 1)`` instead of ``n^2 x (2n - 1 + |W|)``.
-Warm solves reuse the last factorization and seed on the same spec, and take
-the last accepted answer as a start without judging it again
-(:attr:`PolytopeSpec.kernel_memo`).  Ties are broken by smallest row index
-throughout, which makes the method deterministic and finitely terminating
-under degeneracy.
+A warm solve, ``project(spec, z, warm=prev)``, takes the start, the seed and the
+last factorization from the answer ``prev`` of an earlier solve on ``spec``
+(:class:`KernelState`); the spec itself holds no state.  Ties are broken by
+smallest row index throughout, which makes the method deterministic and
+finitely terminating under degeneracy.
 """
 
 from __future__ import annotations
@@ -36,14 +36,8 @@ from scipy.linalg.lapack import dtrtrs
 
 from ._tolerances import KKT_TOL, RANK_TOL, TIE_TOL, ZERO_TOL
 from .errors import MaxIterationsExceeded, NumericalBreakdown, ShapeMismatch
-from .polytope import (
-    PolytopeSpec,
-    _extend_basis,
-    _find_feasible_point,
-    _rows_hold,
-    _tight_rows,
-    _unit_columns,
-)
+from .polytope import (PolytopeSpec, _extend_basis, _find_feasible_point, _finite, _rows_hold,
+                       _tight_rows, _unit_columns)
 
 
 @dataclass(frozen=True)
@@ -62,7 +56,7 @@ class QlpInstance:
             raise ShapeMismatch(
                 f"cost has {c.shape[0]} entries, polytope dim {self.polytope.dim}"
             )
-        object.__setattr__(self, "c", np.ascontiguousarray(c))
+        object.__setattr__(self, "c", _finite(c, "cost"))
 
     def objective(self, x, eta: float) -> float:
         x = np.asarray(x, dtype=float).ravel()
@@ -83,7 +77,8 @@ class ProjectionResult:
     ``multipliers`` holds one Lagrange multiplier per tight row (zero for
     tight rows outside the working set).  ``residual`` is the largest
     variational-inequality violation over the polytope's attached vertices,
-    or the KKT stationarity residual when it has none.
+    or the KKT stationarity residual when it has none.  ``warm_state``, neither compared nor
+    written, is the spec and the :class:`KernelState` that ``project(spec, z, warm=res)`` reads.
     """
 
     x: np.ndarray
@@ -94,6 +89,7 @@ class ProjectionResult:
     eq_multipliers: np.ndarray = field(default_factory=lambda: np.zeros(0))
     iterations: int = 0
     kkt_residual: float = float("nan")
+    warm_state: tuple = field(default=(None, None), repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -199,27 +195,18 @@ class _FreeSystem:
         return y
 
 
-def _remembered(memo: dict, key, build):
-    """``build()``, or the value ``memo`` holds for ``key``; ``memo`` keeps one entry."""
-    if key not in memo:
-        memo.clear()
-        memo[key] = build()
-    return memo[key]
+class KernelState(NamedTuple):
+    """What a kernel call hands to the next warm one: the visiting ``order`` it seeded from,
+    the ``seed`` it kept and its last factorization ``system``, of the final working set."""
+
+    order: tuple
+    seed: tuple
+    system: _FreeSystem
 
 
-def min_distance_active_set(
-    A: np.ndarray,
-    G: np.ndarray,
-    h: np.ndarray,
-    z: np.ndarray,
-    x0: np.ndarray,
-    w0=None,
-    eq=None,
-    col=None,
-    row_norms=None,
-    held=(),
-    memo=None,
-):
+def min_distance_active_set(A: np.ndarray, G: np.ndarray, h: np.ndarray, z: np.ndarray,
+                            x0: np.ndarray, w0=None, eq=None, col=None, row_norms=None, held=(),
+                            warm=None):
     """Minimize ``|x - z|^2`` over ``A x = A x0``, ``G x <= h`` and ``G[held] x = h[held]``.
 
     ``x0`` must be feasible and is not checked here: :func:`project` takes a
@@ -237,12 +224,13 @@ def min_distance_active_set(
     their multipliers may be negative.  After an unblocked full step the next pass goes
     straight to the multiplier test, with no projection; it still counts as an iteration,
     so ``iters`` counts the passes a re-projection would have made.
-    ``memo`` is a pair of one-entry dicts (the first two of :attr:`PolytopeSpec.kernel_memo`)
-    that keep the seed by its visiting order and the last factorization by its working set
-    across calls on the same ``A``, ``G``, ``eq`` and ``col``; both are pure functions of
-    their keys, so a hit returns what the miss would build.  Returns
-    ``(x, working_set, eq_mult, ineq_mult, iters)`` where ``eq_mult`` has one entry per
-    row of ``A`` (zero on redundant rows, which are removed internally).
+    ``warm`` is the :class:`KernelState` of an earlier call on the same ``A``, ``G``, ``eq``
+    and ``col``: its seed is kept when the visiting order is its order, and its factorization
+    when the first working set factored is that factorization's.  Both are pure functions of
+    those, so a warm call returns what a cold one would.  Returns
+    ``(x, working_set, eq_mult, ineq_mult, iters, state)`` where ``eq_mult`` has one entry
+    per row of ``A`` (zero on redundant rows, which are removed internally) and ``state``
+    is this call's :class:`KernelState`.
     """
     d = z.size
     m = A.shape[0]
@@ -264,21 +252,24 @@ def min_distance_active_set(
     keep[np.asarray(held, dtype=int)] = True
     tight = set(order.tolist())  # the held rows go first, then the rows of w0 still tight
     first = [int(j) for j in [*held, *(() if w0 is None else w0)] if int(j) in tight]
-    order = list(dict.fromkeys(first + order.tolist()))
-    # Without a memo, local ones still hand the seed's factorization to the first iteration.
-    seeds, systems = ({}, {}) if memo is None else memo
+    order = tuple(dict.fromkeys(first + order.tolist()))
+    last = None if warm is None else warm.system  # the one factorization kept, the seed's included
 
     def factor(W):
-        return _remembered(systems, tuple(W), lambda: _FreeSystem(A_red, G, W, col))
+        nonlocal last
+        if last is None or last.W.tolist() != W:
+            last = _FreeSystem(A_red, G, W, col)
+        return last
 
-    def seed():
+    if warm is not None and warm.order == order:
+        W = list(warm.seed)
+    else:
         W = sorted(order)
-        if not factor(W).full_rank:  # the tight rows are dependent: keep the first independent ones
+        # Dependent tight rows (more than d need no factorization to tell): keep the first
+        # independent ones.
+        if m_red + len(W) > d or not factor(W).full_rank:
             W = sorted(_extend_basis(base_q, G, order)[0])
-        return tuple(W)
-
-    W = list(_remembered(seeds, tuple(order), seed))
-    system = None
+    seed, system = tuple(W), None
     # Later working sets stay independent: a drop removes a row, and a row
     # enters only when the step moves against it and it extends the span.
 
@@ -335,7 +326,7 @@ def min_distance_active_set(
     # The loop leaves only through the exit branch, whose ``y`` is final.
     mu = np.zeros(m)
     mu[eq_idx] = y[:m_red]
-    return x, np.asarray(W, dtype=int), mu, y[m_red:], it
+    return x, np.asarray(W, dtype=int), mu, y[m_red:], it, KernelState(order, seed, system)
 
 
 class Certificate(NamedTuple):
@@ -378,12 +369,7 @@ def _check_certificate(spec: PolytopeSpec, x, r, cert: Certificate, where: str,
     return resid
 
 
-def project(
-    spec: PolytopeSpec,
-    z,
-    start=None,
-    working_set=None,
-) -> ProjectionResult:
+def project(spec: PolytopeSpec, z, start=None, working_set=None, warm=None) -> ProjectionResult:
     """Project ``z`` onto the polytope.
 
     Parameters
@@ -396,9 +382,12 @@ def project(
         Warm start: a point and inequality rows to seed the working set.
         The start is taken when it holds every row by the row rule
         (:meth:`PolytopeSpec.contains`); otherwise, or without one, the
-        solve starts cold from :func:`polytope._find_feasible_point`.  The
-        last answer whose certificate this function accepted on ``spec`` is
-        taken without a second judgement (:attr:`PolytopeSpec.kernel_memo`).
+        solve starts cold from :func:`polytope._find_feasible_point`.
+    warm : ProjectionResult, optional
+        An earlier answer of this function, in place of ``start=warm.x`` and
+        ``working_set=warm.working_set``.  When it was certified on ``spec``
+        itself (checked by identity), its ``x`` is not judged again and the
+        kernel reuses its seed and factorization (:class:`KernelState`).
 
     Returns
     -------
@@ -406,20 +395,24 @@ def project(
         Minimizer with KKT certificate data, checked by :func:`_check_certificate`.
     """
     z = np.asarray(z, dtype=float).ravel()
+    state = None
+    if warm is not None:
+        if start is not None or working_set is not None:
+            raise ValueError("warm replaces start and working_set; pass it alone")
+        (owner, state), start, working_set = warm.warm_state, warm.x, warm.working_set
+        # On its own spec, the certificate of ``warm`` held ``x`` to the row rule of ``contains``.
+        state = state if owner is spec else None
     x0 = None if start is None else np.asarray(start, dtype=float).ravel()
-    seeds, systems, accepted = spec.kernel_memo
-    if x0 is None or not (x0.tobytes() in accepted or spec.contains(x0)):
+    if x0 is None or not (state is not None or spec.contains(x0)):
         x0 = _find_feasible_point(spec)
         working_set = None
-    x, W, mu, lam, iters = min_distance_active_set(
+    x, W, mu, lam, iters, state = min_distance_active_set(
         spec.A, spec.G, spec.h, z, x0, w0=working_set, eq=spec.eq_reduction,
-        col=spec.unit_columns, row_norms=spec.row_norms, memo=(seeds, systems),
+        col=spec.unit_columns, row_norms=spec.row_norms, warm=state,
     )
     cert = Certificate(W, mu, lam)
     slack = spec.h - spec.G @ x  # one slack for the certificate's rows and the tight rows
     kkt = _check_certificate(spec, x, z - x, cert, "projection", slack)
-    # The certificate held ``x`` to the row rule of ``spec.contains(x)``, on the same slack.
-    _remembered(accepted, x.tobytes(), lambda: True)
     active = _tight_rows(slack, spec.h, spec.row_norms, float(np.sqrt(x @ x) + np.sqrt(z @ z)))
     residual = kkt if spec.vertices is None else float(np.max((spec.vertices - x) @ (z - x)))
     return ProjectionResult(
@@ -431,16 +424,13 @@ def project(
         eq_multipliers=mu,
         iterations=iters,
         kkt_residual=kkt,
+        warm_state=(spec, state),
     )
 
 
-def solve_qlp(
-    inst: QlpInstance,
-    eta: float,
-    start=None,
-    working_set=None,
-) -> ProjectionResult:
+def solve_qlp(inst: QlpInstance, eta: float, start=None, working_set=None,
+              warm=None) -> ProjectionResult:
     """Unique minimizer of ``<c, x> + |x|^2/eta`` over the polytope."""
     if eta <= 0:
         raise ValueError("eta must be positive")
-    return project(inst.polytope, inst.target(eta), start=start, working_set=working_set)
+    return project(inst.polytope, inst.target(eta), start=start, working_set=working_set, warm=warm)

@@ -96,6 +96,20 @@ def test_inconsistent_vertex_list_exits_1(tmp_path, capsys, command, extra):
     assert "not a vertex" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["G", "h", "c"])
+def test_non_finite_data_exit_1(tmp_path, capsys, field):
+    # NaN in G used to escape as a ValueError from the integer cast, and an infinite cost as
+    # "moving ray never blocked"; both are refused when the instance is built.
+    data = {"dim": 2, "G": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+            "h": [1.0, 1.0, 0.0, 0.0], "c": [-1.0, -0.5]}
+    data[field][0] = [float("nan"), 0.0] if field == "G" else float("inf")
+    f = tmp_path / "square.json"
+    f.write_text(json.dumps(data))
+    for command in (["path"], ["project", "--eta", "1.0"]):
+        assert main([command[0], str(f), *command[1:]]) == 1
+        assert "NaN or an infinite entry" in capsys.readouterr().err
+
+
 def test_project_exit_2_on_wrong_point(tmp_path, monkeypatch, capsys):
     # A kernel fault: the corner (0, 0), with no working row, returned for the target
     # (0.5, 0.25) inside the unit square fails project's certificate, so the command exits 2.
@@ -104,8 +118,8 @@ def test_project_exit_2_on_wrong_point(tmp_path, monkeypatch, capsys):
     real = projection.min_distance_active_set
 
     def wrong(*args, **kwargs):
-        x, W, mu, lam, it = real(*args, **kwargs)
-        return np.zeros_like(x), W, mu, lam, it
+        x, *rest = real(*args, **kwargs)
+        return np.zeros_like(x), *rest
 
     monkeypatch.setattr(projection, "min_distance_active_set", wrong)
     data = {

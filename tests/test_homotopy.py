@@ -259,6 +259,21 @@ def test_cost_scale_covariance_birkhoff():
     assert scaled.eta_star == pytest.approx(2 * 4**3 / 1e6, rel=1e-9)
 
 
+@pytest.mark.parametrize("s", [1e155, 1e200, 1e300])
+def test_cost_norm_past_the_square_root_of_the_largest_double(s):
+    # |c|^2 overflows a double for s >= 1e155; the path is still that of c / s scaled by 1 / s.
+    square = PolytopeSpec.box(np.zeros(2), np.ones(2))
+    path = trace_path(QlpInstance(square, -s * np.array([1.0, 0.5])))
+    np.testing.assert_allclose(s * path.breakpoints, [0.0, 2.0, 4.0], rtol=1e-15, atol=0.0)
+    np.testing.assert_array_equal(path.x_star, [1.0, 1.0])
+
+
+def test_cost_norm_past_the_largest_double_raises():
+    square = PolytopeSpec.box(np.zeros(2), np.ones(2))
+    with pytest.raises(NumericalBreakdown, match="overflows"):
+        trace_path(QlpInstance(square, np.array([1.7e308, 1.7e308])))
+
+
 def _scaled_polytope(inst, s):
     """``inst`` over ``s P``: ``h``, ``b``, the vertices and the feasible point scaled."""
     spec = inst.polytope

@@ -12,6 +12,7 @@ from qreglp import (
     AllVerticesOptimal,
     BudgetExceeded,
     EmptyFeasibleSet,
+    NonFiniteData,
     PolytopeSpec,
     QlpInstance,
     ShapeMismatch,
@@ -447,3 +448,24 @@ def test_json_round_trip(interval):
     assert set(data) == {"dim", "A", "b", "G", "h"}
     again = PolytopeSpec.from_json_dict(data)
     assert np.allclose(again.G, interval.G) and np.allclose(again.h, interval.h)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["A", "b", "G", "h", "vertices", "feasible_point"])
+def test_non_finite_data_are_refused(name, bad):
+    # The unit square with the equality x_0 + x_1 = 1; one entry of one field is not finite.
+    data = {"A": [[1.0, 1.0]], "b": [1.0], "G": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+            "h": [1.0, 1.0, 0.0, 0.0], "vertices": [[1.0, 0.0], [0.0, 1.0]],
+            "feasible_point": [0.5, 0.5]}
+    PolytopeSpec(dim=2, **data)
+    field = np.array(data[name])
+    field.flat[-1] = bad
+    with pytest.raises(NonFiniteData, match=name):
+        PolytopeSpec(dim=2, **{**data, name: field})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_cost_is_refused(bad):
+    square = PolytopeSpec.box(np.zeros(2), np.ones(2))
+    with pytest.raises(NonFiniteData):
+        QlpInstance(square, np.array([1.0, bad]))

@@ -1,3 +1,4 @@
+import pickle
 from dataclasses import fields, replace
 
 import numpy as np
@@ -210,7 +211,7 @@ def test_warm_start_accepted_at_scale(seed, monkeypatch):
 def test_low_level_solver_on_cone():
     # The engine must also handle unbounded feasible cones.
     G = -np.eye(2)
-    x, W, mu, lam, _ = min_distance_active_set(
+    x, W, mu, lam, *_ = min_distance_active_set(
         np.zeros((0, 2)), G, np.zeros(2), np.array([1.0, -2.0]), np.zeros(2)
     )
     assert np.allclose(x, [1.0, 0.0], atol=1e-12)
@@ -224,7 +225,7 @@ def test_held_row_stays_an_equality():
     z, x0 = np.array([0.2, 0.5]), np.array([1.0, 0.5])
     free = min_distance_active_set(np.zeros((0, 2)), G, h, z, x0)[0]
     np.testing.assert_allclose(free, z, rtol=0.0, atol=1e-15)
-    x, W, _, lam, _ = min_distance_active_set(np.zeros((0, 2)), G, h, z, x0, held=[0])
+    x, W, _, lam, *_ = min_distance_active_set(np.zeros((0, 2)), G, h, z, x0, held=[0])
     np.testing.assert_allclose(x, [1.0, 0.5], rtol=0.0, atol=1e-15)
     assert list(W) == [0] and lam[0] == pytest.approx(-0.8, abs=1e-15)
     np.testing.assert_allclose(z - x, G[W].T @ lam, rtol=0.0, atol=1e-15)
@@ -239,14 +240,12 @@ def test_result_json_keys(interval):
 def _seed(A, G, order, eq=None):
     """The kernel's working-set seed when it visits the rows ``order`` of ``G``: every row
     of ``G[order]`` is tight at ``x0 = 0`` with ``h = 0``, so the kernel visits them in
-    that order.  Read from a fresh memo, whose first dict holds the seed."""
+    that order.  Read from the kernel state the call returns."""
     order = [int(j) for j in order]
-    memo = ({}, {})
     d = G.shape[1]
-    min_distance_active_set(A, G[order], np.zeros(len(order)), np.zeros(d), np.zeros(d),
-                            eq=eq, memo=memo)
-    (seed,) = memo[0].values()
-    return [order[i] for i in seed]
+    state = min_distance_active_set(A, G[order], np.zeros(len(order)), np.zeros(d), np.zeros(d),
+                                    eq=eq)[5]
+    return [order[i] for i in state.seed]
 
 
 def test_kernel_seed_contract():
@@ -373,7 +372,7 @@ def _kernel_cases():
 
 def test_kernel_matches_dense_reference():
     for spec, z, x0, w0 in _kernel_cases():
-        x, W, mu, lam, _ = min_distance_active_set(
+        x, W, mu, lam, *_ = min_distance_active_set(
             spec.A, spec.G, spec.h, z, x0, w0=w0, eq=spec.eq_reduction
         )
         x_ref, _ = _dense_active_set(spec.A, spec.G, spec.h, z, x0, w0)
@@ -421,7 +420,7 @@ def test_kernel_seeds_dependent_tight_rows_by_the_loop(monkeypatch):
         A[:, rng.integers(d)] *= 10.0 ** rng.uniform(-10, -8)
         z = rng.normal(size=d)
         eq = _extend_basis(np.zeros((0, d)), A, range(m))
-        x, W, mu, lam, _ = min_distance_active_set(A, G, h, z, x0, eq=eq)
+        x, W, mu, lam, *_ = min_distance_active_set(A, G, h, z, x0, eq=eq)
         x_ref, _ = _dense_active_set(A, G, h, z, x0)
         assert np.max(np.abs(x - x_ref)) <= 1e-10
         grad = z - x - A.T @ mu - G[W].T @ lam
@@ -481,14 +480,17 @@ def test_active_set_tolerance_grows_with_target():
 
 
 def _assert_same_result(res, ref):
+    """The answers' fields agree bit for bit; ``warm_state``, which is not compared, is skipped."""
     for f in fields(res):
-        np.testing.assert_array_equal(getattr(res, f.name), getattr(ref, f.name), err_msg=f.name)
+        if f.compare:
+            np.testing.assert_array_equal(getattr(res, f.name), getattr(ref, f.name),
+                                          err_msg=f.name)
 
 
-def test_kernel_memo_never_changes_an_answer(monkeypatch):
-    # path_verify's sweep: increasing etas, each solve warm from the last.  Every answer equals,
-    # bit for bit, the same call on a copy of the spec whose memo is empty; the chain itself
-    # factors fewer working sets than the fresh solves do.
+def test_warm_chain_never_changes_an_answer(monkeypatch):
+    # path_verify's sweep: increasing etas, each solve warm from the last answer.  Every answer
+    # equals, bit for bit, the solve that starts from the last answer's point and working set,
+    # which carries no kernel state; the chain factors fewer than half the working sets.
     built = [0]
 
     class Counted(_FreeSystem):
@@ -497,40 +499,47 @@ def test_kernel_memo_never_changes_an_answer(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(projection, "_FreeSystem", Counted)
-    cases = [random_polytope_instance(seed) for seed in range(20)]
-    for i in range(5):
-        n = int(np.random.default_rng(10000 + i).integers(2, 6))
-        cases.append(ot_build(cost=random_cost_matrix(10000 + i, n)).qlp())
     chain_built = fresh_built = 0
-    for k, inst in enumerate(cases):
-        hi = 1.2 * trace_path(inst).eta_star or 1.0
+    for inst, etas in _warm_chains():
         prev = None
-        for eta in np.sort(np.random.default_rng(k).uniform(0.0, hi, 30)):
-            warm = {} if prev is None else {"start": prev.x, "working_set": prev.working_set}
+        for eta in etas:
             built[0] = 0
-            res = solve_qlp(inst, eta, **warm)
+            res = solve_qlp(inst, eta, warm=prev)
             chain_built, built[0] = chain_built + built[0], 0
-            fresh = solve_qlp(QlpInstance(replace(inst.polytope), inst.c), eta, **warm)
+            start = {} if prev is None else {"start": prev.x, "working_set": prev.working_set}
+            fresh = solve_qlp(inst, eta, **start)
             fresh_built += built[0]
             _assert_same_result(res, fresh)
             prev = res
     assert chain_built < 0.5 * fresh_built
 
 
-def test_kernel_memo_is_per_spec():
+def test_warm_state_is_per_spec():
     # The unit square and a parallelogram share the rows' indices: the corner of each nearest
-    # (2, 2) has working set (0, 1).  Each spec keeps its own seed and factorization.
+    # (2, 2) has working set (0, 1).  Each answer keeps its own spec's seed and factorization;
+    # an answer on the other spec is judged like a start point.
     square = PolytopeSpec.box(np.zeros(2), np.ones(2))
     slanted = replace(square, G=np.array([[1.0, 0.5], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]))
     z = np.array([2.0, 2.0])
+    firsts = {}
     for spec, corner in ((square, [1.0, 1.0]), (slanted, [0.5, 1.0])):
-        first = project(spec, z)
-        warm = {"start": first.x, "working_set": first.working_set}
-        res = project(spec, z, **warm)
-        seeds, systems, _ = spec.kernel_memo
-        assert list(seeds.values()) == [(0, 1)] and systems[0, 1].G is spec.G
-        _assert_same_result(res, project(replace(spec), z, **warm))
+        first = firsts[spec.G[0, 1]] = project(spec, z)
+        res = project(spec, z, warm=first)
+        owner, state = res.warm_state
+        assert owner is spec and state.seed == (0, 1) and state.system.G is spec.G
+        _assert_same_result(res, project(spec, z, start=first.x, working_set=first.working_set))
         np.testing.assert_allclose(res.x, corner, rtol=0.0, atol=1e-15)
+    for spec, other in ((square, firsts[0.5]), (slanted, firsts[0.0])):
+        _assert_same_result(project(spec, z, warm=other),
+                            project(spec, z, start=other.x, working_set=other.working_set))
+
+
+def test_warm_replaces_start_and_working_set():
+    square = PolytopeSpec.box(np.zeros(2), np.ones(2))
+    prev = project(square, np.array([2.0, 2.0]))
+    for extra in ({"start": prev.x}, {"working_set": prev.working_set}):
+        with pytest.raises(ValueError):
+            project(square, np.array([2.0, 0.5]), warm=prev, **extra)
 
 
 def _warm_chains():
@@ -590,9 +599,8 @@ def test_unblocked_full_step_goes_straight_to_the_exit(monkeypatch):
     for inst, etas in chains:
         prev = None
         for eta in etas:
-            warm = {} if prev is None else {"start": prev.x, "working_set": prev.working_set}
             calls["project"] = calls["full"] = 0
-            prev = solve_qlp(inst, eta, **warm)
+            prev = solve_qlp(inst, eta, warm=prev)
             assert prev.iterations == calls["project"] + calls["full"]
             if calls["full"] and prev.iterations == 2:  # one full step, then the exit pass
                 assert calls["project"] == 1
@@ -670,29 +678,33 @@ def test_warm_chain_judges_each_start_once(row_rules):
     for inst, etas in _warm_chains():
         prev = None
         for eta in etas:
-            warm = {} if prev is None else {"start": prev.x, "working_set": prev.working_set}
             row_rules[0] = 0
-            prev = solve_qlp(inst, eta, **warm)
-            if warm:
+            warm, prev = prev, solve_qlp(inst, eta, warm=prev)
+            if warm is not None:
                 assert row_rules[0] == 1
                 warm_solves += 1
     assert warm_solves == 25 * 29
 
 
-def test_start_off_the_remembered_point_is_judged(row_rules, monkeypatch):
-    # Only the last accepted answer, bit for bit and on its own spec, skips the row rule; a
-    # start one ulp away, or on a copy of the spec, is judged, and the answers are the same.
+def test_start_point_is_always_judged(row_rules, monkeypatch):
+    # Only an answer passed as ``warm`` on its own spec skips the row rule; a ``start`` array,
+    # the last answer's point included, or an answer from a copy of the spec, is judged, and
+    # the answers are the same.
     inst = random_polytope_instance(3)
     spec, z = inst.polytope, inst.target(2.0)
-    for move, copy, runs in ((False, False, 1), (True, False, 2), (False, True, 2)):
-        start = project(spec, inst.target(1.0)).x.copy()
-        if move:
-            start[0] = np.nextafter(start[0], np.inf)
+    prev = project(spec, inst.target(1.0))
+    moved = prev.x.copy()
+    moved[0] = np.nextafter(moved[0], np.inf)
+    copied = project(replace(spec), inst.target(1.0))
+    as_start = {"start": prev.x, "working_set": prev.working_set}
+    for kwargs, runs, ref in (({"start": prev.x}, 2, {"start": prev.x}),
+                              ({"start": moved}, 2, {"start": moved}),
+                              ({"warm": prev}, 1, as_start), ({"warm": copied}, 2, as_start)):
         row_rules[0] = 0
-        res = project(replace(spec) if copy else spec, z, start=start)
+        res = project(spec, z, **kwargs)
         assert row_rules[0] == runs
-        _assert_same_result(res, project(replace(spec), z, start=start))
-    # A start that breaks a row starts cold, whatever the memo holds.
+        _assert_same_result(res, project(replace(spec), z, **ref))
+    # A start that breaks a row starts cold.
     cold = [0]
     find = projection._find_feasible_point
 
@@ -707,3 +719,32 @@ def test_start_off_the_remembered_point_is_judged(row_rules, monkeypatch):
     res = project(spec, z, start=outside)
     assert cold[0] == 1
     _assert_same_result(res, project(replace(spec), z))
+
+
+def test_warm_chain_leaves_the_spec_as_it_was(row_rules):
+    # The warm state travels in the answers: after a warm chain the spec holds only its pure
+    # cached properties and pickles to the length it had before the chain.  An answer from a
+    # copy of the spec, or from another spec, is judged like a start point: the solve runs
+    # the row rule as often as the solve from that start does, that is for the start as well,
+    # and gives the same answer.
+    pure = {"eq_reduction", "unit_columns", "row_norms", "eq_row_norms", "size"}
+    for inst, etas in _warm_chains():
+        spec = inst.polytope
+        for name in pure:  # the cached properties are filled before the length is taken
+            getattr(spec, name)
+        before, prev = len(pickle.dumps(spec)), None
+        for eta in etas:
+            prev = solve_qlp(inst, eta, warm=prev)
+        assert set(vars(spec)) - {f.name for f in fields(spec)} == pure
+        assert len(pickle.dumps(spec)) == before
+        z = inst.target(etas[-1])
+        for other in (replace(spec), replace(spec, h=2.0 * spec.h)):
+            foreign = project(other, z)
+            runs = []
+            for kwargs in ({"warm": foreign},
+                           {"start": foreign.x, "working_set": foreign.working_set}):
+                row_rules[0] = 0
+                runs.append(project(spec, z, **kwargs))
+                runs.append(row_rules[0])
+            _assert_same_result(runs[0], runs[2])
+            assert runs[1] == runs[3] >= 2
