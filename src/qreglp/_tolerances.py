@@ -13,8 +13,9 @@ measures at its own sizes against ``_VERIFY_TOL``, which ``cli`` reads; ``ot`` k
 
 OPT_TOL = 1e-9  # a vertex is LP-optimal when its cost is within this |c| |ptp(V)| of the least
 RECESSION_TOL = 1e-7  # unbounded if unit-row [A; G] has sigma_min <= this or the ray LP exceeds it
-# A row is independent when its residual off the span is > this |row|, and working-set rows
-RANK_TOL = 1e-10  # are when each diagonal entry |R_ii| of their QR factor is > this |row_i|
+# A row is independent when its residual off the span is > this |row|, working-set rows are
+# when each diagonal entry |R_ii| of their QR factor is > this |row_i|, and a column is when
+RANK_TOL = 1e-10  # its residual in the rows' orthonormal factor is > this (the column rule)
 # A step, residual, direction, slack, rate, multiplier (as lam_i |g_i|), sign or eta step is zero
 ZERO_TOL = 1e-12  # at <= this times its terms' size; rates at most that never cross, exits >= it
 TIE_TOL = 1e-10  # crossings tie within this (origin + t_min), t measured from where it starts

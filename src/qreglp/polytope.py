@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg.lapack import dgeqrf, dorgqr
 from scipy.optimize import linprog
 
 from ._tolerances import KKT_TOL, OPT_TOL, RANK_TOL, RECESSION_TOL, ZERO_TOL
@@ -332,6 +333,82 @@ def _extend_basis(base: np.ndarray, M: np.ndarray, order) -> tuple[list[int], np
     return kept, basis[:r]
 
 
+def _thin_qr(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``Q`` and the diagonal of ``R`` of the thin QR of ``M``, by LAPACK's ``dgeqrf`` and
+    ``dorgqr``: on the few-row matrices of a seed, ``np.linalg.qr`` spends most of its time
+    outside LAPACK."""
+    if not M.size:
+        return np.zeros((M.shape[0], 0)), np.zeros(0)
+    qr, tau, _, _ = dgeqrf(M)
+    return dorgqr(qr[:, :min(M.shape)], tau)[0], np.diagonal(qr)
+
+
+def _column_rule(A_red: np.ndarray, G: np.ndarray, order, col: np.ndarray) -> list[int]:
+    """Rows of ``G``, visited in ``order``, that extend the span of ``A_red`` and of the rows
+    kept before them: the rank rule of a working set.  Returns the kept rows in visiting order.
+
+    A unit row (``col >= 0``) fixes its coordinate.  With ``S`` the coordinates fixed so far
+    and ``B = [A_red; kept general rows]``, each run of rows of one kind is decided on
+    ``B[:, ~S]``:
+
+    - a general row is kept when its residual off the rows before it exceeds
+      ``RANK_TOL |row|``, read as ``|R_ii|`` of the QR of ``[B; run][:, ~S]^T``, the test of
+      ``projection._FreeSystem``; the QR is redone after each row dropped;
+    - for distinct unit rows ``T`` off ``S``, ``rank [B; E_T] = |T| + rank B[:, ~T]`` on the
+      columns ``~S``.  So the unit rows that extend the span, taken greedily in visiting
+      order (greedy on the dual matroid of ``B``'s columns), are those of the run's
+      coordinates outside the greedy column basis of ``B[:, ~S]``, built over the other
+      columns first and then the run's in reverse order (Oxley, *Matroid Theory*, ch. 2).
+      The basis grows on the rows of ``Q``, the orthonormal factor of ``B[:, ~S]^T``, which
+      have ``B``'s column dependencies and unit scale: each pass takes, from the first whose
+      residual exceeds ``RANK_TOL``, the longest run whose QR diagonal exceeds it, and
+      projects their span out of the later ones.  A coordinate fixed already, or again in
+      the run, is dependent.
+    """
+    order = np.asarray(order, dtype=int)
+    general, kept = order[:0], [order[:0]]
+    fixed = np.zeros(G.shape[1], dtype=bool)
+    for run in np.split(order, np.flatnonzero(np.diff(col[order] >= 0)) + 1):
+        if run.size and col[run[0]] < 0:
+            while True:
+                B = np.vstack([A_red, G[general], G[run]])[:, ~fixed]
+                diag, r = np.zeros(B.shape[0]), _thin_qr(B.T)[1]
+                diag[:r.size] = np.abs(r)
+                low = diag[B.shape[0] - run.size:] <= RANK_TOL * np.linalg.norm(G[run], axis=1)
+                if not low.any():
+                    break
+                run = np.delete(run, np.argmax(low))
+            general = np.concatenate([general, run])
+            kept.append(run)
+            continue
+        first = np.unique(col[run], return_index=True)[1]
+        first.sort()
+        run = run[first][~fixed[col[run[first]]]]
+        coords = col[run]
+        others = ~fixed
+        others[coords] = False
+        priority = np.concatenate([np.flatnonzero(others), coords[::-1]])
+        # Row-contiguous, since each pass below works on a block of rows.
+        V = np.ascontiguousarray(_thin_qr(np.vstack([A_red, G[general]])[:, priority].T)[0])
+        basis = np.zeros(G.shape[1], dtype=bool)
+        rank = start = 0
+        while rank < V.shape[1]:
+            above = np.einsum("ij,ij->i", V[start:], V[start:]) > RANK_TOL**2
+            if not above.any():
+                break
+            start += int(above.argmax())
+            Q, diag = _thin_qr(V[start:start + V.shape[1] - rank].T)
+            # The longest run of columns whose QR diagonal exceeds RANK_TOL: all independent.
+            p = int(np.argmin(np.append(np.abs(diag) > RANK_TOL, False)))
+            basis[priority[start:start + p]] = True
+            rank, start, Q = rank + p, start + p, Q[:, :p]
+            for _ in range(2):
+                V[start:] -= (V[start:] @ Q) @ Q.T
+        fixed[coords[~basis[coords]]] = True
+        kept.append(run[~basis[coords]])
+    return np.concatenate(kept).tolist()
+
+
 def _size_unit(size: float) -> float:
     """The power of two nearest ``size`` (1 at 0), which divides data exactly."""
     return 2.0 ** round(math.log2(size)) if size else 1.0
@@ -368,9 +445,13 @@ def _recession_ray(spec: PolytopeSpec) -> np.ndarray | None:
     line in the region.  Otherwise every nonzero recession direction ``d``
     has ``g_i . d < 0`` on some row, so one LP, ``max sum_i -g_i . d`` over
     ``G d <= 0``, ``A d = 0``, ``-1 <= d <= 1``, is positive exactly when
-    the region is unbounded.
+    the region is unbounded.  Each row is divided by its largest entry before
+    its norm is taken, as ``dnrm2`` does, so the norm of a row of tiny entries
+    does not underflow to zero.
     """
     M = np.vstack([spec.A, spec.G])
+    top = np.abs(M).max(axis=1, initial=0)
+    M = M / np.where(top > 0, top, 1.0)[:, None]
     norms = np.linalg.norm(M, axis=1)
     M = M / np.where(norms > 0, norms, 1.0)[:, None]
     _, sv, Vt = np.linalg.svd(M)
@@ -426,11 +507,11 @@ def validate(spec: PolytopeSpec) -> ValidationReport:
 
 def _is_extreme(spec: PolytopeSpec, on: np.ndarray) -> bool:
     """Extreme-point certificate of a point that lies on the inequality rows ``on`` (a mask,
-    :func:`_row_rule`): those rows, scaled to unit length, and the equality rows reach rank
-    ``dim`` (:func:`_extend_basis`)."""
-    unit = spec.G / np.where(spec.row_norms > 0, spec.row_norms, 1.0)[:, None]
-    _, basis = _extend_basis(spec.eq_reduction[1], unit, np.flatnonzero(on))
-    return basis.shape[0] == spec.dim
+    :func:`_row_rule`): the equality rows and the rows of ``on`` that :func:`_column_rule`
+    keeps reach rank ``dim``."""
+    eq_idx = spec.eq_reduction[0]
+    kept = _column_rule(spec.A[eq_idx], spec.G, np.flatnonzero(on), spec.unit_columns)
+    return len(eq_idx) + len(kept) == spec.dim
 
 
 def _check_budget(rays: int, tests: int, budget: int) -> None:

@@ -17,6 +17,9 @@ the equality rows and the other working-set rows, restricted to the free
 coordinates, are factored, in :class:`_FreeSystem`, the one place that
 factors or solves.  On a transport polytope, where the solution is
 sparse, that block is ``|free| x (2n - 1)`` instead of ``n^2 x (2n - 1 + |W|)``.
+When the rows tight at the start are dependent, the seed is chosen by
+:func:`polytope._column_rule`, which decides the unit rows on the columns of the
+other rows, ``2n - 1`` long on a transport polytope, not on rows ``n^2`` long.
 A warm solve, ``project(spec, z, warm=prev)``, takes the start, the seed and the
 last factorization from the answer ``prev`` of an earlier solve on ``spec``
 (:class:`KernelState`); the spec itself holds no state.  Ties are broken by
@@ -36,8 +39,8 @@ from scipy.linalg.lapack import dtrtrs
 
 from ._tolerances import KKT_TOL, RANK_TOL, TIE_TOL, ZERO_TOL
 from .errors import MaxIterationsExceeded, NumericalBreakdown, ShapeMismatch
-from .polytope import (PolytopeSpec, _extend_basis, _find_feasible_point, _finite, _rows_hold,
-                       _tight_rows, _unit_columns)
+from .polytope import (PolytopeSpec, _column_rule, _extend_basis, _find_feasible_point, _finite,
+                       _rows_hold, _tight_rows, _unit_columns)
 
 
 @dataclass(frozen=True)
@@ -170,8 +173,10 @@ class _FreeSystem:
         return out
 
     def extends(self, g: np.ndarray, g_norm: float) -> bool:
-        """Whether the row ``g`` (of norm ``g_norm``) is independent of the
-        working-set rows, to the tolerance of :func:`polytope._extend_basis`."""
+        """Whether the row ``g`` (of norm ``g_norm``) is independent of the working-set rows:
+        its residual off them, on the free coordinates, exceeds ``RANK_TOL g_norm``.  This is
+        the test :attr:`full_rank` reads off ``R`` and :func:`polytope._column_rule` applies
+        to general rows."""
         return float(np.linalg.norm(self.project(g))) > RANK_TOL * g_norm
 
     def multipliers(self, v: np.ndarray) -> np.ndarray:
@@ -213,14 +218,18 @@ def min_distance_active_set(A: np.ndarray, G: np.ndarray, h: np.ndarray, z: np.n
     start only when it holds every row by the row rule.  The equality
     right-hand side is taken from ``x0`` so the routine serves both
     polytopes and cones (``h = 0``, ``x0 = 0``).  ``eq`` is the reduction
-    ``(eq_idx, base_q)`` of ``A`` (:attr:`PolytopeSpec.eq_reduction`), ``col`` the unit columns of ``G``
-    (:attr:`PolytopeSpec.unit_columns`) and ``row_norms`` the norms of its
+    ``(eq_idx, base_q)`` of ``A`` (:attr:`PolytopeSpec.eq_reduction`), ``col`` the unit
+    columns of ``G`` (:attr:`PolytopeSpec.unit_columns`) and ``row_norms`` the norms of its
     rows (:attr:`PolytopeSpec.row_norms`); each is computed when not given.
     The working set starts as every row tight at ``x0`` when
     :attr:`_FreeSystem.full_rank` says they are independent (the factorization the first
-    iteration reuses); otherwise :func:`polytope._extend_basis` keeps the first independent
-    ones, visiting the rows of ``held``, then those of ``w0`` still tight at ``x0``, then the
-    other tight rows.  The ``held`` rows must be tight at ``x0``; no drop removes them, so
+    iteration reuses); otherwise the column rule :func:`polytope._column_rule` keeps the first
+    independent ones, visiting the rows of ``held``, then those of ``w0`` still tight at
+    ``x0``, then the other tight rows.  It decides unit rows on the columns of the other
+    rows, so no full-length row is orthogonalized.  The seed is a set that ``full_rank``
+    accepts: where the rule's column test and ``full_rank`` disagree near ``RANK_TOL``, it is
+    the longest prefix of the kept rows, in visiting order, that ``full_rank`` accepts.
+    The ``held`` rows must be tight at ``x0``; no drop removes them, so
     their multipliers may be negative.  After an unblocked full step the next pass goes
     straight to the multiplier test, with no projection; it still counts as an iteration,
     so ``iters`` counts the passes a re-projection would have made.
@@ -239,7 +248,7 @@ def min_distance_active_set(A: np.ndarray, G: np.ndarray, h: np.ndarray, z: np.n
     max_iter = max(50 * (m + k), 100)
 
     # Redundant equality rows would break the null-space projection.
-    eq_idx, base_q = eq if eq is not None else _extend_basis(np.zeros((0, d)), A, range(m))
+    eq_idx = (eq if eq is not None else _extend_basis(np.zeros((0, d)), A, range(m)))[0]
     A_red = A[eq_idx]
     m_red = A_red.shape[0]
 
@@ -266,9 +275,16 @@ def min_distance_active_set(A: np.ndarray, G: np.ndarray, h: np.ndarray, z: np.n
     else:
         W = sorted(order)
         # Dependent tight rows (more than d need no factorization to tell): keep the first
-        # independent ones.
+        # independent ones.  Where full_rank rejects the column rule's rows, bisect for the
+        # longest prefix it accepts (a prefix of an independent set is independent).
         if m_red + len(W) > d or not factor(W).full_rank:
-            W = sorted(_extend_basis(base_q, G, order)[0])
+            kept = _column_rule(A_red, G, order, col)
+            n = len(kept)
+            lo, hi = (n, n + 1) if factor(sorted(kept)).full_rank else (0, n)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if factor(sorted(kept[:mid])).full_rank else (lo, mid)
+            W = sorted(kept[:lo])
     seed, system = tuple(W), None
     # Later working sets stay independent: a drop removes a row, and a row
     # enters only when the step moves against it and it extends the span.

@@ -47,6 +47,15 @@ def test_project_saturated(interval_file, capsys):
     assert out["x"] == [1.0]
 
 
+def test_path_on_an_interval_with_a_tiny_row(tmp_path, capsys):
+    # The interval [0, 1] with its upper row scaled by 1e-200 is loaded, validated and traced.
+    f = tmp_path / "tiny.json"
+    f.write_text(json.dumps({"dim": 1, "G": [[1e-200], [-1.0]], "h": [1e-200, 0.0], "c": [-1.0]}))
+    assert main(["path", str(f)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["eta_star"] == 2.0 and out["endpoints"][-1] == [1.0]
+
+
 def test_project_malformed_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qreglp
 from qreglp import (
     AllVerticesOptimal,
     AssumptionViolated,
@@ -310,3 +315,30 @@ def test_attached_vertices_budget():
     assert inst.polytope.vertices.shape == (math.factorial(3), 9)
     big = ot.build(cost=-np.eye(7))
     assert big.polytope.vertices is None
+
+
+_TRACE_DIGEST = """
+import hashlib
+from qreglp.homotopy import trace_path
+from qreglp.oracle import random_cost_matrix
+from qreglp.ot import build, quad_cost_instance
+insts = [quad_cost_instance(8)] + [build(cost=random_cost_matrix(s, n))
+                                   for s, n in ((1045, 5), (10003, 3), (10003, 5))]
+for inst in insts:
+    path = trace_path(inst.qlp())
+    print(hashlib.sha256(path.breakpoints.tobytes() + path.endpoints.tobytes()).hexdigest())
+"""
+
+
+def test_traces_do_not_depend_on_the_blas_thread_count():
+    # Breakpoints and endpoints are bit-identical under one and two OpenBLAS threads, each run
+    # in a fresh process since the thread count is read when numpy loads.
+    src = str(Path(qreglp.__file__).parent.parent)
+    digests = []
+    for threads in ("1", "2"):
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+        run = subprocess.run([sys.executable, "-c", _TRACE_DIGEST], env=env, capture_output=True,
+                             text=True, timeout=300, check=True)
+        digests.append(run.stdout.split())
+    assert len(digests[0]) == 4 and digests[0] == digests[1]

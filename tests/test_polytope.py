@@ -41,6 +41,19 @@ def test_validate_birkhoff2_vertices():
     assert {tuple(v) for v in rep.spec.vertices} == perms
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_validate_birkhoff_vertices_and_a_point_moved_off_its_face(n):
+    # The permutation matrices are the vertices; one moved 1e-6 of the way along an edge to
+    # another lies on fewer rows, so it is no vertex, at any scale.
+    spec = birkhoff_polytope(n, attach_vertices=True)
+    assert validate(spec).vertex_consistent
+    V = spec.vertices.copy()
+    V[0] += 1e-6 * (V[1] - V[0])
+    for scale in (1e-6, 1.0, 1e6):
+        moved = replace(spec, b=scale * spec.b, vertices=scale * V, feasible_point=None)
+        assert not validate(moved).vertex_consistent
+
+
 def test_enumerate_affine_subspace_has_no_vertices():
     spec = PolytopeSpec(dim=2, A=[[1.0, 1.0]], b=[1.0])
     with pytest.raises(UnboundedSet):
@@ -80,6 +93,15 @@ def test_recession_ray_oblique(with_eq):
         assert abs(ray[2]) <= 1e-12
     with pytest.raises(UnboundedSet, match="recession direction"):
         validate(spec)
+
+
+def test_validate_interval_with_a_tiny_row():
+    # The row 1e-200 x <= 1e-200 is x <= 1: its norm, taken without scaling, underflows to zero,
+    # and the recession test then read the interval [0, 1] as unbounded.
+    spec = PolytopeSpec(dim=1, G=[[1e-200], [-1.0]], h=[1e-200, 0.0])
+    rep = validate(spec)
+    assert rep.bounded and rep.vertex_consistent
+    assert _recession_ray(spec) is None
 
 
 def test_validate_keeps_feasible_point():

@@ -20,7 +20,7 @@ from qreglp import polytope, projection
 from qreglp.oracle import random_cost_matrix, random_polytope_instance
 from qreglp.ot import birkhoff_polytope
 from qreglp.ot import build as ot_build
-from qreglp.polytope import _extend_basis
+from qreglp.polytope import _column_rule, _extend_basis
 from qreglp.projection import (
     KKT_TOL,
     ZERO_TOL,
@@ -284,9 +284,10 @@ def test_kernel_seed_contract():
             assert _seed(spec.A, G2, order, spec.eq_reduction) == ref
     # Near the rank tolerance: a column of A scaled towards zero, or nearly
     # a copy of another.  Every row is kept only when the full-rank test
-    # accepts them, and those rows are independent; otherwise the row loop
-    # seeds the working set.
-    accepted = looped = 0
+    # accepts them, and those rows are independent; otherwise the column rule
+    # seeds the working set, with rows that the full-rank test accepts: all it
+    # keeps when the test accepts them, else a prefix of them in visiting order.
+    accepted = ruled = shortened = 0
     for _ in range(400):
         d = int(rng.integers(2, 6))
         A = rng.normal(size=(int(rng.integers(1, d)), d))
@@ -308,9 +309,61 @@ def test_kernel_seed_contract():
             assert sv.min() > 1e-11 * sv.max()
             accepted += 1
         else:
-            assert kept == _extend_basis(eq[1], G3, order)[0]
-            looped += 1
-    assert accepted > 0 and looped > 0
+            col = _unit_columns(G3)
+            rule = _column_rule(A_red, G3, order, col)
+            assert _FreeSystem(A_red, G3, sorted(kept), col).full_rank
+            if _FreeSystem(A_red, G3, sorted(rule), col).full_rank:
+                assert kept == rule
+            else:
+                assert kept == rule[:len(kept)]
+                shortened += 1
+            ruled += 1
+    assert accepted > 0 and ruled > shortened > 0
+
+
+def _forest_rule(n, col, order):
+    """The column rule on Birkhoff(n), exact: cell ``i n + j`` is the edge ``(i, j)`` of the
+    bipartite support graph.  Union-find grows a spanning forest over the unvisited cells first,
+    then over the visited ones in reverse order of first visit; the kept rows are the first
+    visits of the visited cells outside the forest, in visiting order."""
+    parent = list(range(2 * n))
+
+    def root(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    first = {}
+    for j in order:
+        first.setdefault(int(col[j]), int(j))
+    forest = set()
+    for cell in [c for c in range(n * n) if c not in first] + list(first)[::-1]:
+        a, b = root(cell // n), root(n + cell % n)
+        if a != b:
+            parent[a] = b
+            forest.add(cell)
+    return [row for cell, row in first.items() if cell not in forest]
+
+
+def test_column_rule_is_the_spanning_forest_rule_on_birkhoff():
+    # The reference on the two Birkhoff(3) cases of test_kernel_seed_contract.
+    spec = birkhoff_polytope(3)
+    col = _unit_columns(spec.G)
+    assert _forest_rule(3, col, [1, 2, 3, 6]) == [1, 2, 3]
+    assert _forest_rule(3, col, [6, 1, 2, 3]) == [6, 1, 2]
+    rng = np.random.default_rng(5)
+    for n in range(2, 9):
+        spec = birkhoff_polytope(n)
+        d = n * n
+        # Repeats of unit rows, with either sign and other lengths.
+        copies = [spec.G[rng.integers(d, size=n)] * s for s in (-2.0, 0.5)]
+        G2 = np.vstack([spec.G, *copies])
+        col = _unit_columns(G2)
+        for _ in range(30):
+            order = rng.permutation(G2.shape[0])[: rng.integers(1, G2.shape[0] + 1)]
+            ref = _forest_rule(n, col, order)
+            assert _seed(spec.A, G2, order, spec.eq_reduction) == ref
+            assert _column_rule(spec.A[spec.eq_reduction[0]], G2, order, col) == ref
 
 
 def _dense_active_set(A, G, h, z, x0, w0=None):
@@ -400,18 +453,18 @@ def test_free_system_full_rank():
     assert _FreeSystem(np.zeros((0, 4)), G, [4], _unit_columns(G)).full_rank
 
 
-def test_kernel_seeds_dependent_tight_rows_by_the_loop(monkeypatch):
+def test_kernel_seeds_dependent_tight_rows_by_the_column_rule(monkeypatch):
     # The cone {x >= 0, A x = 0} at x0 = 0 with one column of A scaled
     # towards zero: all 36 bound rows are tight, and with the 5 rows of A
     # they are 41 rows in 36 dimensions, so the kernel's full-rank test
-    # rejects them in every draw and the row loop seeds the working set.
-    loops = [0]
+    # rejects them in every draw and the column rule seeds the working set.
+    calls = [0]
 
-    def counted_extend_basis(*args):
-        loops[0] += 1
-        return _extend_basis(*args)
+    def counted_column_rule(*args):
+        calls[0] += 1
+        return _column_rule(*args)
 
-    monkeypatch.setattr(projection, "_extend_basis", counted_extend_basis)
+    monkeypatch.setattr(projection, "_column_rule", counted_column_rule)
     rng = np.random.default_rng(0)
     d, m = 36, 5
     G, h, x0 = -np.eye(d), np.zeros(d), np.zeros(d)
@@ -425,7 +478,7 @@ def test_kernel_seeds_dependent_tight_rows_by_the_loop(monkeypatch):
         assert np.max(np.abs(x - x_ref)) <= 1e-10
         grad = z - x - A.T @ mu - G[W].T @ lam
         assert np.max(np.abs(grad)) <= KKT_TOL * (1.0 + np.linalg.norm(z))
-    assert loops[0] == 70
+    assert calls[0] == 70
 
 
 def test_warm_start_redundant_row():

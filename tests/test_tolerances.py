@@ -66,9 +66,12 @@ def test_one_certificate_rule():
 
 
 def test_one_rank_rule():
-    # Every independence decision of the solver is taken at RANK_TOL times a row's own norm, in
-    # the row loop polytope._extend_basis, the flat-row test of enumerate_vertices and the
-    # working-set factorization projection._FreeSystem; the kernel and the tracer make no SVD.
+    # Every independence decision of the solver is taken at RANK_TOL, in the working-set rule
+    # polytope._column_rule (which the kernel's seed and the vertex check share), the
+    # working-set factorization projection._FreeSystem, the row loop polytope._extend_basis
+    # (the equality reduction, the double-description seed and enumeration) and the flat-row
+    # test of enumerate_vertices; the kernel and the tracer make no SVD, and call the row loop
+    # only to reduce the equality rows when no reduction is given.
     outside = []
     for name in SOLVER_MODULES:
         tree = ast.parse((PACKAGE / name).read_text())
@@ -76,7 +79,7 @@ def test_one_rank_rule():
             id(n)
             for node in ast.walk(tree)
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and node.name in ("_extend_basis", "enumerate_vertices", "_FreeSystem")
+            and node.name in ("_column_rule", "_FreeSystem", "_extend_basis", "enumerate_vertices")
             for n in ast.walk(node)
         }
         outside += [
@@ -84,7 +87,17 @@ def test_one_rank_rule():
             for node in ast.walk(tree)
             if isinstance(node, ast.Name) and node.id == "RANK_TOL" and id(node) not in inside
         ]
-    assert outside == [], f"RANK_TOL used outside the three rank tests: {outside}"
+    assert outside == [], f"RANK_TOL used outside the four rank tests: {outside}"
+    loops = {
+        name: [
+            ast.unparse(node)
+            for node in ast.walk(ast.parse((PACKAGE / name).read_text()))
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "_extend_basis"
+        ]
+        for name in ("projection.py", "homotopy.py")
+    }
+    assert loops == {"projection.py": ["_extend_basis(np.zeros((0, d)), A, range(m))"],
+                     "homotopy.py": []}
     for name in ("projection.py", "homotopy.py"):
         tree = ast.parse((PACKAGE / name).read_text())
         svd = [
