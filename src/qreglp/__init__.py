@@ -36,6 +36,7 @@ from .projection import (
     ProjectionResult,
     QlpInstance,
     project,
+    project_sweep,
     solve_qlp,
 )
 from .homotopy import (
@@ -79,6 +80,7 @@ __all__ = [
     "next_breakpoint",
     "path_state",
     "project",
+    "project_sweep",
     "solve_qlp",
     "suboptimality_gap",
     "trace_path",

@@ -16,7 +16,7 @@ from .analysis import eta_star_formula
 from .errors import AllVerticesOptimal, NumericalBreakdown
 from .homotopy import trace_path
 from .polytope import PolytopeSpec, VertexSet, _size_unit, enumerate_vertices
-from .projection import QlpInstance, solve_qlp
+from .projection import QlpInstance, project_sweep
 
 _TIE_TOL = 1e-9
 _WOLFE_TOL = 1e-12
@@ -140,8 +140,9 @@ class PathVerifyReport:
     ``max_discrepancy`` is the largest deviation of the path's interpolation
     from a direct solve ``x`` at ``samples`` random etas, relative to
     ``|x| + size`` (:attr:`PolytopeSpec.size`); ``worst_eta`` is where it
-    occurs.  The solves run in increasing ``eta``, each warm-started from the
-    previous sample's answer and never from anything the path holds.
+    occurs.  The solves run in increasing ``eta`` (:func:`projection.project_sweep`), never
+    from anything the path holds; ``kernel_solves`` of them ran the active-set kernel, and a
+    batched step on the face of the last one took the others.
 
     ``certificate_violation`` is the worst violation over the stored end
     certificates, relative to ``|x| + size`` (feasibility and tightness) or
@@ -154,6 +155,7 @@ class PathVerifyReport:
     worst_eta: float
     passed: bool
     certificate_violation: float = 0.0
+    kernel_solves: int = 0
 
 
 def _certificate_violation(spec: PolytopeSpec, c: np.ndarray, eta: float, x: np.ndarray,
@@ -179,10 +181,12 @@ def path_verify(inst: QlpInstance, path, samples: int = 100, seed: int = 0) -> P
     Each segment's two certificates (``path.certificates``) are checked with
     plain matrix-vector products at its end points: feasibility, tightness
     of the certificate's rows, the stationarity residual and ``lam >= 0``.
-    The sampled etas are solved in increasing order: the first cold, each
-    later one warm-started from the previous sample's answer (``warm=``).
-    No solve starts from the path's end points, sets or certificates, and
-    every answer passes :func:`project`'s KKT check; the minimizer is unique,
+    The sampled etas are solved in increasing order by
+    :func:`projection.project_sweep`: the first cold by the active-set kernel, then every
+    later sample on the face of the last kernel answer in one batched step, and the first
+    sample off that face by the kernel again, warm-started from that answer.  The sweep reads
+    only the polytope and the targets, never the path's end points, sets or certificates,
+    and every answer passes :func:`projection.project`'s KKT rule; the minimizer is unique,
     so the solves stay an independent cross-check of the tracer's events.
     """
     spec, c = inst.polytope, inst.c
@@ -198,11 +202,10 @@ def path_verify(inst: QlpInstance, path, samples: int = 100, seed: int = 0) -> P
     hi = 1.2 * path.eta_star if path.eta_star > 0 else 1.0
     etas = rng.uniform(0.0, hi, size=samples)
     etas = np.sort(etas[etas > 0])
-    X, norms, prev = np.empty((etas.size, spec.dim)), np.empty(etas.size), None
-    for k, eta in enumerate(etas.tolist()):
-        prev = solve_qlp(inst, eta, warm=prev)
-        X[k], norms[k] = prev.x, np.linalg.norm(prev.x)
-    # The deviations of all samples in one pass; the first maximum names ``worst_eta``.
+    X, kernel = project_sweep(spec, inst.target(etas[:, None]))
+    # The deviations of all samples in one pass, the first maximum naming ``worst_eta``,
+    # each relative to |x| + size, |x| taken point by point as the one-point norm.
+    norms = np.fromiter(map(np.linalg.norm, X), float, len(X))
     dev = np.abs(X - path._points(etas)).max(axis=1) / (norms + spec.size)
     worst, worst_eta = 0.0, 0.0
     if dev.size and dev.max() > 0:
@@ -214,6 +217,7 @@ def path_verify(inst: QlpInstance, path, samples: int = 100, seed: int = 0) -> P
         worst_eta=worst_eta,
         passed=worst <= _VERIFY_TOL and violation <= _VERIFY_TOL,
         certificate_violation=violation,
+        kernel_solves=int(kernel.sum()),
     )
 
 

@@ -123,13 +123,13 @@ class PolytopeSpec:
 
     @cached_property
     def row_norms(self) -> np.ndarray:
-        """Euclidean norms of the rows of ``G``, computed once per spec."""
-        return np.linalg.norm(self.G, axis=1)
+        """Euclidean norms of the rows of ``G`` (:func:`_norms`), computed once per spec."""
+        return _norms(self.G)
 
     @cached_property
     def eq_row_norms(self) -> np.ndarray:
-        """Euclidean norms of the rows of ``A``, computed once per spec."""
-        return np.linalg.norm(self.A, axis=1)
+        """Euclidean norms of the rows of ``A`` (:func:`_norms`), computed once per spec."""
+        return _norms(self.A)
 
     @cached_property
     def size(self) -> float:
@@ -251,6 +251,11 @@ def _lexsorted(V: np.ndarray) -> np.ndarray:
     return V[order]
 
 
+def _length(x: np.ndarray):
+    """``|x|``, or the norm of each row of a stack."""
+    return math.sqrt(x @ x) if x.ndim == 1 else np.sqrt(np.einsum("ij,ij->i", x, x))
+
+
 def _row_rule(spec: PolytopeSpec, X, tol: float | None = None, slack=None):
     """The one row rule for a point, at the data's scale: row ``i`` holds, or the point lies
     on it, to ``KKT_TOL (|h_i| + |g_i| s)`` (``|b_i| + |a_i| s`` for an equality row),
@@ -263,7 +268,7 @@ def _row_rule(spec: PolytopeSpec, X, tol: float | None = None, slack=None):
     """
     tol = KKT_TOL if tol is None else tol
     X = np.asarray(X, dtype=float)
-    norm = np.sqrt(np.einsum("ij,ij->i", X, X))[:, None] if X.ndim == 2 else math.sqrt(X @ X)
+    norm = _length(X) if X.ndim == 1 else _length(X)[:, None]
     if slack is None:  # for one point, the expression of :func:`projection.project`'s slack
         slack = spec.h - (spec.G @ X if X.ndim == 1 else X @ spec.G.T)
     off = -slack  # positive on a broken row
@@ -275,11 +280,12 @@ def _row_rule(spec: PolytopeSpec, X, tol: float | None = None, slack=None):
     return holds, np.abs(off) <= bound
 
 
-def _rows_hold(spec: PolytopeSpec, x, rows, slack=None) -> bool:
+def _rows_hold(spec: PolytopeSpec, x, rows, slack=None):
     """Whether ``x`` holds every row and lies on the inequality rows ``rows``, by
-    :func:`_row_rule` (``slack`` is ``h - G x`` when the caller has it)."""
+    :func:`_row_rule` (``slack`` is ``h - G x`` when the caller has it); per point when ``x``
+    holds one point per row."""
     holds, on = _row_rule(spec, x, slack=slack)
-    return bool(holds and on[rows].all())
+    return holds & on.T[rows].all(axis=0)  # ``.T`` puts the rows first, for a stack too
 
 
 def _distinct_vertices(spec: PolytopeSpec, V: np.ndarray) -> np.ndarray:
@@ -407,6 +413,22 @@ def _column_rule(A_red: np.ndarray, G: np.ndarray, order, col: np.ndarray) -> li
         fixed[coords[~basis[coords]]] = True
         kept.append(run[~basis[coords]])
     return np.concatenate(kept).tolist()
+
+
+def _norms(M: np.ndarray):
+    """The Euclidean norm of the vector ``M``, or of each row of the matrix ``M``, at its own
+    scale.  A plain norm inside ``(2^-460, 2^460)`` is kept: no square that could move it
+    under- or overflows.  Any other row is divided by the power of two of its largest entry
+    (``frexp``) first, so a row of tiny entries does not underflow to zero; the division is
+    exact, so a row at unit scale would keep the same bits."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(M, axis=1) if M.ndim == 2 else np.array([np.linalg.norm(M)])
+    redo = ~((norms > 2.0**-460) & (norms < 2.0**460))
+    if redo.any():
+        rows = M.reshape(-1, M.shape[-1])[redo]
+        unit = np.ldexp(1.0, np.frexp(np.abs(rows).max(axis=1))[1])
+        norms[redo] = np.linalg.norm(rows / unit[:, None], axis=1) * unit
+    return norms if M.ndim == 2 else float(norms[0])
 
 
 def _size_unit(size: float) -> float:

@@ -22,7 +22,11 @@ When the rows tight at the start are dependent, the seed is chosen by
 other rows, ``2n - 1`` long on a transport polytope, not on rows ``n^2`` long.
 A warm solve, ``project(spec, z, warm=prev)``, takes the start, the seed and the
 last factorization from the answer ``prev`` of an earlier solve on ``spec``
-(:class:`KernelState`); the spec itself holds no state.  Ties are broken by
+(:class:`KernelState`); the spec itself holds no state.  :func:`project_sweep` projects
+a sequence of targets: each kernel answer's last factorization projects the later targets
+onto its face in one batched step, and the first target that leaves the face goes back to
+the kernel.  The batch forms are those of the one-target solve: :class:`_FreeSystem`, the
+crossing times and the certificate rule each take a stack of points.  Ties are broken by
 smallest row index throughout, which makes the method deterministic and
 finitely terminating under degeneracy.
 """
@@ -40,7 +44,7 @@ from scipy.linalg.lapack import dtrtrs
 from ._tolerances import KKT_TOL, RANK_TOL, TIE_TOL, ZERO_TOL
 from .errors import MaxIterationsExceeded, NumericalBreakdown, ShapeMismatch
 from .polytope import (PolytopeSpec, _column_rule, _extend_basis, _find_feasible_point, _finite,
-                       _rows_hold, _tight_rows, _unit_columns)
+                       _length, _norms, _rows_hold, _tight_rows, _unit_columns)
 
 
 @dataclass(frozen=True)
@@ -102,20 +106,28 @@ class ProjectionResult:
         }
 
 
-def _ratio_test(gap: np.ndarray, rate: np.ndarray, scale, rows: np.ndarray, origin: float):
-    """First zero crossing of ``gap - t rate`` over the rows with ``rate > 0``.
+def _crossings(gap: np.ndarray, rate: np.ndarray, scale):
+    """Where ``gap - t rate`` crosses zero, for the entries whose rate is positive.
 
     ``gap`` holds slacks or multipliers (negative values count as zero) and
     ``rate`` the speed at which each shrinks; a rate counts as positive above
-    ``ZERO_TOL * scale``.  ``origin`` is where ``t`` starts, in ``t``'s own unit.
+    ``ZERO_TOL * scale``.  Returns the mask of positive rates and ``t`` at its entries,
+    in order; ``gap``, ``rate`` and ``scale`` may be stacks of the same shape.
+    """
+    pos = rate > ZERO_TOL * scale
+    return pos, np.maximum(gap[pos], 0.0) / rate[pos]
+
+
+def _ratio_test(gap: np.ndarray, rate: np.ndarray, scale, rows: np.ndarray, origin: float):
+    """First zero crossing of ``gap - t rate`` (:func:`_crossings`) over the rows with
+    ``rate > 0``.  ``origin`` is where ``t`` starts, in ``t``'s own unit.
     Returns ``t_min`` and the sorted labels from ``rows`` of the rows tied with
     it to ``TIE_TOL (origin + t_min)``, or ``None`` and no rows when nothing
     crosses.
     """
-    pos = rate > ZERO_TOL * scale
-    if not np.any(pos):
+    pos, t = _crossings(gap, rate, scale)
+    if not t.size:
         return None, rows[:0]
-    t = np.maximum(gap[pos], 0.0) / rate[pos]
     t_min = float(t.min())
     return t_min, np.sort(rows[pos][t <= t_min + TIE_TOL * (origin + t_min)])
 
@@ -127,7 +139,8 @@ class _FreeSystem:
     of the stack is zero; only the equality and general working-set rows,
     restricted to the free coordinates, are factored.  :attr:`full_rank`
     reads the independence of the whole stack off that factorization, which
-    :meth:`multipliers` needs.
+    :meth:`multipliers` needs.  :meth:`project` and :meth:`multipliers` take one vector or a
+    stack of them, one per row.
     """
 
     def __init__(self, A_red: np.ndarray, G: np.ndarray, W: list[int], col: np.ndarray):
@@ -159,17 +172,18 @@ class _FreeSystem:
         return bool(
             np.unique(self.fixed).size == self.fixed.size
             and self.B.shape[0] <= self.free.size
-            and np.all(diag > RANK_TOL * np.linalg.norm(self.B, axis=1))
+            and np.all(diag > RANK_TOL * _norms(self.B))
         )
 
     def project(self, v: np.ndarray) -> np.ndarray:
         """Component of ``v`` in the null space of the working-set rows."""
+        # ``.T`` puts the coordinates first: a vector is itself, a stack's points are columns.
         out = np.zeros_like(v)
-        vf = v[self.free]
+        vf = v.T[self.free]
         vf = vf - self.Q @ (self.Q.T @ vf)
         # Second pass: a free coordinate the other rows pin in place must not
         # pick up rounding noise that the ratio test would take for a move.
-        out[self.free] = vf - self.Q @ (self.Q.T @ vf)
+        out.T[self.free] = vf - self.Q @ (self.Q.T @ vf)
         return out
 
     def extends(self, g: np.ndarray, g_norm: float) -> bool:
@@ -177,7 +191,7 @@ class _FreeSystem:
         its residual off them, on the free coordinates, exceeds ``RANK_TOL g_norm``.  This is
         the test :attr:`full_rank` reads off ``R`` and :func:`polytope._column_rule` applies
         to general rows."""
-        return float(np.linalg.norm(self.project(g))) > RANK_TOL * g_norm
+        return _norms(self.project(g)) > RANK_TOL * g_norm
 
     def multipliers(self, v: np.ndarray) -> np.ndarray:
         """Least-squares ``y`` with ``[A_red; G[W]]^T y = v``, in that row order.
@@ -187,17 +201,18 @@ class _FreeSystem:
         Fortran-ordered ``R.T`` with ``trans=1``, the call ``solve_triangular`` makes.
         """
         m_red = self.A_red.shape[0]
-        y_gen = np.zeros(0)
+        v = v.T  # coordinates first, as in :meth:`project`; the answer is turned back
+        y_gen = np.zeros((0,) + v.shape[1:])
         if self.R.size:
             y_gen, info = dtrtrs(self.R.T, self.Q.T @ v[self.free], lower=1, trans=1)
             if info > 0:
                 raise np.linalg.LinAlgError(f"singular matrix: zero diagonal entry {info - 1}")
         resid = v - self.B.T @ y_gen
-        y = np.empty(m_red + self.W.size)
+        y = np.empty((m_red + self.W.size,) + v.shape[1:])
         y[:m_red] = y_gen[:m_red]
         y[self.general_at] = y_gen[m_red:]
-        y[self.unit_at] = resid[self.fixed] / self.coef
-        return y
+        y[self.unit_at] = (resid[self.fixed].T / self.coef).T
+        return y.T
 
 
 class KernelState(NamedTuple):
@@ -253,7 +268,7 @@ def min_distance_active_set(A: np.ndarray, G: np.ndarray, h: np.ndarray, z: np.n
     m_red = A_red.shape[0]
 
     col = _unit_columns(G) if col is None else col
-    g_norm = np.linalg.norm(G, axis=1) if row_norms is None else row_norms
+    g_norm = _norms(G) if row_norms is None else row_norms
     # The tight-row, zero-step and multiplier-sign tests are at the size |z| + |x0| of the data.
     scale = float(np.sqrt(z @ z) + np.sqrt(x @ x))
     order = _tight_rows(h - G @ x, h, g_norm, scale)
@@ -364,25 +379,32 @@ class Certificate(NamedTuple):
         return Certificate(rows, self.mu, full[rows])
 
 
-def _check_certificate(spec: PolytopeSpec, x, r, cert: Certificate, where: str,
-                       slack=None) -> float:
+def _check_certificate(spec: PolytopeSpec, x, r, cert: Certificate, where: str | None,
+                       slack=None):
     """Raise unless ``cert`` proves ``x = proj(x + r)``; return its stationarity residual.
 
     The one KKT rule, at the data's scale: the rows hold by :func:`polytope._rows_hold`, and
     the stationarity residual and ``-min lam_i |g_i|`` lie within ``KKT_TOL (|x| + size + |r|)``,
     where ``size`` (:attr:`PolytopeSpec.size`) keeps rounding in ``x`` at the origin from failing.
     ``slack`` is ``h - G x`` when the caller has it.
+
+    With ``where=None``, ``x``, ``r``, ``cert.mu`` and ``cert.lam`` may hold one point per row,
+    all on the rows ``cert.rows``; nothing is raised, and the answer is the residual of each
+    point, infinite where the rule fails.
     """
-    resid = float(np.abs(r - spec.A.T @ cert.mu - spec.G[cert.rows].T @ cert.lam).max())
-    low = float((cert.lam * spec.row_norms[cert.rows]).min(initial=0))
-    bound = KKT_TOL * (math.sqrt(x @ x) + math.sqrt(r @ r) + spec.size)
-    if not (_rows_hold(spec, x, cert.rows, slack) and resid <= bound and -low <= bound):
+    resid = np.abs(r - cert.mu @ spec.A - cert.lam @ spec.G[cert.rows]).max(axis=-1)
+    low = (cert.lam * spec.row_norms[cert.rows]).min(axis=-1, initial=0)
+    bound = KKT_TOL * (_length(x) + _length(r) + spec.size)
+    holds = _rows_hold(spec, x, cert.rows, slack) & (resid <= bound) & (-low <= bound)
+    if where is None:
+        return np.where(holds, resid, np.inf)
+    if not holds:
         off = np.concatenate([np.abs(spec.A @ x - spec.b), spec.G @ x - spec.h,
                               np.abs(spec.G[cert.rows] @ x - spec.h[cert.rows])])
         raise NumericalBreakdown(
             f"{where} fails its certificate (off the face by {off.max(initial=0):.2e}, "
             f"stationarity residual {resid:.2e}, smallest multiplier {low:.2e})")
-    return resid
+    return float(resid)
 
 
 def project(spec: PolytopeSpec, z, start=None, working_set=None, warm=None) -> ProjectionResult:
@@ -442,6 +464,75 @@ def project(spec: PolytopeSpec, z, start=None, working_set=None, warm=None) -> P
         kkt_residual=kkt,
         warm_state=(spec, state),
     )
+
+
+class Sweep(NamedTuple):
+    """Answers of :func:`project_sweep`: the projections ``x``, one per row, and the mask
+    ``kernel`` of the rows the active-set kernel solved; a face step took the rest."""
+
+    x: np.ndarray
+    kernel: np.ndarray
+
+
+def _face_step(spec: PolytopeSpec, prev: ProjectionResult, Z: np.ndarray) -> np.ndarray:
+    """The projections of the longest prefix of the rows of ``Z`` that lie on the face of the
+    answer ``prev``: one step from ``prev.x`` on its working set, in one batch.
+
+    A row is taken when :func:`min_distance_active_set`, started from ``prev.x`` on that
+    working set, would exit at once: no row off the set crosses before the full step (by
+    :func:`_crossings`, at the kernel's rate floor), no multiplier ``lam_i |g_i|`` falls below
+    ``-ZERO_TOL (|z| + |x|)``, and a step below ``ZERO_TOL (|z| + |x|)`` is not taken.  Each
+    taken answer passes :func:`_check_certificate`.
+    """
+    if not len(Z):
+        return Z
+    x, W, system = prev.x, prev.working_set, prev.warm_state[1].system
+    m_red = system.A_red.shape[0]
+    scale = _length(Z) + _length(x)
+    D = system.project(Z - x)
+    nd = _length(D)
+    D[nd <= ZERO_TOL * scale] = 0.0
+    X = x + D
+    off = np.ones(spec.n_ineq, dtype=bool)
+    off[W] = False
+    rate = D @ spec.G[off].T
+    hits, t = _crossings(np.broadcast_to((spec.h - spec.G @ x)[off], rate.shape), rate,
+                         spec.row_norms[off] * nd[:, None])
+    hits[hits] = t < 1.0
+    blocked = hits.any(axis=1)
+    R = Z - X
+    y = system.multipliers(R)
+    mu = np.zeros((len(Z), spec.n_eq))
+    mu[:, spec.eq_reduction[0]] = y[:, :m_red]
+    lam = y[:, m_red:]
+    negative = (lam * spec.row_norms[W] < -ZERO_TOL * scale[:, None]).any(axis=1)
+    certified = _check_certificate(spec, X, R, Certificate(W, mu, lam), None) < np.inf
+    taken = ~blocked & ~negative & certified
+    return X[:int(np.argmin(np.append(taken, False)))]
+
+
+def project_sweep(spec: PolytopeSpec, Z) -> Sweep:
+    """Project each row of ``Z`` onto the polytope, in the order given.
+
+    The first row is solved cold by :func:`project`.  The answer's last factorization then
+    gives, in one batch, the projections of the later rows that lie on its face
+    (:func:`_face_step`); the first row it does not take is solved by ``project(spec, z,
+    warm=prev)`` from the last kernel answer ``prev``, and so on.  Targets that move along
+    a piecewise-affine path, as ``-eta c / 2`` does with ``eta``, need one kernel solve per
+    face.  Every answer passes the one KKT rule of :func:`_check_certificate`.
+    """
+    Z = np.asarray(Z, dtype=float)
+    if Z.ndim != 2 or Z.shape[1] != spec.dim:
+        raise ShapeMismatch(f"targets of shape {Z.shape}, polytope dim {spec.dim}")
+    X, kernel = np.empty_like(Z), np.zeros(len(Z), dtype=bool)
+    k, prev = 0, None
+    while k < len(Z):
+        prev = project(spec, Z[k], warm=prev)
+        X[k], kernel[k] = prev.x, True
+        taken = _face_step(spec, prev, Z[k + 1:])
+        X[k + 1:k + 1 + len(taken)] = taken
+        k += 1 + len(taken)
+    return Sweep(X, kernel)
 
 
 def solve_qlp(inst: QlpInstance, eta: float, start=None, working_set=None,

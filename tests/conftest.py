@@ -48,3 +48,33 @@ def generic_d6():
         return np.vstack(G), np.concatenate(h), rng.normal(size=d)
 
     return make
+
+
+@pytest.fixture
+def oracle_battery():
+    """Factory of the ``oracle-battery`` round of the benchmark: ``make(seed)`` returns
+    ``(inst, s)`` pairs, ``s`` the seed its cross-check samples with.  Eight
+    ``random_polytope_instance(s)`` of each dimension 1 to 6, their seeds the first drawn
+    from ``default_rng([seed, 1])``; the 25 default ``oracle-check`` transport instances;
+    and polytopes 4 and 43 with their costs times 1e6."""
+    from qreglp.oracle import random_cost_matrix, random_polytope_instance
+    from qreglp.ot import build
+
+    def make(seed):
+        rng = np.random.default_rng([seed, 1])
+        chosen = {d: [] for d in range(1, 7)}
+        while any(len(v) < 8 for v in chosen.values()):
+            s = int(rng.integers(0, 2**31 - 1))
+            inst = random_polytope_instance(s)
+            if len(chosen[inst.polytope.dim]) < 8:
+                chosen[inst.polytope.dim].append((inst, s))
+        out = [pair for d in range(1, 7) for pair in chosen[d]]
+        for s in range(10_000, 10_025):
+            n = int(np.random.default_rng(s).integers(2, 6))
+            out.append((build(cost=random_cost_matrix(s, n)).qlp(), s))
+        for s in (4, 43):
+            inst = random_polytope_instance(s)
+            out.append((QlpInstance(inst.polytope, inst.c * 1e6), s))
+        return out
+
+    return make

@@ -56,6 +56,16 @@ def test_path_on_an_interval_with_a_tiny_row(tmp_path, capsys):
     assert out["eta_star"] == 2.0 and out["endpoints"][-1] == [1.0]
 
 
+def test_project_on_an_interval_with_a_tiny_row(tmp_path, capsys):
+    # Past x = 1 the tiny row blocks and enters: its norm is taken at its own scale, not
+    # squared to zero.
+    f = tmp_path / "tiny.json"
+    f.write_text(json.dumps({"dim": 1, "G": [[1e-200], [-1.0]], "h": [1e-200, 0.0], "c": [-1.0]}))
+    for eta, x in ((0.5, 0.25), (1.0, 0.5), (3.0, 1.0)):
+        assert main(["project", str(f), "--eta", str(eta)]) == 0
+        assert json.loads(capsys.readouterr().out)["x"] == [x]
+
+
 def test_project_malformed_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -20,6 +20,7 @@ from qreglp.oracle import (
     random_polytope_instance,
 )
 from qreglp.ot import birkhoff_polytope, build, quad_cost_instance
+from qreglp.projection import project_sweep
 
 
 def test_lp_bruteforce_interval(interval):
@@ -205,17 +206,17 @@ def _interpolate_one(path, eta):
     return (1.0 - t) * path.endpoints[i] + t * path.endpoints[i + 1]
 
 
-def _warm_spot_checks(inst, path, samples, seed):
-    """``path_verify``'s warm sweep, each sample's deviation measured as it is solved."""
+def _sweep_spot_checks(inst, path, samples, seed):
+    """``path_verify``'s sweep, each sample's deviation measured one sample at a time."""
     rng = np.random.default_rng(seed)
     hi = 1.2 * path.eta_star if path.eta_star > 0 else 1.0
     etas = rng.uniform(0.0, hi, size=samples)
-    worst, worst_eta, prev = 0.0, 0.0, None
-    for eta in np.sort(etas[etas > 0]).tolist():
-        warm = {} if prev is None else {"start": prev.x, "working_set": prev.working_set}
-        prev = solve_qlp(inst, eta, **warm)
-        dev = float(np.max(np.abs(prev.x - _interpolate_one(path, eta))))
-        dev /= float(np.linalg.norm(prev.x)) + inst.polytope.size
+    etas = np.sort(etas[etas > 0])
+    X = project_sweep(inst.polytope, [inst.target(eta) for eta in etas.tolist()]).x
+    worst, worst_eta = 0.0, 0.0
+    for x, eta in zip(X, etas.tolist()):
+        dev = float(np.max(np.abs(x - _interpolate_one(path, eta))))
+        dev /= float(np.linalg.norm(x)) + inst.polytope.size
         if dev > worst:
             worst, worst_eta = dev, eta
     return worst, worst_eta
@@ -223,8 +224,8 @@ def _warm_spot_checks(inst, path, samples, seed):
 
 def test_path_verify_measures_samples_as_the_loop_did():
     # All deviations in one pass after the sweep: the same bits and the same first arg max as
-    # measuring each sample when it is solved, on traced paths, moved ones and a path with no
-    # segment; and SolutionPath.interpolate keeps the loop's arithmetic.
+    # measuring the sweep's answers one sample at a time, on traced paths, moved ones and a
+    # path with no segment; and SolutionPath.interpolate keeps the loop's arithmetic.
     square = PolytopeSpec.box(np.zeros(2), np.ones(2))
     cases = [random_polytope_instance(s) for s in range(10)] + [
         quad_cost_instance(4).qlp(), build(cost=random_cost_matrix(10_003, 4)).qlp(),
@@ -235,7 +236,7 @@ def test_path_verify_measures_samples_as_the_loop_did():
             if moved and path.n_segments >= 2:
                 _move_interior_endpoint(path)
             rep = path_verify(inst, path, samples=40, seed=3)
-            assert (rep.max_discrepancy, rep.worst_eta) == _warm_spot_checks(inst, path, 40, 3)
+            assert (rep.max_discrepancy, rep.worst_eta) == _sweep_spot_checks(inst, path, 40, 3)
             for eta in np.linspace(0.0, 1.3 * path.eta_star, 17):
                 np.testing.assert_array_equal(path.interpolate(eta), _interpolate_one(path, eta))
 
@@ -266,6 +267,18 @@ def test_path_verify_sweep_halves_kernel_iterations(monkeypatch):
     swept, count[0] = count[0], 0
     _cold_spot_checks(inst, path, samples=60, seed=12)
     assert swept <= count[0] / 2
+
+
+def test_path_verify_solves_the_kernel_once_per_face(oracle_battery):
+    # One oracle-battery round: the kernel solves at most 500 of its 3,000 samples, the first
+    # of each path among them; a batched step on the face of the last kernel answer takes the
+    # rest.
+    solves = samples = 0
+    for inst, s in oracle_battery(0):
+        rep = path_verify(inst, trace_path(inst), samples=40, seed=s)
+        assert 1 <= rep.kernel_solves <= rep.samples
+        solves, samples = solves + rep.kernel_solves, samples + rep.samples
+    assert samples == 3000 and solves <= 500
 
 
 def test_path_verify_requires_certificates():

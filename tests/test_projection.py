@@ -11,6 +11,7 @@ from qreglp import (
     NumericalBreakdown,
     PolytopeSpec,
     QlpInstance,
+    ShapeMismatch,
     enumerate_vertices,
     project,
     solve_qlp,
@@ -18,15 +19,18 @@ from qreglp import (
 )
 from qreglp import polytope, projection
 from qreglp.oracle import random_cost_matrix, random_polytope_instance
-from qreglp.ot import birkhoff_polytope
+from qreglp.ot import birkhoff_polytope, quad_cost_instance
 from qreglp.ot import build as ot_build
 from qreglp.polytope import _column_rule, _extend_basis
 from qreglp.projection import (
     KKT_TOL,
     ZERO_TOL,
+    Certificate,
+    _check_certificate,
     _FreeSystem,
     _unit_columns,
     min_distance_active_set,
+    project_sweep,
 )
 
 
@@ -801,3 +805,98 @@ def test_warm_chain_leaves_the_spec_as_it_was(row_rules):
                 runs.append(row_rules[0])
             _assert_same_result(runs[0], runs[2])
             assert runs[1] == runs[3] >= 2
+
+
+def _sweep_targets(inst, seed, samples=40):
+    """``path_verify``'s targets: ``samples`` etas drawn on ``(0, 1.2 eta*]``, sorted."""
+    eta_star = trace_path(inst).eta_star
+    etas = np.random.default_rng(seed).uniform(0.0, 1.2 * eta_star if eta_star > 0 else 1.0,
+                                               size=samples)
+    etas = np.sort(etas[etas > 0])
+    return etas, np.array([inst.target(eta) for eta in etas.tolist()])
+
+
+def _sweep_cases(oracle_battery):
+    """``(inst, seed)`` of the sweep comparisons: the ``oracle-battery`` rounds of seeds 0 and
+    5, random polytopes, transport instances and the quadratic-cost family."""
+    yield from oracle_battery(0)
+    yield from oracle_battery(5)[:48]  # the transport and scaled instances are seed 0's
+    yield from ((random_polytope_instance(s), s) for s in range(100))
+    for s in range(25):
+        for n in range(2, 6):
+            yield ot_build(cost=random_cost_matrix(10_000 + s, n)).qlp(), s
+    yield from ((quad_cost_instance(n).qlp(), n) for n in range(2, 9))
+
+
+def _kernel_answers(spec, Z, sweep):
+    """Per row of ``Z``, the last kernel answer of the sweep at or before it, made again by
+    ``project(spec, z, warm=prev)``; each must be the sweep's own answer at its row."""
+    prev = None
+    for k, z in enumerate(Z):
+        if sweep.kernel[k]:
+            prev = project(spec, z, warm=prev)
+            np.testing.assert_array_equal(sweep.x[k], prev.x)
+        yield prev
+
+
+def test_project_sweep_matches_the_warm_chain(oracle_battery):
+    # The face steps agree with one warm kernel solve per target to 1e-12 of |x| + size.
+    worst, kernel, samples = 0.0, 0, 0
+    for inst, seed in _sweep_cases(oracle_battery):
+        etas, Z = _sweep_targets(inst, seed)
+        sweep = project_sweep(inst.polytope, Z)
+        prev = None
+        for eta, x in zip(etas.tolist(), sweep.x):
+            prev = solve_qlp(inst, eta, warm=prev)
+            gap = np.abs(x - prev.x).max() / (np.linalg.norm(prev.x) + inst.polytope.size)
+            worst = max(worst, gap)
+        kernel, samples = kernel + sweep.kernel.sum(), samples + len(Z)
+    assert worst <= 1e-12
+    assert kernel <= samples / 4
+
+
+def test_project_sweep_certifies_every_face_step_and_refers_the_rest_to_the_kernel():
+    # A face step passes the one-point certificate check on the working set of its kernel
+    # answer; the first target off that face gets exactly the warm kernel solve from that
+    # answer.  Targets are refused both for a row that blocks the step and for a multiplier
+    # that turns negative.
+    causes = set()
+    for s in range(30):
+        inst = random_polytope_instance(s)
+        spec = inst.polytope
+        _, Z = _sweep_targets(inst, s)
+        sweep = project_sweep(spec, Z)
+        assert sweep.kernel[0] and sweep.x.shape == Z.shape
+        face = None  # the kernel answer on whose face the next target is stepped
+        for k, answer in enumerate(_kernel_answers(spec, Z, sweep)):
+            if face is not None:
+                system, W = face.warm_state[1].system, face.working_set
+                m_red = system.A_red.shape[0]
+                x = face.x + system.project(Z[k] - face.x) if sweep.kernel[k] else sweep.x[k]
+                r = Z[k] - x
+                y = system.multipliers(r)
+                mu = np.zeros(spec.n_eq)
+                mu[spec.eq_reduction[0]] = y[:m_red]
+                cert = Certificate(W, mu, y[m_red:])
+                if not sweep.kernel[k]:
+                    _check_certificate(spec, x, r, cert, "face step")
+                    continue
+                size = np.linalg.norm(x) + spec.size
+                if np.any(spec.G @ x - spec.h > 1e-9 * (np.abs(spec.h) + spec.row_norms * size)):
+                    causes.add("row")
+                if np.any(cert.lam * spec.row_norms[W] < -1e-9 * (size + np.linalg.norm(r))):
+                    causes.add("multiplier")
+            face = answer
+    assert causes == {"row", "multiplier"}
+
+
+def test_project_sweep_of_no_target_and_of_one(square):
+    none = project_sweep(square, np.zeros((0, 2)))
+    assert none.x.shape == (0, 2) and none.kernel.shape == (0,)
+    z = np.array([2.0, -0.5])
+    one = project_sweep(square, [z])
+    np.testing.assert_array_equal(one.x, [project(square, z).x])
+    assert one.kernel.tolist() == [True]
+    for bad in (z, np.zeros((2, 3))):
+        with pytest.raises(ShapeMismatch):
+            project_sweep(square, bad)
