@@ -154,8 +154,8 @@ class PathState:
 
     ``certificate`` and ``direction_certificate`` hold ``residual = A^T mu + G^T lam`` and
     ``-c/2 - direction_vec`` as :class:`Certificate`.  The second's rows are the cone solve's
-    final working set, and it carries that solve's last factorization (``system``, read from
-    the kernel's :class:`projection.KernelState`), which :func:`_dual_exit_time` reuses when
+    final working set, and it carries that solve's last factorization (``system``, the
+    kernel's last :class:`projection._FreeSystem`), which :func:`_dual_exit_time` reuses when
     those rows are the segment's.  :func:`trace_path` drops each state before it builds the
     next, so one factorization of this kind is alive at a time.
     """
@@ -178,18 +178,18 @@ def _right_derivative(inst: QlpInstance, x: np.ndarray, r: np.ndarray, tight: np
     (|x| + |r| + size)``, the scale of :func:`projection._check_certificate`.  Also returns
     the cone solve's multipliers, ``-c/2 - d = A^T mu + G[rows]^T lam`` as a
     :class:`Certificate` (a held row's ``lam`` may be negative) that keeps the solve's last
-    factorization, of ``[A_red; G[rows]]``, from the state the kernel returns."""
+    factorization, of ``[A_red; G[rows]]``, which the kernel returns."""
     spec = inst.polytope
     weight = cert.restrict(tight).lam * spec.row_norms[tight]
     scale = np.linalg.norm(x) + np.linalg.norm(r) + spec.size
-    d, W, mu, lam, _, kernel = min_distance_active_set(
+    d, W, mu, lam, _, system = min_distance_active_set(
         spec.A, spec.G[tight], np.zeros(tight.size), -0.5 * inst.c, np.zeros(spec.dim),
         eq=spec.eq_reduction, col=spec.unit_columns[tight], row_norms=spec.row_norms[tight],
         held=np.flatnonzero(weight > ZERO_TOL * scale),
     )
     if np.linalg.norm(d) <= ZERO_TOL * np.linalg.norm(inst.c):
         d = np.zeros(spec.dim)
-    return d, Certificate(tight[W], mu, lam, kernel.system)
+    return d, Certificate(tight[W], mu, lam, system)
 
 
 def path_state(inst: QlpInstance, eta: float) -> PathState:
@@ -220,7 +220,7 @@ def _make_state(
 def _pair_ray(spec: PolytopeSpec, rows: np.ndarray, pair):
     """The certificates ``pair`` of ``r0`` and ``rdot`` as multipliers ``(y0, ydot)`` on
     ``[A_red; G[rows]]``, or ``None`` when either holds a nonzero multiplier off ``rows``."""
-    eq_idx = spec.eq_reduction[0]
+    eq_idx = spec.eq_reduction
     ray = []
     for cert in pair:
         if np.any(cert.lam[~np.isin(cert.rows, rows)]):
@@ -252,7 +252,7 @@ def _dual_exit_time(spec: PolytopeSpec, seg_rows: np.ndarray, r0: np.ndarray, rd
     ``[A_red; G_J]`` is the one ``rdot``'s certificate keeps when its rows are ``J``, which
     holds on most pieces; otherwise one is built.
     """
-    A_red = spec.A[spec.eq_reduction[0]]
+    A_red = spec.A[spec.eq_reduction]
     m = A_red.shape[0]
     no_rows = np.zeros(0, dtype=int)
     norms = spec.row_norms[seg_rows]
@@ -327,7 +327,7 @@ def next_breakpoint(state: PathState):
 
 def _certificate(spec: PolytopeSpec, rows: np.ndarray, y: np.ndarray) -> Certificate:
     """:class:`Certificate` from multipliers ``y`` on ``[A_red; G[rows]]``."""
-    eq_idx = spec.eq_reduction[0]
+    eq_idx = spec.eq_reduction
     mu = np.zeros(spec.n_eq)
     mu[eq_idx] = y[: len(eq_idx)]
     return Certificate(rows, mu, y[len(eq_idx) :])

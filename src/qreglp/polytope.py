@@ -111,10 +111,9 @@ class PolytopeSpec:
         return self.G.shape[0]
 
     @cached_property
-    def eq_reduction(self) -> tuple[list[int], np.ndarray]:
-        """``(eq_idx, base_q)``: greedy independent rows of ``A`` and an
-        orthonormal basis of their span, computed once per spec."""
-        return _extend_basis(np.zeros((0, self.dim)), self.A, range(self.n_eq))
+    def eq_reduction(self) -> list[int]:
+        """The rows of ``A`` that :func:`_independent_rows` keeps, computed once per spec."""
+        return _independent_rows(self.A)
 
     @cached_property
     def unit_columns(self) -> np.ndarray:
@@ -310,43 +309,15 @@ def _unit_columns(G: np.ndarray) -> np.ndarray:
     return col
 
 
-def _extend_basis(base: np.ndarray, M: np.ndarray, order) -> tuple[list[int], np.ndarray]:
-    """Rows of ``M``, visited in ``order``, that extend the span of ``base``.
-
-    ``base`` holds orthonormal rows.  A row is kept when its component
-    orthogonal to ``base`` and to the rows kept so far (two Gram-Schmidt
-    passes) exceeds ``RANK_TOL |row|``, so of two dependent rows
-    the earlier wins.  Returns the kept indices, as ints in visiting order,
-    and ``base`` extended by one orthonormal row per kept row.
-    """
-    d = M.shape[1]
-    r = base.shape[0]
-    basis = np.empty((min(d, r + len(order)), d))
-    basis[:r] = base
-    kept: list[int] = []
-    for j in order:
-        if r == d:
-            break
-        g = M[j]
-        Qb = basis[:r]
-        res = g - Qb.T @ (Qb @ g)
-        res -= Qb.T @ (Qb @ res)  # second pass keeps the basis orthonormal
-        nr = float(np.linalg.norm(res))
-        if nr > RANK_TOL * float(np.linalg.norm(g)):
-            basis[r] = res / nr
-            r += 1
-            kept.append(int(j))
-    return kept, basis[:r]
-
-
 def _thin_qr(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``Q`` and the diagonal of ``R`` of the thin QR of ``M``, by LAPACK's ``dgeqrf`` and
-    ``dorgqr``: on the few-row matrices of a seed, ``np.linalg.qr`` spends most of its time
-    outside LAPACK."""
+    """The thin QR ``M = Q R``, by LAPACK's ``dgeqrf`` and ``dorgqr``, the routines and bits of
+    ``np.linalg.qr``: on the few-row matrices of a seed or a working set, ``np.linalg.qr``
+    spends most of its time outside LAPACK.  ``Q`` is Fortran-ordered, ``R`` C-ordered."""
     if not M.size:
-        return np.zeros((M.shape[0], 0)), np.zeros(0)
+        return np.zeros((M.shape[0], 0)), np.zeros((0, M.shape[1]))
+    k = min(M.shape)
     qr, tau, _, _ = dgeqrf(M)
-    return dorgqr(qr[:, :min(M.shape)], tau)[0], np.diagonal(qr)
+    return dorgqr(qr[:, :k], tau)[0], np.triu(qr[:k])
 
 
 def _column_rule(A_red: np.ndarray, G: np.ndarray, order, col: np.ndarray) -> list[int]:
@@ -359,7 +330,8 @@ def _column_rule(A_red: np.ndarray, G: np.ndarray, order, col: np.ndarray) -> li
 
     - a general row is kept when its residual off the rows before it exceeds
       ``RANK_TOL |row|``, read as ``|R_ii|`` of the QR of ``[B; run][:, ~S]^T``, the test of
-      ``projection._FreeSystem``; the QR is redone after each row dropped;
+      ``projection._FreeSystem``; the QR is redone after each row dropped, and a run is
+      skipped whole once the kept rows span the free coordinates;
     - for distinct unit rows ``T`` off ``S``, ``rank [B; E_T] = |T| + rank B[:, ~T]`` on the
       columns ``~S``.  So the unit rows that extend the span, taken greedily in visiting
       order (greedy on the dual matroid of ``B``'s columns), are those of the run's
@@ -376,11 +348,13 @@ def _column_rule(A_red: np.ndarray, G: np.ndarray, order, col: np.ndarray) -> li
     fixed = np.zeros(G.shape[1], dtype=bool)
     for run in np.split(order, np.flatnonzero(np.diff(col[order] >= 0)) + 1):
         if run.size and col[run[0]] < 0:
+            if A_red.shape[0] + general.size == np.count_nonzero(~fixed):
+                continue  # the kept rows span the free coordinates: the rest depend on them
             while True:
                 B = np.vstack([A_red, G[general], G[run]])[:, ~fixed]
-                diag, r = np.zeros(B.shape[0]), _thin_qr(B.T)[1]
+                diag, r = np.zeros(B.shape[0]), np.diagonal(_thin_qr(B.T)[1])
                 diag[:r.size] = np.abs(r)
-                low = diag[B.shape[0] - run.size:] <= RANK_TOL * np.linalg.norm(G[run], axis=1)
+                low = diag[B.shape[0] - run.size:] <= RANK_TOL * _norms(G[run])
                 if not low.any():
                     break
                 run = np.delete(run, np.argmax(low))
@@ -403,7 +377,8 @@ def _column_rule(A_red: np.ndarray, G: np.ndarray, order, col: np.ndarray) -> li
             if not above.any():
                 break
             start += int(above.argmax())
-            Q, diag = _thin_qr(V[start:start + V.shape[1] - rank].T)
+            Q, R = _thin_qr(V[start:start + V.shape[1] - rank].T)
+            diag = np.diagonal(R)
             # The longest run of columns whose QR diagonal exceeds RANK_TOL: all independent.
             p = int(np.argmin(np.append(np.abs(diag) > RANK_TOL, False)))
             basis[priority[start:start + p]] = True
@@ -413,6 +388,12 @@ def _column_rule(A_red: np.ndarray, G: np.ndarray, order, col: np.ndarray) -> li
         fixed[coords[~basis[coords]]] = True
         kept.append(run[~basis[coords]])
     return np.concatenate(kept).tolist()
+
+
+def _independent_rows(M: np.ndarray) -> list[int]:
+    """The rows of ``M`` that :func:`_column_rule` keeps in row order: of two dependent rows
+    the earlier wins."""
+    return _column_rule(np.zeros((0, M.shape[1])), M, range(M.shape[0]), _unit_columns(M))
 
 
 def _norms(M: np.ndarray):
@@ -425,8 +406,8 @@ def _norms(M: np.ndarray):
         norms = np.linalg.norm(M, axis=1) if M.ndim == 2 else np.array([np.linalg.norm(M)])
     redo = ~((norms > 2.0**-460) & (norms < 2.0**460))
     if redo.any():
-        rows = M.reshape(-1, M.shape[-1])[redo]
-        unit = np.ldexp(1.0, np.frexp(np.abs(rows).max(axis=1))[1])
+        rows = np.atleast_2d(M)[redo]
+        unit = np.ldexp(1.0, np.frexp(np.abs(rows).max(axis=1, initial=0))[1])
         norms[redo] = np.linalg.norm(rows / unit[:, None], axis=1) * unit
     return norms if M.ndim == 2 else float(norms[0])
 
@@ -531,7 +512,7 @@ def _is_extreme(spec: PolytopeSpec, on: np.ndarray) -> bool:
     """Extreme-point certificate of a point that lies on the inequality rows ``on`` (a mask,
     :func:`_row_rule`): the equality rows and the rows of ``on`` that :func:`_column_rule`
     keeps reach rank ``dim``."""
-    eq_idx = spec.eq_reduction[0]
+    eq_idx = spec.eq_reduction
     kept = _column_rule(spec.A[eq_idx], spec.G, np.flatnonzero(on), spec.unit_columns)
     return len(eq_idx) + len(kept) == spec.dim
 
@@ -583,7 +564,7 @@ def _double_description(M: np.ndarray, budget: int) -> np.ndarray:
     """Zero sets of the extreme rays of the pointed cone ``{w : M w <= 0}``.
 
     ``M`` has unit rows.  The seed is the cone of ``len(w)`` independent
-    rows picked by :func:`_extend_basis` in row order; every other row is
+    rows picked by :func:`_independent_rows` in row order; every other row is
     then added in turn (Motzkin et al. 1953; Fukuda & Prodon 1996).  A ray
     is zero on a row when ``|row . ray| <= ZERO_TOL`` (unit ray).  Rays
     positive on the new row go; each pair of a positive and a negative ray
@@ -599,7 +580,7 @@ def _double_description(M: np.ndarray, budget: int) -> np.ndarray:
     from a tested pair, so the rays held never pass the budget either.
     """
     n, m = M.shape
-    seed, _ = _extend_basis(np.zeros((0, m)), M, range(n))
+    seed = _independent_rows(M)
     if len(seed) < m:  # the cone holds a line, so it has no extreme ray
         return np.zeros((0, n), dtype=bool)
     _check_budget(m, 0, budget)
@@ -632,21 +613,22 @@ def enumerate_vertices(
     If the spec carries an explicit vertex list it is deduplicated by the
     rows each vertex lies on (:func:`_distinct_vertices`), sorted, and
     returned.  Otherwise the affine hull ``A x = b`` is written as
-    ``x0 + N y`` and the vertices are read off the extreme rays
+    ``x0 + N y``, both from the complete QR of ``A_red^T`` (``A_red`` the rows of
+    ``spec.eq_reduction``), and the vertices are read off the extreme rays
     of the cone ``{(y, t) : G N y - (h - G x0) t / L <= 0, t >= 0}`` with
     unit rows, found by :func:`_double_description`.  ``L``, the largest
     distance from ``x0`` to a row's hyperplane in the hull, measures ``t``
     in the polytope's own unit of length, so the zero test on the rays
     does not change when the polytope is scaled.  A ray with ``t = 0`` is
     a recession direction and is dropped.  Each vertex is solved from its
-    tight rows: the equality rows of ``spec.eq_reduction`` stacked on the
-    tight inequality rows in ascending order, or on the independent ones
-    :func:`_extend_basis` keeps when more than ``dim - rank(A)`` are
-    tight.  A row of ``G`` that is constant on the affine hull (zero
-    there to ``RANK_TOL`` times its norm) bounds nothing: it is dropped, or the set is
-    empty when ``x0`` breaks it.  Each extreme ray gives one vertex, so
-    the rows need no deduplication (a merge at an absolute distance would
-    fuse true vertices of a small polytope).  Deterministic lexicographic
+    tight rows: ``A_red`` stacked on the tight inequality rows in ascending order, or on the
+    independent ones :func:`_column_rule` keeps (the call :func:`_is_extreme` makes) when
+    more than ``dim - rank(A)`` are tight.  A row of ``G`` that is constant on the affine
+    hull (zero there to ``RANK_TOL`` times its norm) bounds nothing: it is dropped, or the
+    set is empty when ``x0`` breaks it.  Every norm is taken at the row's own scale
+    (:func:`_norms`), so a row of tiny entries is not taken for a flat one.  Each extreme
+    ray gives one vertex, so the rows need no deduplication (a merge at an absolute
+    distance would fuse true vertices of a small polytope).  Deterministic lexicographic
     output order.
 
     Raises
@@ -659,7 +641,7 @@ def enumerate_vertices(
         return VertexSet(_distinct_vertices(spec, spec.vertices))
 
     d = spec.dim
-    eq_idx, base_q = spec.eq_reduction
+    eq_idx = spec.eq_reduction
     A_red = spec.A[eq_idx]
     b_red = spec.b[eq_idx]
     r_eq = A_red.shape[0]
@@ -669,22 +651,23 @@ def enumerate_vertices(
             "fewer inequality rows than the codimension of the equality "
             "block; a nonempty region of this form has no vertices"
         )
-    x0 = base_q.T @ np.linalg.solve(A_red @ base_q.T, b_red)
-    N = np.linalg.qr(base_q.T, mode="complete")[0][:, r_eq:]  # orthonormal, A N = 0
+    Q, R = np.linalg.qr(A_red.T, mode="complete")  # A_red^T = Q[:, :r_eq] R[:r_eq]
+    x0 = Q[:, :r_eq] @ np.linalg.solve(R[:r_eq].T, b_red)  # the least-norm point of the hull
+    N = Q[:, r_eq:]  # orthonormal, A N = 0
     size = np.linalg.norm(x0)
     off = np.abs(spec.b - spec.A @ x0)
     if np.any(off > ZERO_TOL * (np.abs(spec.b) + spec.eq_row_norms * size)):
         raise EmptyFeasibleSet("the equality rows are inconsistent")
     GN = spec.G @ N
     slack = spec.h - spec.G @ x0
-    flat = np.linalg.norm(GN, axis=1) <= RANK_TOL * spec.row_norms
+    flat = _norms(GN) <= RANK_TOL * spec.row_norms
     if np.any(flat & (slack < -ZERO_TOL * (np.abs(spec.h) + spec.row_norms * size))):
         raise EmptyFeasibleSet("an inequality row constant on the affine hull is violated")
     rows = np.flatnonzero(~flat)
-    dist = np.abs(slack[rows]) / np.linalg.norm(GN[rows], axis=1)
+    dist = np.abs(slack[rows]) / _norms(GN[rows])
     length = float(np.max(dist, initial=0.0)) or 1.0
     cone = np.hstack([GN[rows], -slack[rows, None] / length])
-    cone /= np.linalg.norm(cone, axis=1)[:, None]
+    cone /= _norms(cone)[:, None]
     t_row = np.zeros((1, s + 1))
     t_row[0, s] = -1.0
     zero = _double_description(np.vstack([t_row, cone]), budget)
@@ -693,7 +676,7 @@ def enumerate_vertices(
     sel = rows[np.nonzero(tight[simple])[1]].reshape(int(simple.sum()), s)
     extra = []
     for mask in tight[~simple]:
-        kept, _ = _extend_basis(base_q, spec.G, rows[mask])
+        kept = _column_rule(A_red, spec.G, rows[mask], spec.unit_columns)
         if len(kept) == s:
             extra.append(kept)
     sel = np.vstack([sel, np.asarray(extra, dtype=np.intp).reshape(len(extra), s)])

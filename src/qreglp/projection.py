@@ -20,13 +20,13 @@ sparse, that block is ``|free| x (2n - 1)`` instead of ``n^2 x (2n - 1 + |W|)``.
 When the rows tight at the start are dependent, the seed is chosen by
 :func:`polytope._column_rule`, which decides the unit rows on the columns of the
 other rows, ``2n - 1`` long on a transport polytope, not on rows ``n^2`` long.
-A warm solve, ``project(spec, z, warm=prev)``, takes the start, the seed and the
-last factorization from the answer ``prev`` of an earlier solve on ``spec``
-(:class:`KernelState`); the spec itself holds no state.  :func:`project_sweep` projects
-a sequence of targets: each kernel answer's last factorization projects the later targets
-onto its face in one batched step, and the first target that leaves the face goes back to
-the kernel.  The batch forms are those of the one-target solve: :class:`_FreeSystem`, the
-crossing times and the certificate rule each take a stack of points.  Ties are broken by
+A warm solve, ``project(spec, z, warm=prev)``, takes the start and the last
+factorization from the answer ``prev`` of an earlier solve on ``spec``; a warm answer
+carries only that factorization, and the spec itself holds no state.  :func:`project_sweep`
+projects a sequence of targets: each kernel answer's last factorization projects the later
+targets onto its face in one batched step, and the first target that leaves the face goes
+back to the kernel.  The batch forms are those of the one-target solve: :class:`_FreeSystem`,
+the crossing times and the certificate rule each take a stack of points.  Ties are broken by
 smallest row index throughout, which makes the method deterministic and
 finitely terminating under degeneracy.
 """
@@ -43,8 +43,9 @@ from scipy.linalg.lapack import dtrtrs
 
 from ._tolerances import KKT_TOL, RANK_TOL, TIE_TOL, ZERO_TOL
 from .errors import MaxIterationsExceeded, NumericalBreakdown, ShapeMismatch
-from .polytope import (PolytopeSpec, _column_rule, _extend_basis, _find_feasible_point, _finite,
-                       _length, _norms, _rows_hold, _tight_rows, _unit_columns)
+from .polytope import (PolytopeSpec, _column_rule, _find_feasible_point, _finite,
+                       _independent_rows, _length, _norms, _rows_hold, _thin_qr, _tight_rows,
+                       _unit_columns)
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,8 @@ class ProjectionResult:
     tight rows outside the working set).  ``residual`` is the largest
     variational-inequality violation over the polytope's attached vertices,
     or the KKT stationarity residual when it has none.  ``warm_state``, neither compared nor
-    written, is the spec and the :class:`KernelState` that ``project(spec, z, warm=res)`` reads.
+    written, is the spec and the kernel's last :class:`_FreeSystem`, of the final working set,
+    that ``project(spec, z, warm=res)`` reads.
     """
 
     x: np.ndarray
@@ -151,7 +153,8 @@ class _FreeSystem:
         free[self.fixed] = False
         self.free = np.flatnonzero(free)
         self.B = np.vstack([A_red, G[self.W[~self.unit]]])
-        self.Q, self.R = np.linalg.qr(self.B[:, self.free].T)
+        # C-ordered, as ``np.linalg.qr`` gives them: the order sets the matmuls' summation.
+        self.Q, self.R = map(np.ascontiguousarray, _thin_qr(self.B[:, self.free].T))
         # Where :meth:`multipliers` puts the general and the unit rows' entries, and the unit
         # rows' coefficients, built once per factorization.
         m_red = A_red.shape[0]
@@ -215,15 +218,6 @@ class _FreeSystem:
         return y.T
 
 
-class KernelState(NamedTuple):
-    """What a kernel call hands to the next warm one: the visiting ``order`` it seeded from,
-    the ``seed`` it kept and its last factorization ``system``, of the final working set."""
-
-    order: tuple
-    seed: tuple
-    system: _FreeSystem
-
-
 def min_distance_active_set(A: np.ndarray, G: np.ndarray, h: np.ndarray, z: np.ndarray,
                             x0: np.ndarray, w0=None, eq=None, col=None, row_norms=None, held=(),
                             warm=None):
@@ -232,10 +226,10 @@ def min_distance_active_set(A: np.ndarray, G: np.ndarray, h: np.ndarray, z: np.n
     ``x0`` must be feasible and is not checked here: :func:`project` takes a
     start only when it holds every row by the row rule.  The equality
     right-hand side is taken from ``x0`` so the routine serves both
-    polytopes and cones (``h = 0``, ``x0 = 0``).  ``eq`` is the reduction
-    ``(eq_idx, base_q)`` of ``A`` (:attr:`PolytopeSpec.eq_reduction`), ``col`` the unit
-    columns of ``G`` (:attr:`PolytopeSpec.unit_columns`) and ``row_norms`` the norms of its
-    rows (:attr:`PolytopeSpec.row_norms`); each is computed when not given.
+    polytopes and cones (``h = 0``, ``x0 = 0``).  ``eq`` lists the independent rows of ``A``
+    (:attr:`PolytopeSpec.eq_reduction`), ``col`` the unit columns of ``G``
+    (:attr:`PolytopeSpec.unit_columns`) and ``row_norms`` the norms of its rows
+    (:attr:`PolytopeSpec.row_norms`); each is computed when not given.
     The working set starts as every row tight at ``x0`` when
     :attr:`_FreeSystem.full_rank` says they are independent (the factorization the first
     iteration reuses); otherwise the column rule :func:`polytope._column_rule` keeps the first
@@ -248,13 +242,12 @@ def min_distance_active_set(A: np.ndarray, G: np.ndarray, h: np.ndarray, z: np.n
     their multipliers may be negative.  After an unblocked full step the next pass goes
     straight to the multiplier test, with no projection; it still counts as an iteration,
     so ``iters`` counts the passes a re-projection would have made.
-    ``warm`` is the :class:`KernelState` of an earlier call on the same ``A``, ``G``, ``eq``
-    and ``col``: its seed is kept when the visiting order is its order, and its factorization
-    when the first working set factored is that factorization's.  Both are pure functions of
-    those, so a warm call returns what a cold one would.  Returns
-    ``(x, working_set, eq_mult, ineq_mult, iters, state)`` where ``eq_mult`` has one entry
-    per row of ``A`` (zero on redundant rows, which are removed internally) and ``state``
-    is this call's :class:`KernelState`.
+    ``warm`` is the last :class:`_FreeSystem` of an earlier call on the same ``A``, ``G``,
+    ``eq`` and ``col``: it is kept when the first working set factored is its working set.
+    A factorization is a pure function of those, so a warm call returns what a cold one
+    would.  Returns ``(x, working_set, eq_mult, ineq_mult, iters, system)`` where ``eq_mult``
+    has one entry per row of ``A`` (zero on redundant rows, which are removed internally)
+    and ``system`` is this call's last :class:`_FreeSystem`, of ``working_set``.
     """
     d = z.size
     m = A.shape[0]
@@ -263,7 +256,7 @@ def min_distance_active_set(A: np.ndarray, G: np.ndarray, h: np.ndarray, z: np.n
     max_iter = max(50 * (m + k), 100)
 
     # Redundant equality rows would break the null-space projection.
-    eq_idx = (eq if eq is not None else _extend_basis(np.zeros((0, d)), A, range(m)))[0]
+    eq_idx = _independent_rows(A) if eq is None else eq
     A_red = A[eq_idx]
     m_red = A_red.shape[0]
 
@@ -276,8 +269,8 @@ def min_distance_active_set(A: np.ndarray, G: np.ndarray, h: np.ndarray, z: np.n
     keep[np.asarray(held, dtype=int)] = True
     tight = set(order.tolist())  # the held rows go first, then the rows of w0 still tight
     first = [int(j) for j in [*held, *(() if w0 is None else w0)] if int(j) in tight]
-    order = tuple(dict.fromkeys(first + order.tolist()))
-    last = None if warm is None else warm.system  # the one factorization kept, the seed's included
+    order = list(dict.fromkeys(first + order.tolist()))
+    last = warm  # the one factorization kept, the seed's included
 
     def factor(W):
         nonlocal last
@@ -285,22 +278,19 @@ def min_distance_active_set(A: np.ndarray, G: np.ndarray, h: np.ndarray, z: np.n
             last = _FreeSystem(A_red, G, W, col)
         return last
 
-    if warm is not None and warm.order == order:
-        W = list(warm.seed)
-    else:
-        W = sorted(order)
-        # Dependent tight rows (more than d need no factorization to tell): keep the first
-        # independent ones.  Where full_rank rejects the column rule's rows, bisect for the
-        # longest prefix it accepts (a prefix of an independent set is independent).
-        if m_red + len(W) > d or not factor(W).full_rank:
-            kept = _column_rule(A_red, G, order, col)
-            n = len(kept)
-            lo, hi = (n, n + 1) if factor(sorted(kept)).full_rank else (0, n)
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                lo, hi = (mid, hi) if factor(sorted(kept[:mid])).full_rank else (lo, mid)
-            W = sorted(kept[:lo])
-    seed, system = tuple(W), None
+    W = sorted(order)
+    # Dependent tight rows (more than d need no factorization to tell): keep the first
+    # independent ones.  Where full_rank rejects the column rule's rows, bisect for the
+    # longest prefix it accepts (a prefix of an independent set is independent).
+    if m_red + len(W) > d or not factor(W).full_rank:
+        kept = _column_rule(A_red, G, order, col)
+        n = len(kept)
+        lo, hi = (n, n + 1) if factor(sorted(kept)).full_rank else (0, n)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if factor(sorted(kept[:mid])).full_rank else (lo, mid)
+        W = sorted(kept[:lo])
+    system = None
     # Later working sets stay independent: a drop removes a row, and a row
     # enters only when the step moves against it and it extends the span.
 
@@ -357,7 +347,7 @@ def min_distance_active_set(A: np.ndarray, G: np.ndarray, h: np.ndarray, z: np.n
     # The loop leaves only through the exit branch, whose ``y`` is final.
     mu = np.zeros(m)
     mu[eq_idx] = y[:m_red]
-    return x, np.asarray(W, dtype=int), mu, y[m_red:], it, KernelState(order, seed, system)
+    return x, np.asarray(W, dtype=int), mu, y[m_red:], it, system
 
 
 class Certificate(NamedTuple):
@@ -425,7 +415,7 @@ def project(spec: PolytopeSpec, z, start=None, working_set=None, warm=None) -> P
         An earlier answer of this function, in place of ``start=warm.x`` and
         ``working_set=warm.working_set``.  When it was certified on ``spec``
         itself (checked by identity), its ``x`` is not judged again and the
-        kernel reuses its seed and factorization (:class:`KernelState`).
+        kernel reuses its last factorization.
 
     Returns
     -------
@@ -433,20 +423,20 @@ def project(spec: PolytopeSpec, z, start=None, working_set=None, warm=None) -> P
         Minimizer with KKT certificate data, checked by :func:`_check_certificate`.
     """
     z = np.asarray(z, dtype=float).ravel()
-    state = None
+    system = None
     if warm is not None:
         if start is not None or working_set is not None:
             raise ValueError("warm replaces start and working_set; pass it alone")
-        (owner, state), start, working_set = warm.warm_state, warm.x, warm.working_set
+        (owner, system), start, working_set = warm.warm_state, warm.x, warm.working_set
         # On its own spec, the certificate of ``warm`` held ``x`` to the row rule of ``contains``.
-        state = state if owner is spec else None
+        system = system if owner is spec else None
     x0 = None if start is None else np.asarray(start, dtype=float).ravel()
-    if x0 is None or not (state is not None or spec.contains(x0)):
+    if x0 is None or not (system is not None or spec.contains(x0)):
         x0 = _find_feasible_point(spec)
         working_set = None
-    x, W, mu, lam, iters, state = min_distance_active_set(
+    x, W, mu, lam, iters, system = min_distance_active_set(
         spec.A, spec.G, spec.h, z, x0, w0=working_set, eq=spec.eq_reduction,
-        col=spec.unit_columns, row_norms=spec.row_norms, warm=state,
+        col=spec.unit_columns, row_norms=spec.row_norms, warm=system,
     )
     cert = Certificate(W, mu, lam)
     slack = spec.h - spec.G @ x  # one slack for the certificate's rows and the tight rows
@@ -462,7 +452,7 @@ def project(spec: PolytopeSpec, z, start=None, working_set=None, warm=None) -> P
         eq_multipliers=mu,
         iterations=iters,
         kkt_residual=kkt,
-        warm_state=(spec, state),
+        warm_state=(spec, system),
     )
 
 
@@ -486,7 +476,7 @@ def _face_step(spec: PolytopeSpec, prev: ProjectionResult, Z: np.ndarray) -> np.
     """
     if not len(Z):
         return Z
-    x, W, system = prev.x, prev.working_set, prev.warm_state[1].system
+    x, W, system = prev.x, prev.working_set, prev.warm_state[1]
     m_red = system.A_red.shape[0]
     scale = _length(Z) + _length(x)
     D = system.project(Z - x)
@@ -503,7 +493,7 @@ def _face_step(spec: PolytopeSpec, prev: ProjectionResult, Z: np.ndarray) -> np.
     R = Z - X
     y = system.multipliers(R)
     mu = np.zeros((len(Z), spec.n_eq))
-    mu[:, spec.eq_reduction[0]] = y[:, :m_red]
+    mu[:, spec.eq_reduction] = y[:, :m_red]
     lam = y[:, m_red:]
     negative = (lam * spec.row_norms[W] < -ZERO_TOL * scale[:, None]).any(axis=1)
     certified = _check_certificate(spec, X, R, Certificate(W, mu, lam), None) < np.inf

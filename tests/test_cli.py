@@ -56,6 +56,14 @@ def test_path_on_an_interval_with_a_tiny_row(tmp_path, capsys):
     assert out["eta_star"] == 2.0 and out["endpoints"][-1] == [1.0]
 
 
+def test_analyze_on_an_interval_with_a_tiny_row(tmp_path, capsys):
+    # Enumeration keeps the tiny row: both vertices are found, so the bounds hold.
+    f = tmp_path / "tiny.json"
+    f.write_text(json.dumps({"dim": 1, "G": [[1e-200], [-1.0]], "h": [1e-200, 0.0], "c": [-1.0]}))
+    assert main(["analyze", str(f), "--out", str(tmp_path / "report")]) == 0
+    assert capsys.readouterr().out.startswith("eta_star=2 slope=0.5 bounds_ok=true")
+
+
 def test_project_on_an_interval_with_a_tiny_row(tmp_path, capsys):
     # Past x = 1 the tiny row blocks and enters: its norm is taken at its own scale, not
     # squared to zero.

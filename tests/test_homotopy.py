@@ -487,7 +487,7 @@ def lp_calls(monkeypatch):
 
 
 def _full_rank(spec, seg_rows):
-    A_red = spec.A[spec.eq_reduction[0]]
+    A_red = spec.A[spec.eq_reduction]
     return _FreeSystem(A_red, spec.G, seg_rows, spec.unit_columns).full_rank
 
 
@@ -619,7 +619,7 @@ def _dense_exit_time(spec, seg_rows, r0, rdot, cap):
     Returns ``("full", s_exit, rows)``, or ``("dependent", None, None)`` when
     the rows are dependent and the exit is left to the linear program.
     """
-    A = spec.A[spec.eq_reduction[0]]
+    A = spec.A[spec.eq_reduction]
     B = np.vstack([A, spec.G[seg_rows]])
     if B.shape[0] > B.shape[1]:
         return "dependent", None, None
@@ -660,7 +660,7 @@ def _exit_time_cases():
 
 def _cone_residual(spec, seg_rows, v):
     """Distance from ``v`` to span(A rows) + cone(G_J rows), by ``nnls``."""
-    aq = spec.eq_reduction[1]
+    aq = np.linalg.qr(spec.A[spec.eq_reduction].T)[0].T  # orthonormal rows spanning A's
     gj = spec.G[seg_rows]
     if aq.shape[0]:
         gj = gj - (gj @ aq.T) @ aq

@@ -23,7 +23,7 @@ from qreglp import (
     trace_path,
     validate,
 )
-from qreglp.oracle import random_polytope_instance
+from qreglp.oracle import random_cost_matrix, random_polytope_instance
 from qreglp.ot import birkhoff_polytope, permutation_matrices
 from qreglp.polytope import _recession_ray
 
@@ -104,6 +104,30 @@ def test_validate_interval_with_a_tiny_row():
     assert _recession_ray(spec) is None
 
 
+def test_enumerate_with_a_tiny_row():
+    # A row of tiny entries is not flat: its norms (flat-row test, distance, cone row) are
+    # taken at its own scale, so the interval keeps its vertex 1 and the square all four.
+    for s in (1e-200, 1e-300, 2.0**-1000):
+        interval = PolytopeSpec(dim=1, G=[[s], [-1.0]], h=[s, 0.0])
+        assert enumerate_vertices(interval).vertices.tolist() == [[0.0], [1.0]]
+        square = PolytopeSpec.box(np.zeros(2), np.ones(2))
+        G = square.G.copy()
+        G[1] *= s  # the top row (0, s) x <= s
+        h = square.h * np.array([1.0, s, 1.0, 1.0])
+        V = enumerate_vertices(PolytopeSpec(dim=2, G=G, h=h)).vertices
+        assert V.tolist() == [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
+
+
+def test_enumerate_a_point():
+    # Equality rows that fix the point leave a hull of dimension zero: its one vertex.
+    V = enumerate_vertices(PolytopeSpec.simplex(1)).vertices
+    assert V.tolist() == [[1.0]]
+    spec = PolytopeSpec(dim=2, A=[[1.0, 0.0], [1.0, 1.0], [2.0, 0.0]], b=[0.5, 1.0, 1.0],
+                        G=PolytopeSpec.box(np.zeros(2), np.ones(2)).G, h=[1.0, 1.0, 0.0, 0.0])
+    assert spec.eq_reduction == [0, 1]
+    assert enumerate_vertices(spec).vertices.tolist() == [[0.5, 0.5]]
+
+
 def test_validate_keeps_feasible_point():
     spec = PolytopeSpec(dim=2, G=[[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], h=[1.0, 1.0, 0.0])
     rep = validate(spec)
@@ -159,6 +183,30 @@ def test_enumerate_birkhoff3_from_constraints():
     assert len(vs) == 6
     P = np.sort(permutation_matrices(3).reshape(6, 9), axis=0)
     assert np.allclose(np.sort(vs.vertices, axis=0), P, atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_equality_reduction_drops_dependent_rows(n):
+    # All n column sums and two doubled rows on top of Birkhoff(n)'s 2n - 1 independent rows,
+    # in a shuffled order: the reduction's QR test drops the n + 2 dependent rows, and
+    # enumeration and the trace see the polytope they saw before.
+    base = birkhoff_polytope(n)
+    cols = np.zeros((n, n * n))
+    for j in range(n):
+        cols[j, j::n] = 1.0
+    A = np.vstack([base.A, cols, 2.0 * base.A[[0, n]]])
+    b = np.concatenate([base.b, np.ones(n), 2.0 * base.b[[0, n]]])
+    p = np.random.default_rng(n).permutation(A.shape[0])
+    spec = PolytopeSpec(dim=n * n, A=A[p], b=b[p], G=base.G, h=base.h)
+    assert len(spec.eq_reduction) == 2 * n - 1
+    assert np.linalg.matrix_rank(spec.A[spec.eq_reduction]) == 2 * n - 1
+    P = permutation_matrices(n).reshape(-1, n * n)
+    assert np.array_equal(enumerate_vertices(spec).vertices, P[np.lexsort(P.T[::-1])])
+    c = random_cost_matrix(10000, n).ravel()
+    path, ref = trace_path(QlpInstance(spec, c)), trace_path(QlpInstance(base, c))
+    assert path.n_segments == ref.n_segments
+    np.testing.assert_allclose(path.breakpoints, ref.breakpoints, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(path.endpoints, ref.endpoints, rtol=1e-9, atol=1e-9)
 
 
 def test_enumerate_simplex():
@@ -286,7 +334,7 @@ def _basis_sweep_reference(spec: PolytopeSpec) -> np.ndarray:
     """Vertices from every candidate basis: ``dim - rank(A)`` inequality rows
     stacked on the equality rows, solved, kept when feasible to ``1e-9`` and
     of full rank, then deduplicated and sorted as the program does."""
-    eq_idx, _ = spec.eq_reduction
+    eq_idx = spec.eq_reduction
     A_red, b_red = spec.A[eq_idx], spec.b[eq_idx]
     r_eq = len(eq_idx)
     s = spec.dim - r_eq

@@ -21,9 +21,10 @@ from qreglp import polytope, projection
 from qreglp.oracle import random_cost_matrix, random_polytope_instance
 from qreglp.ot import birkhoff_polytope, quad_cost_instance
 from qreglp.ot import build as ot_build
-from qreglp.polytope import _column_rule, _extend_basis
+from qreglp.polytope import _column_rule
 from qreglp.projection import (
     KKT_TOL,
+    RANK_TOL,
     ZERO_TOL,
     Certificate,
     _check_certificate,
@@ -241,15 +242,36 @@ def test_result_json_keys(interval):
     assert set(data) == {"x", "active_set", "residual"}
 
 
+def _row_loop(base, M, order):
+    """Reference rank rule: the rows of ``M``, visited in ``order``, whose residual off the
+    orthonormal rows ``base`` and the rows kept before them (two Gram-Schmidt passes) exceeds
+    ``RANK_TOL |row|``.  Returns the kept rows in visiting order and ``base`` extended by one
+    orthonormal row per kept row."""
+    d = M.shape[1]
+    basis, kept = [*base], []
+    for j in order:
+        if len(basis) == d:
+            break
+        Qb = np.reshape(basis, (len(basis), d))
+        res = M[j] - Qb.T @ (Qb @ M[j])
+        res -= Qb.T @ (Qb @ res)
+        nr = np.linalg.norm(res)
+        if nr > RANK_TOL * np.linalg.norm(M[j]):
+            basis.append(res / nr)
+            kept.append(int(j))
+    return kept, np.reshape(basis, (len(basis), d))
+
+
 def _seed(A, G, order, eq=None):
     """The kernel's working-set seed when it visits the rows ``order`` of ``G``: every row
     of ``G[order]`` is tight at ``x0 = 0`` with ``h = 0``, so the kernel visits them in
-    that order.  Read from the kernel state the call returns."""
+    that order, and with ``z = x0`` it exits at once on the seed, the working set it
+    returns."""
     order = [int(j) for j in order]
     d = G.shape[1]
-    state = min_distance_active_set(A, G[order], np.zeros(len(order)), np.zeros(d), np.zeros(d),
-                                    eq=eq)[5]
-    return [order[i] for i in state.seed]
+    W = min_distance_active_set(A, G[order], np.zeros(len(order)), np.zeros(d), np.zeros(d),
+                                eq=eq)[1]
+    return [order[i] for i in W]
 
 
 def test_kernel_seed_contract():
@@ -270,6 +292,11 @@ def test_kernel_seed_contract():
     assert _seed(none, G, [1, 0]) == [1]
     assert _seed(none, G, [5, 0, 2, 4]) == [5, 0, 2]
     assert _seed(A, G, [5, 4]) == [5]
+    # A dependent general row of tiny entries is dropped: row norms are taken at their own scale.
+    for s in (1.0, 1e-200):
+        T = s * np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 0.0, 0.0]])
+        assert _column_rule(none, T, [0, 1, 2, 3], _unit_columns(T)) == [0, 1, 3]
+        assert _seed(none, T, [0, 1, 2, 3]) == [0, 1, 3]
     # On Birkhoff(3), once coordinates 1, 2 and 3 are fixed, edge 6 (row 2,
     # column 0) is a bridge of the free support graph, so fixing it too
     # depends on the equality rows alone.
@@ -280,11 +307,11 @@ def test_kernel_seed_contract():
     rng = np.random.default_rng(11)
     for n in (2, 3, 4, 5, 6):
         spec = birkhoff_polytope(n)
-        _, base_q = spec.eq_reduction
+        _, base_q = _row_loop(np.zeros((0, spec.dim)), spec.A, range(spec.n_eq))
         G2 = np.vstack([spec.G, -2.0 * spec.G[:3]])  # repeats of unit rows
         for _ in range(20):
             order = rng.permutation(G2.shape[0])[: rng.integers(1, G2.shape[0] + 1)]
-            ref = _extend_basis(base_q, G2, list(order))[0]
+            ref = _row_loop(base_q, G2, order)[0]
             assert _seed(spec.A, G2, order, spec.eq_reduction) == ref
     # Near the rank tolerance: a column of A scaled towards zero, or nearly
     # a copy of another.  Every row is kept only when the full-rank test
@@ -300,10 +327,10 @@ def test_kernel_seed_contract():
             A[:, rng.integers(d)] *= eps
         else:
             A[:, -1] = A[:, 0] + eps * rng.normal(size=A.shape[0])
-        eq = _extend_basis(np.zeros((0, d)), A, range(A.shape[0]))
-        A_red = A[eq[0]]
+        eq = _row_loop(np.zeros((0, d)), A, range(A.shape[0]))[0]
+        A_red = A[eq]
         G3 = -np.eye(d) * rng.choice([1.0, 2.0, 1e-3], size=d)[:, None]
-        order = list(rng.permutation(d)[: rng.integers(1, d - len(eq[0]) + 1)])
+        order = list(rng.permutation(d)[: rng.integers(1, d - len(eq) + 1)])
         kept = _seed(A, G3, order, eq)
         if _FreeSystem(A_red, G3, sorted(order), _unit_columns(G3)).full_rank:
             assert kept == order
@@ -367,18 +394,18 @@ def test_column_rule_is_the_spanning_forest_rule_on_birkhoff():
             order = rng.permutation(G2.shape[0])[: rng.integers(1, G2.shape[0] + 1)]
             ref = _forest_rule(n, col, order)
             assert _seed(spec.A, G2, order, spec.eq_reduction) == ref
-            assert _column_rule(spec.A[spec.eq_reduction[0]], G2, order, col) == ref
+            assert _column_rule(spec.A[spec.eq_reduction], G2, order, col) == ref
 
 
 def _dense_active_set(A, G, h, z, x0, w0=None):
     """Reference kernel: one plain QR of ``[A_red; G[W]]`` per iteration."""
     d, k = z.size, G.shape[0]
     x = x0.astype(float).copy()
-    eq_idx, base_q = _extend_basis(np.zeros((0, d)), A, range(A.shape[0]))
+    eq_idx, base_q = _row_loop(np.zeros((0, d)), A, range(A.shape[0]))
     A_red = A[eq_idx]
     tight = np.flatnonzero(h - G @ x <= 1e-9)
     order = tight if w0 is None else list(dict.fromkeys([*w0, *tight]))
-    W = sorted(_extend_basis(base_q, G, list(order))[0])
+    W = sorted(_row_loop(base_q, G, order)[0])
     zscale = 1.0 + np.linalg.norm(z)
     for _ in range(max(50 * (A.shape[0] + k), 100)):
         B = np.vstack([A_red, G[W]])
@@ -436,14 +463,14 @@ def test_kernel_matches_dense_reference():
         assert np.max(np.abs(x - x_ref)) <= 1e-10
         grad = z - x - spec.A.T @ mu - spec.G[W].T @ lam
         assert np.max(np.abs(grad)) <= KKT_TOL * (1.0 + np.linalg.norm(z))
-        rows = np.vstack([spec.A[spec.eq_reduction[0]], spec.G[W]])
+        rows = np.vstack([spec.A[spec.eq_reduction], spec.G[W]])
         assert np.linalg.matrix_rank(rows) == rows.shape[0]
 
 
 def test_free_system_full_rank():
     # Birkhoff(2): three independent equality rows on four coordinates.
     spec = birkhoff_polytope(2)
-    A_red = spec.A[spec.eq_reduction[0]]
+    A_red = spec.A[spec.eq_reduction]
     col = _unit_columns(spec.G)
     assert _FreeSystem(A_red, spec.G, [0], col).full_rank
     # Two fixed coordinates leave two free ones for three rows.
@@ -476,7 +503,7 @@ def test_kernel_seeds_dependent_tight_rows_by_the_column_rule(monkeypatch):
         A = rng.normal(size=(m, d))
         A[:, rng.integers(d)] *= 10.0 ** rng.uniform(-10, -8)
         z = rng.normal(size=d)
-        eq = _extend_basis(np.zeros((0, d)), A, range(m))
+        eq = _row_loop(np.zeros((0, d)), A, range(m))[0]
         x, W, mu, lam, *_ = min_distance_active_set(A, G, h, z, x0, eq=eq)
         x_ref, _ = _dense_active_set(A, G, h, z, x0)
         assert np.max(np.abs(x - x_ref)) <= 1e-10
@@ -573,8 +600,8 @@ def test_warm_chain_never_changes_an_answer(monkeypatch):
 
 def test_warm_state_is_per_spec():
     # The unit square and a parallelogram share the rows' indices: the corner of each nearest
-    # (2, 2) has working set (0, 1).  Each answer keeps its own spec's seed and factorization;
-    # an answer on the other spec is judged like a start point.
+    # (2, 2) has working set (0, 1).  Each answer keeps its own spec's factorization; an
+    # answer on the other spec is judged like a start point.
     square = PolytopeSpec.box(np.zeros(2), np.ones(2))
     slanted = replace(square, G=np.array([[1.0, 0.5], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]))
     z = np.array([2.0, 2.0])
@@ -582,8 +609,8 @@ def test_warm_state_is_per_spec():
     for spec, corner in ((square, [1.0, 1.0]), (slanted, [0.5, 1.0])):
         first = firsts[spec.G[0, 1]] = project(spec, z)
         res = project(spec, z, warm=first)
-        owner, state = res.warm_state
-        assert owner is spec and state.seed == (0, 1) and state.system.G is spec.G
+        owner, system = res.warm_state
+        assert owner is spec and system.W.tolist() == [0, 1] and system.G is spec.G
         _assert_same_result(res, project(spec, z, start=first.x, working_set=first.working_set))
         np.testing.assert_allclose(res.x, corner, rtol=0.0, atol=1e-15)
     for spec, other in ((square, firsts[0.5]), (slanted, firsts[0.0])):
@@ -690,7 +717,7 @@ def test_multipliers_match_solve_triangular():
         G = np.vstack([np.eye(d) * rng.choice([1.0, -2.0, 0.5], size=d)[:, None],
                        rng.normal(size=(d, d))])
         col = _unit_columns(G)
-        A_red = A[_extend_basis(np.zeros((0, d)), A, range(A.shape[0]))[0]]
+        A_red = A[_row_loop(np.zeros((0, d)), A, range(A.shape[0]))[0]]
         kind = rng.choice(list(kinds))
         pool = {"mixed": 2 * d, "unit": d, "empty": 0}[kind]
         size = int(rng.integers(0, d - A_red.shape[0] + 1)) if pool else 0
@@ -870,13 +897,13 @@ def test_project_sweep_certifies_every_face_step_and_refers_the_rest_to_the_kern
         face = None  # the kernel answer on whose face the next target is stepped
         for k, answer in enumerate(_kernel_answers(spec, Z, sweep)):
             if face is not None:
-                system, W = face.warm_state[1].system, face.working_set
+                system, W = face.warm_state[1], face.working_set
                 m_red = system.A_red.shape[0]
                 x = face.x + system.project(Z[k] - face.x) if sweep.kernel[k] else sweep.x[k]
                 r = Z[k] - x
                 y = system.multipliers(r)
                 mu = np.zeros(spec.n_eq)
-                mu[spec.eq_reduction[0]] = y[:m_red]
+                mu[spec.eq_reduction] = y[:m_red]
                 cert = Certificate(W, mu, y[m_red:])
                 if not sweep.kernel[k]:
                     _check_certificate(spec, x, r, cert, "face step")

@@ -66,12 +66,13 @@ def test_one_certificate_rule():
 
 
 def test_one_rank_rule():
-    # Every independence decision of the solver is taken at RANK_TOL, in the working-set rule
-    # polytope._column_rule (which the kernel's seed and the vertex check share), the
-    # working-set factorization projection._FreeSystem, the row loop polytope._extend_basis
-    # (the equality reduction, the double-description seed and enumeration) and the flat-row
-    # test of enumerate_vertices; the kernel and the tracer make no SVD, and call the row loop
-    # only to reduce the equality rows when no reduction is given.
+    # Every independence decision of the solver is taken at RANK_TOL, in three rank tests: the
+    # working-set rule polytope._column_rule (the kernel's seed, the equality reduction, the
+    # double-description seed, the vertex check and enumeration's degenerate vertices), the
+    # working-set factorization projection._FreeSystem and the flat-row test of
+    # enumerate_vertices.  The kernel and the tracer make no SVD, and call the column rule
+    # only for the kernel's seed and, through polytope._independent_rows, to reduce the
+    # equality rows when no reduction is given.
     outside = []
     for name in SOLVER_MODULES:
         tree = ast.parse((PACKAGE / name).read_text())
@@ -79,7 +80,7 @@ def test_one_rank_rule():
             id(n)
             for node in ast.walk(tree)
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and node.name in ("_column_rule", "_FreeSystem", "_extend_basis", "enumerate_vertices")
+            and node.name in ("_column_rule", "_FreeSystem", "enumerate_vertices")
             for n in ast.walk(node)
         }
         outside += [
@@ -87,16 +88,18 @@ def test_one_rank_rule():
             for node in ast.walk(tree)
             if isinstance(node, ast.Name) and node.id == "RANK_TOL" and id(node) not in inside
         ]
-    assert outside == [], f"RANK_TOL used outside the four rank tests: {outside}"
-    loops = {
+    assert outside == [], f"RANK_TOL used outside the three rank tests: {outside}"
+    rules = {
         name: [
             ast.unparse(node)
             for node in ast.walk(ast.parse((PACKAGE / name).read_text()))
-            if isinstance(node, ast.Call) and ast.unparse(node.func) == "_extend_basis"
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func) in ("_column_rule", "_independent_rows")
         ]
         for name in ("projection.py", "homotopy.py")
     }
-    assert loops == {"projection.py": ["_extend_basis(np.zeros((0, d)), A, range(m))"],
+    assert rules == {"projection.py": ["_independent_rows(A)",
+                                       "_column_rule(A_red, G, order, col)"],
                      "homotopy.py": []}
     for name in ("projection.py", "homotopy.py"):
         tree = ast.parse((PACKAGE / name).read_text())
@@ -107,6 +110,39 @@ def test_one_rank_rule():
             or (isinstance(node, ast.Name) and node.id == "svd")
         ]
         assert svd == [], f"{name}: SVD calls at lines {svd}"
+
+
+def test_one_qr_routine():
+    # The Gram-Schmidt row loop is gone, and the solver modules take a QR only through
+    # polytope._thin_qr (LAPACK's dgeqrf and dorgqr); the one other QR is enumerate_vertices'
+    # complete QR of A_red^T, which gives the affine hull's point and null space.
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert "_extend_basis" not in path.read_text(), path.name
+    found = []
+    for name in SOLVER_MODULES:
+        tree = ast.parse((PACKAGE / name).read_text())
+        inside = {
+            id(n)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "_thin_qr"
+            for n in ast.walk(node)
+        }
+        found += [
+            (name, ast.unparse(call))
+            for call in ast.walk(tree)
+            if isinstance(call, ast.Call) and id(call) not in inside
+            and ast.unparse(call.func).split(".")[-1] in ("qr", "dgeqrf", "dorgqr")
+        ]
+    assert found == [("polytope.py", "np.linalg.qr(A_red.T, mode='complete')")]
+    complete = ast.parse((PACKAGE / "polytope.py").read_text())
+    where = [
+        node.name
+        for node in ast.walk(complete)
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(c, ast.Call) and ast.unparse(c.func) == "np.linalg.qr"
+                for c in ast.walk(node))
+    ]
+    assert where == ["enumerate_vertices"]
 
 
 def test_one_factorization_site():
