@@ -21,15 +21,17 @@ from .polytope import DEFAULT_BASIS_BUDGET, PolytopeSpec, validate
 from .projection import QlpInstance, solve_qlp
 
 
-def _csv_cell(v) -> str:
-    return format(float(v), ".12g") if isinstance(v, (float, np.floating)) else str(v)
-
-
 def _write_csv(handle, header: str, rows) -> None:
-    """Write a CSV with a bit-exact header line and floats to 12 significant digits."""
-    handle.write(header + "\n")
-    for row in rows:
-        handle.write(",".join(_csv_cell(v) for v in row) + "\n")
+    """Write a CSV with a bit-exact header line, floats to 12 significant digits (``%.12g``)
+    and any other cell as ``str``; one line template per sequence of cell types."""
+    templates, lines = {}, [header]
+    for row in map(tuple, rows):
+        kinds = tuple(map(type, row))
+        if kinds not in templates:
+            templates[kinds] = ",".join(
+                "%.12g" if issubclass(t, (float, np.floating)) else "%s" for t in kinds)
+        lines.append(templates[kinds] % row)
+    handle.write("\n".join(lines) + "\n")
 
 
 def _load_instance(path: str):
@@ -87,7 +89,7 @@ def _cmd_analyze(args) -> int:
             _write_csv(
                 fh,
                 "eta,E,segment_index",
-                ([row[0], row[1], int(row[2])] for row in report.e_curve),
+                ([eta, e, int(seg)] for eta, e, seg in report.e_curve.tolist()),
             )
     slope = report.slope_last_segment
     print(

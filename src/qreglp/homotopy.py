@@ -10,9 +10,10 @@ affine piece at a time:
   ``v`` and each term is ``<= 0``, so the cone is ``A v = 0``, ``g_i v = 0``
   where ``lam_i > 0`` (rows the active-set solver holds as equalities) and
   ``g_i v <= 0`` on the other tight rows (Facchinei & Pang 2003, sec. 3.3).
-  The piece's rows are the tight rows with ``|g_i d| <= ZERO_TOL |g_i| |d|``;
+  Each piece takes the slack ``h - G x`` at its start and the rate ``G d`` once
+  (:class:`PathState`); its rows are the tight rows with ``|g_i d| <= ZERO_TOL |g_i| |d|``;
 * the piece ends either when an inactive inequality blocks the ray
-  (closed-form smallest crossing) or when a multiplier of the carrying
+  (closed-form smallest crossing of ``slack - t rate``) or when a multiplier of the carrying
   face crosses zero (closed form when the face's tight rows are linearly
   independent; otherwise the multipliers the start point's certificate and
   the cone solve already hold settle it when they do not cross before the
@@ -47,7 +48,7 @@ from scipy.optimize import linprog
 
 from ._tolerances import ZERO_TOL
 from .errors import MaxSegmentsExceeded, NumericalBreakdown
-from .polytope import PolytopeSpec, _size_unit
+from .polytope import PolytopeSpec, _length, _size_unit, _tight_rows
 from .projection import (Certificate, QlpInstance, _check_certificate, _FreeSystem, _ratio_test,
                          min_distance_active_set, project)
 
@@ -55,7 +56,7 @@ from .projection import (Certificate, QlpInstance, _check_certificate, _FreeSyst
 @dataclass
 class BlockingConstraint:
     """An inactive inequality becomes tight at the event.  ``rows`` (the rows that block) is
-    diagnostic: :func:`trace_path` takes the next face from :meth:`PolytopeSpec.tight_rows`."""
+    diagnostic: :func:`trace_path` takes the next face from :func:`polytope._tight_rows`."""
 
     rows: np.ndarray
     multipliers: tuple = ()
@@ -157,7 +158,9 @@ class PathState:
     final working set, and it carries that solve's last factorization (``system``, the
     kernel's last :class:`projection._FreeSystem`), which :func:`_dual_exit_time` reuses when
     those rows are the segment's.  :func:`trace_path` drops each state before it builds the
-    next, so one factorization of this kind is alive at a time.
+    next, so one factorization of this kind is alive at a time.  ``slack = h - G x`` and
+    ``rate = G direction_vec`` hold every inequality row, taken once per piece: the segment
+    rows, the blocking ratio test and the start certificate read them.
     """
 
     inst: QlpInstance
@@ -169,6 +172,8 @@ class PathState:
     segment_rows: np.ndarray
     certificate: Certificate
     direction_certificate: Certificate
+    slack: np.ndarray
+    rate: np.ndarray
 
 
 def _right_derivative(inst: QlpInstance, x: np.ndarray, r: np.ndarray, tight: np.ndarray,
@@ -205,16 +210,17 @@ def path_state(inst: QlpInstance, eta: float) -> PathState:
     return _make_state(inst, float(eta), res.x, res.active_set, cert)
 
 
-def _make_state(
-    inst: QlpInstance, eta: float, x: np.ndarray, tight: np.ndarray, cert: Certificate
-) -> PathState:
-    # ``tight``: the inequality rows of the face that ``x`` lies on; ``cert``: its certificate.
+def _make_state(inst: QlpInstance, eta: float, x: np.ndarray, tight: np.ndarray,
+                cert: Certificate, slack: np.ndarray | None = None) -> PathState:
+    # ``tight``: the inequality rows of the face that ``x`` lies on; ``cert``: its certificate;
+    # ``slack``: ``h - G x``, taken here when the caller has none.  No row of ``G`` is copied.
     spec = inst.polytope
+    slack = spec.h - spec.G @ x if slack is None else slack
     r = inst.target(eta) - x
     d, cone = _right_derivative(inst, x, r, tight, cert)
-    gd = spec.G[tight] @ d  # zero on a constant piece, where every tight row carries it
-    seg = tight[np.abs(gd) <= ZERO_TOL * spec.row_norms[tight] * np.linalg.norm(d)]
-    return PathState(inst, eta, x, tight, r, d, seg, cert, cone)
+    rate = spec.G @ d  # zero on a constant piece, where every tight row carries it
+    seg = tight[np.abs(rate[tight]) <= ZERO_TOL * spec.row_norms[tight] * np.linalg.norm(d)]
+    return PathState(inst, eta, x, tight, r, d, seg, cert, cone, slack, rate)
 
 
 def _pair_ray(spec: PolytopeSpec, rows: np.ndarray, pair):
@@ -300,7 +306,8 @@ def next_breakpoint(state: PathState):
     Returns ``(eta, event)`` where the event is a
     :class:`BlockingConstraint`, a :class:`DroppingMultiplier`, or
     :class:`Stationary` (in which case ``eta`` is the current value).  The
-    first two carry ``(y0, ydot)`` of :func:`_dual_exit_time` for the piece.
+    first two carry ``(y0, ydot)`` of :func:`_dual_exit_time` for the piece.  The blocking
+    ratio test reads the state's ``slack`` and ``rate`` on the rows off the piece.
     """
     inst, spec = state.inst, state.inst.polytope
     d = state.direction_vec
@@ -308,10 +315,8 @@ def next_breakpoint(state: PathState):
     outside = np.ones(spec.n_ineq, dtype=bool)
     outside[state.segment_rows] = False
     idx = np.flatnonzero(outside)
-    G = spec.G[idx]
-    t_block, block_rows = _ratio_test(
-        spec.h[idx] - G @ state.x, G @ d, spec.row_norms[idx] * np.linalg.norm(d), idx, state.eta
-    )
+    t_block, block_rows = _ratio_test(state.slack[idx], state.rate[idx],
+                                      spec.row_norms[idx] * np.linalg.norm(d), idx, state.eta)
     if t_block is None and np.any(d):
         raise NumericalBreakdown("moving ray never blocked on a bounded polytope")
     rdot = -0.5 * inst.c - d
@@ -369,12 +374,13 @@ def trace_path(inst: QlpInstance, max_segments: int | None = None) -> SolutionPa
         max_segments = max(10 * (spec.n_eq + spec.n_ineq), 8)
     res0 = project(spec, np.zeros(spec.dim))
     eta, x, tight = 0.0, res0.x, res0.active_set
+    slack = spec.h - spec.G @ x
     right = Certificate(tight, res0.eq_multipliers, res0.multipliers)
     etas, points, seg_sets, certs = [0.0], [x], [], []
     stalled = 0
 
     for _ in range(max_segments):
-        state = _make_state(inst, eta, x, tight, right)
+        state = _make_state(inst, eta, x, tight, right, slack)
         eta_next, event = next_breakpoint(state)
         if isinstance(event, Stationary):
             break
@@ -382,9 +388,10 @@ def trace_path(inst: QlpInstance, max_segments: int | None = None) -> SolutionPa
         x_next = x + (eta_next - eta) * state.direction_vec
         y0, ydot = event.multipliers
         left, right = right.restrict(J), _certificate(spec, J, y0 + (eta_next - eta) * ydot)
+        z, slack = inst.target(eta_next), spec.h - spec.G @ x_next
         piece = f"point of the segment from eta={eta / cost_norm!r}"
-        _check_certificate(spec, x_next, inst.target(eta_next) - x_next, right, "landing " + piece)
-        _check_certificate(spec, x, state.residual, left, "start " + piece)
+        _check_certificate(spec, x_next, z - x_next, right, "landing " + piece, slack)
+        _check_certificate(spec, x, state.residual, left, "start " + piece, state.slack)
         stalled = stalled + 1 if eta_next - eta <= ZERO_TOL * (eta + spec.size) else 0
         if stalled >= 5:
             raise NumericalBreakdown(f"path tracer stalled near eta={eta / cost_norm!r}")
@@ -393,7 +400,7 @@ def trace_path(inst: QlpInstance, max_segments: int | None = None) -> SolutionPa
         seg_sets.append(J)
         certs.append((left, right))
         eta, x = float(eta_next), x_next
-        tight = spec.tight_rows(x, inst.target(eta))
+        tight = _tight_rows(slack, spec.h, spec.row_norms, _length(x) + _length(z))
         del state  # its cone factorization goes before the next cone solve builds another
     else:
         raise MaxSegmentsExceeded(f"more than {max_segments} path segments")

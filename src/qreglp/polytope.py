@@ -142,12 +142,6 @@ class PolytopeSpec:
         place of ``KKT_TOL`` when given."""
         return bool(_row_rule(self, np.ravel(x), tol)[0])
 
-    def tight_rows(self, x, z) -> np.ndarray:
-        """Inequality rows tight at ``x``, the projection of ``z`` (:func:`_tight_rows`)."""
-        x = np.asarray(x, dtype=float).ravel()
-        scale = float(np.sqrt(x @ x) + np.sqrt(z @ z))
-        return _tight_rows(self.h - self.G @ x, self.h, self.row_norms, scale)
-
     def to_json_dict(self) -> dict:
         out = {
             "dim": int(self.dim),

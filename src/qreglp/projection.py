@@ -79,7 +79,7 @@ class QlpInstance:
 class ProjectionResult:
     """Projection output with a checkable optimality certificate.
 
-    ``active_set`` lists every inequality row tight at ``x`` (:meth:`PolytopeSpec.tight_rows`:
+    ``active_set`` lists every inequality row tight at ``x`` (:func:`polytope._tight_rows`:
     slack at most ``ZERO_TOL (|h_i| + |g_i| (|x| + |z|))`` for the target ``z``), so far from
     the polytope it can include a row whose slack is up to about ``1e-12 |g_i| |z|``;
     ``multipliers`` holds one Lagrange multiplier per tight row (zero for
@@ -173,7 +173,7 @@ class _FreeSystem:
         """
         diag = np.abs(np.diag(self.R))
         return bool(
-            np.unique(self.fixed).size == self.fixed.size
+            self.free.size + self.fixed.size == self.G.shape[1]  # no coordinate fixed twice
             and self.B.shape[0] <= self.free.size
             and np.all(diag > RANK_TOL * _norms(self.B))
         )
@@ -234,8 +234,8 @@ def min_distance_active_set(A: np.ndarray, G: np.ndarray, h: np.ndarray, z: np.n
     :attr:`_FreeSystem.full_rank` says they are independent (the factorization the first
     iteration reuses); otherwise the column rule :func:`polytope._column_rule` keeps the first
     independent ones, visiting the rows of ``held``, then those of ``w0`` still tight at
-    ``x0``, then the other tight rows.  It decides unit rows on the columns of the other
-    rows, so no full-length row is orthogonalized.  The seed is a set that ``full_rank``
+    ``x0``, then the other tight rows, each group in index order.  It decides unit rows on
+    the columns of the other rows, so no full-length row is orthogonalized.  The seed is a set that ``full_rank``
     accepts: where the rule's column test and ``full_rank`` disagree near ``RANK_TOL``, it is
     the longest prefix of the kept rows, in visiting order, that ``full_rank`` accepts.
     The ``held`` rows must be tight at ``x0``; no drop removes them, so
@@ -264,12 +264,13 @@ def min_distance_active_set(A: np.ndarray, G: np.ndarray, h: np.ndarray, z: np.n
     g_norm = _norms(G) if row_norms is None else row_norms
     # The tight-row, zero-step and multiplier-sign tests are at the size |z| + |x0| of the data.
     scale = float(np.sqrt(z @ z) + np.sqrt(x @ x))
-    order = _tight_rows(h - G @ x, h, g_norm, scale)
+    tight = _tight_rows(h - G @ x, h, g_norm, scale)
     keep = np.zeros(k, dtype=bool)  # the held rows, which no drop removes
     keep[np.asarray(held, dtype=int)] = True
-    tight = set(order.tolist())  # the held rows go first, then the rows of w0 still tight
-    first = [int(j) for j in [*held, *(() if w0 is None else w0)] if int(j) in tight]
-    order = list(dict.fromkeys(first + order.tolist()))
+    group = np.full(k, 2, dtype=np.int8)  # visiting order: held rows, rows of w0, the rest
+    group[np.asarray(() if w0 is None else w0, dtype=int)] = 1
+    group[keep] = 0
+    order = tight[np.argsort(group[tight], kind="stable")]
     last = warm  # the one factorization kept, the seed's included
 
     def factor(W):
@@ -278,7 +279,7 @@ def min_distance_active_set(A: np.ndarray, G: np.ndarray, h: np.ndarray, z: np.n
             last = _FreeSystem(A_red, G, W, col)
         return last
 
-    W = sorted(order)
+    W = tight.tolist()
     # Dependent tight rows (more than d need no factorization to tell): keep the first
     # independent ones.  Where full_rank rejects the column rule's rows, bisect for the
     # longest prefix it accepts (a prefix of an independent set is independent).
@@ -309,7 +310,8 @@ def min_distance_active_set(A: np.ndarray, G: np.ndarray, h: np.ndarray, z: np.n
             # goes straight to the multipliers, and still counts as an iteration.
             full = False
             y = system.multipliers(v)
-            neg = np.flatnonzero((y[m_red:] * g_norm[W] < -ZERO_TOL * scale) & ~keep[W])
+            neg = np.flatnonzero((y[m_red:] * g_norm[system.W] < -ZERO_TOL * scale)
+                                 & ~keep[system.W])
             if neg.size == 0:
                 break
             # Bland: drop the smallest-index offending row (W is sorted).
@@ -317,7 +319,7 @@ def min_distance_active_set(A: np.ndarray, G: np.ndarray, h: np.ndarray, z: np.n
             system = None
             continue
         mask = np.ones(k, dtype=bool)
-        mask[W] = False
+        mask[system.W] = False
         gap, rate, enter = h - G @ x, G @ dvec, None
         # t starts at |x| / nd; ties to TIE_TOL (1 + t_min) on a long step let rows off it enter.
         origin = min(1.0, math.sqrt(x @ x) / nd)

@@ -1,3 +1,4 @@
+import io
 import json
 from pathlib import Path
 
@@ -5,8 +6,8 @@ import numpy as np
 import pytest
 
 from qreglp import solve_qlp
-from qreglp.cli import main
-from qreglp.ot import from_json_dict
+from qreglp.cli import _write_csv, main
+from qreglp.ot import ExperimentRow, from_json_dict
 
 
 @pytest.fixture
@@ -528,3 +529,31 @@ def test_ot_threshold_too_large_for_both_routes(tmp_path, capsys):
     f.write_text(json.dumps({"cost": np.random.default_rng(1).uniform(size=(33, 33)).tolist()}))
     assert main(["ot", "threshold", str(f)]) == 1
     assert "instance too large for both threshold routes" in capsys.readouterr().err
+
+
+def _per_cell_csv(header, rows):
+    """The CSV of one ``format(v, ".12g")`` per float cell and ``str`` per other cell: the
+    reference for :func:`cli._write_csv`."""
+    def cell(v):
+        return format(float(v), ".12g") if isinstance(v, (float, np.floating)) else str(v)
+    return header + "\n" + "".join(",".join(cell(v) for v in row) + "\n" for row in rows)
+
+
+def test_write_csv_matches_the_per_cell_formatter():
+    inf = float("inf")
+    curve = np.column_stack([np.linspace(0.0, 1.1, 7), np.geomspace(1e-300, 3.0, 7),
+                             np.arange(7.0)])
+    rows = [
+        [0, 0.1, 1.0 / 3.0, -0.0, 2.0],
+        [np.int64(7), np.float64(2.5), inf, -inf, float("nan")],
+        [1e-300, 5e-324, 1.7976931348623157e308, -1234.5678901234567, 1e16],
+        [123456789012345, np.float32(0.1), True, -np.float64(0.0), 12345678901.5],
+        *(r.csv_values() for r in (ExperimentRow(12, None, 2.5e-7, None, skipped=True),
+                                   ExperimentRow(14, 1.0 / 7.0, 2.0 / 3.0, 3.0 / 14.0))),
+        *([eta, e, int(seg)] for eta, e, seg in curve.tolist()),
+        *([row[0], row[1], int(row[2])] for row in curve),
+    ]
+    for body in (rows, rows[:0]):
+        buf = io.StringIO()
+        _write_csv(buf, "a,b,c", iter(body))
+        assert buf.getvalue().encode() == _per_cell_csv("a,b,c", body).encode()

@@ -25,7 +25,8 @@ from qreglp import homotopy
 from qreglp.oracle import random_cost_matrix, random_polytope_instance
 from qreglp.ot import birkhoff_polytope, quad_cost_instance
 from qreglp.ot import build as ot_build
-from qreglp.projection import Certificate, _FreeSystem
+from qreglp._tolerances import ZERO_TOL
+from qreglp.projection import Certificate, _FreeSystem, _ratio_test
 
 
 def neg_id_instance(n):
@@ -887,3 +888,65 @@ def test_matches_resolving_reference():
     for inst in _reference_cases():
         path = trace_path(inst)
         np.testing.assert_allclose(path.breakpoints, _reference_trace(inst), rtol=1e-10, atol=0.0)
+
+
+def _copied_rows_next_breakpoint(state):
+    """:func:`homotopy.next_breakpoint` with the blocking ratio test on copied rows ``G[idx]``
+    and its own slack and rate: the reference for the state's shared ``slack`` and ``rate``."""
+    inst, spec = state.inst, state.inst.polytope
+    d = state.direction_vec
+    outside = np.ones(spec.n_ineq, dtype=bool)
+    outside[state.segment_rows] = False
+    idx = np.flatnonzero(outside)
+    G = spec.G[idx]
+    t_block, block_rows = _ratio_test(
+        spec.h[idx] - G @ state.x, G @ d, spec.row_norms[idx] * np.linalg.norm(d), idx, state.eta
+    )
+    rdot = -0.5 * inst.c - d
+    s_dual, drop_rows, *mult = homotopy._dual_exit_time(
+        spec, state.segment_rows, state.residual, rdot, t_block, state.eta,
+        (state.certificate, state.direction_certificate))
+    if s_dual is None:
+        return state.eta, Stationary()
+    if t_block is None or s_dual < t_block:
+        return state.eta + s_dual, homotopy.DroppingMultiplier(drop_rows, tuple(mult))
+    return state.eta + t_block, BlockingConstraint(block_rows, tuple(mult))
+
+
+def _slack_and_rate_cases():
+    for n in range(2, 9):
+        yield quad_cost_instance(n).qlp()
+    for seed in range(40):
+        yield random_polytope_instance(seed)
+    for seed in range(10000, 10010):
+        for n in (2, 3, 4):
+            yield ot_build(cost=random_cost_matrix(seed, n)).qlp()
+
+
+def test_state_slack_and_rate_are_the_products_of_the_piece(monkeypatch):
+    # Each piece takes h - G x and G d once; every reader must see the bits that its own
+    # product on copied rows gave, so no breakpoint, event or segment row moves.
+    true_next = homotopy.next_breakpoint
+    states = [0]
+
+    def checked(state):
+        spec, d, tight = state.inst.polytope, state.direction_vec, state.tight
+        assert state.slack.tobytes() == (spec.h - spec.G @ state.x).tobytes()
+        assert state.rate.tobytes() == (spec.G @ d).tobytes()
+        gd = spec.G[tight] @ d
+        seg = tight[np.abs(gd) <= ZERO_TOL * spec.row_norms[tight] * np.linalg.norm(d)]
+        assert np.array_equal(state.segment_rows, seg)
+        eta, event = true_next(state)
+        ref_eta, ref_event = _copied_rows_next_breakpoint(state)
+        assert eta == ref_eta and type(event) is type(ref_event)
+        if not isinstance(event, Stationary):
+            assert np.array_equal(event.rows, ref_event.rows)
+            for y, y_ref in zip(event.multipliers, ref_event.multipliers):
+                assert y.tobytes() == y_ref.tobytes()
+        states[0] += 1
+        return eta, event
+
+    monkeypatch.setattr(homotopy, "next_breakpoint", checked)
+    for inst in _slack_and_rate_cases():
+        trace_path(inst)
+    assert states[0] > 300  # 366 pieces and stops

@@ -512,6 +512,54 @@ def test_kernel_seeds_dependent_tight_rows_by_the_column_rule(monkeypatch):
     assert calls[0] == 70
 
 
+def _comprehension_order(G, h, z, x0, held, w0):
+    """The kernel's seed visiting order, built by a list comprehension over ``held`` and
+    ``w0``: the reference for the order the kernel builds with masks."""
+    scale = float(np.sqrt(z @ z) + np.sqrt(x0 @ x0))
+    order = polytope._tight_rows(h - G @ x0, h, polytope._norms(G), scale)
+    tight = set(order.tolist())
+    first = [int(j) for j in [*held, *w0] if int(j) in tight]
+    return list(dict.fromkeys(first + order.tolist()))
+
+
+def _seed_order_cases():
+    # The unit square with the redundant cut x1 + x2 <= 2: rows 0, 1 and 4 are tight at (1, 1)
+    # and dependent; row 2 of w0 is not tight.
+    G = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
+    yield np.zeros((0, 2)), G, np.array([1.0, 1.0, 0.0, 0.0, 2.0]), np.array([2.0, 3.0]), \
+        np.ones(2), [1, 1], [0, 2, 2, 4, 4]
+    # Birkhoff(11) at the identity: 110 tight bound rows; the diagonal rows of w0 are not tight.
+    spec = birkhoff_polytope(11)
+    z = np.random.default_rng(3).normal(size=121)
+    off = np.flatnonzero(np.eye(11).ravel() == 0.0)
+    yield spec.A, spec.G, spec.h, z, np.eye(11).ravel(), sorted([*off[:6], *off[2:4]]), \
+        sorted([0, 0, 12, *off[40:70], *off[60:64], 120])
+    # The critical cone of Birkhoff(11) at its apex, as the tracer's cone solve poses it: all
+    # 121 bound rows are tight.
+    yield spec.A, spec.G, np.zeros(121), z, np.zeros(121), sorted([*off[10:30], *off[15:20]]), \
+        sorted([5, 5, *range(50, 90), 100, 100])
+
+
+def test_kernel_seed_visits_held_then_w0_then_the_other_tight_rows(monkeypatch):
+    # Callers pass held and w0 in ascending order (np.flatnonzero, a working set), repeats
+    # allowed; on such lists the masks give the comprehension's order, which the column rule
+    # receives when the tight rows are dependent.
+    seen = []
+
+    def recorded(A_red, G, order, col):
+        seen.append(np.asarray(order).tolist())
+        return _column_rule(A_red, G, order, col)
+
+    monkeypatch.setattr(projection, "_column_rule", recorded)
+    for A, G, h, z, x0, held, w0 in _seed_order_cases():
+        seen.clear()
+        reference = _comprehension_order(G, h, z, x0, held, w0)
+        assert reference != sorted(reference)
+        min_distance_active_set(A, G, h, z, x0, w0=w0, held=held)
+        assert seen and seen[0] == reference
+    assert len(reference) == 121
+
+
 def test_warm_start_redundant_row():
     # Duplicate a row that is tight at the identity vertex of Birkhoff(3);
     # the tight rows there also depend on the (rank-deficient) equalities.

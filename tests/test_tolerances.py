@@ -170,6 +170,23 @@ def test_one_factorization_site():
         assert found == [], f"{name}: factorizations or solves outside _FreeSystem: {found}"
 
 
+def test_tracer_copies_no_rows_of_g_per_piece():
+    # Each traced piece takes h - G x and G d once, over all rows, and carries them in its
+    # PathState: _make_state and next_breakpoint take no row subset of spec.G, which would
+    # bring back a dense row copy and a second product per piece.
+    tree = ast.parse((PACKAGE / "homotopy.py").read_text())
+    found = {
+        node.name: [
+            ast.unparse(sub)
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Subscript) and ast.unparse(sub.value) == "spec.G"
+        ]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in ("_make_state", "next_breakpoint")
+    }
+    assert found == {"_make_state": [], "next_breakpoint": []}
+
+
 def test_analysis_judges_every_check_by_two_constants():
     # Every check of ``analysis`` follows one rule at the size of its own terms
     # (``analysis._at_most``); its tolerances are ``_CHECK_TOL`` and ``_ROUTE_TOL`` alone.
